@@ -115,6 +115,5 @@ from .serialize import (
     save_json,
     load_json,
 )
-from .kernels import BACKEND as KERNEL_BACKEND
 
 __version__ = "0.1.0"

@@ -845,12 +845,22 @@ def qcfa_sample(
                     label, chosen = lab, collapsed
                     break
             psi = chosen
-            state, mv = machine.step_measure(state, sym, label)
+            nxt = machine.step_measure(state, sym, label)
+            if nxt is None:
+                raise SpecError(
+                    f"{machine.name}: no route for outcome {label!r} "
+                    f"at {(state, sym)}"
+                )
         else:
             psi = action.apply(psi)
             if not isinstance(action, IdentityOp):
                 check_norm(psi, f"at {(state, sym)}")
-            state, mv = machine.step(state, sym)
+            nxt = machine.step(state, sym)
+            if nxt is None:
+                raise SpecError(
+                    f"{machine.name}: undefined transition at {(state, sym)}"
+                )
+        state, mv = nxt
         pos = tape.move(pos, mv)
         steps += 1
         if record:

@@ -1,5 +1,6 @@
 """Runner semantics on tiny machines whose behavior is checked by hand."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -167,6 +168,18 @@ def test_qcfa_sample_is_seed_stable():
     outs = [qcfa_sample(m, "0", seed=s).outcome for s in range(60)]
     assert outs == [qcfa_sample(m, "0", seed=s).outcome for s in range(60)]
     assert {"accept", "reject"} == set(outs)
+
+
+@pytest.mark.parametrize("broken,message", [
+    ({"step_measure": lambda state, sym, label: None},
+     r"no route for outcome '(zero|one)' at \('read', '¢'\)"),
+    ({"step": lambda state, sym: None}, r"undefined transition at \('go', '¢'\)"),
+], ids=["outcome", "step"])
+def test_qcfa_runners_reject_missing_routes_alike(broken, message):
+    m = replace(hadamard_qcfa(), **broken)
+    for run in (qcfa_exact, qcfa_sample):
+        with pytest.raises(SpecError, match=message):
+            run(m, "0")
 
 
 def test_run_qcfa_mode_dispatch():

@@ -106,3 +106,5 @@ def test_errors_exit_one_with_diagnostic(capsys):
     assert rc == 1 and "missing.json" in err
     rc, _, err = run_cli(capsys, "compile", "shor:4", "--n", "4")
     assert rc == 1 and "shor" in err
+    rc, _, err = run_cli(capsys, "bench", "--reps", "0")
+    assert rc == 1 and "--reps" in err
