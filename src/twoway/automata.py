@@ -169,7 +169,7 @@ class ExactRunResult:
     origin_states: set = field(default_factory=set)
     branch_traces: list[RunTrace] | None = None
     time_bounded: bool = True          # False: cyclic chain, no worst-case time
-    crossings_max: int | None = None   # only when boundary regions were given
+    crossings_max: int | None = None   # only from run_compiled, which counts boundary crossings
 
 
 @dataclass
@@ -608,20 +608,11 @@ def _qcfa_step_quantum(machine, state, sym, psi):
     return action
 
 
-def _region_cross(regions, owner: int, pos: int) -> tuple[int, int]:
-    """Owner 0 = left party, 1 = right. Returns (new owner, crossings added)."""
-    lo, hi = regions[owner]
-    if lo <= pos <= hi:
-        return owner, 0
-    return 1 - owner, 1
-
-
 def qcfa_exact(
     machine: TwoWayQcfa,
     payload: str,
     cutoff: int = DEFAULT_CUTOFF,
     record_positions: bool | None = None,
-    regions: tuple[tuple[int, int], tuple[int, int]] | None = None,
 ) -> ExactRunResult:
     """Enumerate all measurement branches exactly.
 
@@ -629,9 +620,7 @@ def qcfa_exact(
     evolve identically from that point on, so they are merged after every
     step; this keeps restart-style machines (measure, reset, retry) linear
     instead of exponential in the number of rounds. Weights below 1e-12 are
-    pruned. With `regions` set, each branch also tracks transfers of control
-    across the two ownership regions (for protocol-extraction accounting);
-    merged branches at a common configuration always agree on the owner.
+    pruned.
 
     record_positions keeps full per-branch head trajectories and disables
     merging; only use it on machines whose branching stays small.
@@ -648,20 +637,13 @@ def qcfa_exact(
     t_acc = 0
     t_rej = 0
     branch_count = 0
-    cross_max = 0 if regions is not None else None
     traces: list[RunTrace] | None = [] if record else None
-
-    def initial_owner():
-        return 0
 
     if record:
         # simple branching walker, full trajectories, no merging
-        stack = [
-            (1.0, machine.states.initial, 0, machine.initial_vector(), 0, [0],
-             initial_owner(), 0)
-        ]
+        stack = [(1.0, machine.states.initial, 0, machine.initial_vector(), 0, [0])]
         while stack:
-            weight, state, pos, psi, steps, positions, owner, crossings = stack.pop()
+            weight, state, pos, psi, steps, positions = stack.pop()
             while True:
                 halt = machine.states.halting(state)
                 if halt is not None:
@@ -672,8 +654,6 @@ def qcfa_exact(
                         t_acc = max(t_acc, steps)
                     else:
                         t_rej = max(t_rej, steps)
-                    if cross_max is not None:
-                        cross_max = max(cross_max, crossings)
                     traces.append(
                         RunTrace(halt, steps, len(origins), state, positions,
                                  1 if halt == "accept" else 0)
@@ -699,12 +679,9 @@ def qcfa_exact(
                             )
                         s2, mv = nxt
                         p2 = tape.move(pos, mv)
-                        o2, dc = (owner, 0)
-                        if regions is not None:
-                            o2, dc = _region_cross(regions, owner, p2)
                         stack.append(
                             (weight * p, s2, p2, collapsed, steps + 1,
-                             positions + [p2], o2, crossings + dc)
+                             positions + [p2])
                         )
                     break
                 psi = action.apply(psi)
@@ -719,30 +696,27 @@ def qcfa_exact(
                 pos = tape.move(pos, mv)
                 steps += 1
                 positions.append(pos)
-                if regions is not None:
-                    owner, dc = _region_cross(regions, owner, pos)
-                    crossings += dc
     else:
         # globally merged frontier, one step per iteration
         psi0 = machine.initial_vector()
         pending: dict = {}
 
-        def insert(w, state, pos, psi, steps, owner, crossings):
+        def insert(w, state, pos, psi, steps):
             if w < 1e-12:
                 return
-            key = (state, pos, owner, psi.round(12).tobytes())
+            key = (state, pos, psi.round(12).tobytes())
             prev = pending.get(key)
             if prev is None:
-                pending[key] = (w, psi, steps, crossings)
+                pending[key] = (w, psi, steps)
             else:
-                w0, psi_0, st0, cr0 = prev
-                pending[key] = (w0 + w, psi_0, max(st0, steps), max(cr0, crossings))
+                w0, psi_0, st0 = prev
+                pending[key] = (w0 + w, psi_0, max(st0, steps))
 
-        insert(1.0, machine.states.initial, 0, psi0, 0, initial_owner(), 0)
+        insert(1.0, machine.states.initial, 0, psi0, 0)
         while pending:
             key = next(iter(pending))
-            state, pos, owner, _ = key
-            weight, psi, steps, crossings = pending.pop(key)
+            state, pos, _ = key
+            weight, psi, steps = pending.pop(key)
             halt = machine.states.halting(state)
             if halt is not None:
                 branch_count += 1
@@ -752,8 +726,6 @@ def qcfa_exact(
                     t_acc = max(t_acc, steps)
                 else:
                     t_rej = max(t_rej, steps)
-                if cross_max is not None:
-                    cross_max = max(cross_max, crossings)
                 continue
             if steps >= cutoff:
                 raise NonHaltingError(
@@ -772,11 +744,7 @@ def qcfa_exact(
                             f"at {(state, sym)}"
                         )
                     s2, mv = nxt
-                    p2 = tape.move(pos, mv)
-                    o2, dc = (owner, 0)
-                    if regions is not None:
-                        o2, dc = _region_cross(regions, owner, p2)
-                    insert(weight * p, s2, p2, collapsed, steps + 1, o2, crossings + dc)
+                    insert(weight * p, s2, tape.move(pos, mv), collapsed, steps + 1)
             else:
                 psi2 = action.apply(psi)
                 if not isinstance(action, IdentityOp):
@@ -787,11 +755,7 @@ def qcfa_exact(
                         f"{machine.name}: undefined transition at {(state, sym)}"
                     )
                 s2, mv = nxt
-                p2 = tape.move(pos, mv)
-                o2, dc = (owner, 0)
-                if regions is not None:
-                    o2, dc = _region_cross(regions, owner, p2)
-                insert(weight, s2, p2, psi2, steps + 1, o2, crossings + dc)
+                insert(weight, s2, tape.move(pos, mv), psi2, steps + 1)
 
     if abs(total - 1.0) > 1e-6:
         raise SpecError(
@@ -800,7 +764,7 @@ def qcfa_exact(
         )
     return ExactRunResult(
         min(accept, 1.0), max(t_acc, t_rej), t_acc, t_rej, len(origins),
-        branch_count, origins, traces, True, cross_max,
+        branch_count, origins, traces,
     )
 
 

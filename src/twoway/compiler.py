@@ -26,6 +26,7 @@ from .errors import InputError, SpecError, UnsupportedStructureError
 from .kernels import segment_pass
 from .ops import (
     BRANCH_PRUNE,
+    BasisSwapOp,
     CacheFlipOp,
     CompleteMeasurement,
     GadgetFlipOp,
@@ -34,7 +35,7 @@ from .ops import (
     Measurement,
     Op,
 )
-from .qquery import QueryAlgorithm, apply_oracle, validate_algorithm
+from .qquery import QueryAlgorithm, Segment, apply_oracle, validate_algorithm
 
 __all__ = [
     "CompilationReport",
@@ -47,26 +48,125 @@ ACC = ("acc",)
 REJ = ("rej",)
 
 
-def _lift_measurement(meas: Measurement, cache_dim: int, k: int) -> Measurement:
-    """Extend an algorithm measurement over the cache register: the outcome
-    groups simply repeat in every cache block, so labels are unchanged."""
-    if isinstance(meas, CompleteMeasurement):
-        outcomes = {
-            a: np.arange(cache_dim, dtype=np.int64) * k + a for a in range(k)
-        }
-        return Measurement(cache_dim * k, outcomes, name="complete-lifted")
-    outcomes = {}
-    for label, idx in meas.outcomes.items():
-        outcomes[label] = np.concatenate(
-            [idx + c * k for c in range(cache_dim)]
-        )
-    return Measurement(cache_dim * k, outcomes, name=f"{meas.name}-lifted")
+class _LiftedOutcomes:
+    """An algorithm measurement over the machine register, built once per
+    distinct measurement object: its possible labels, their rows, and the
+    lifted basis positions of every outcome group. Outcome groups simply
+    repeat in every cache block, so labels are unchanged."""
+
+    def __init__(self, meas: Measurement, cache_dim: int, k: int):
+        self.meas = meas
+        self.cache_dim = cache_dim
+        self.k = k
+        self.labels = meas.labels()
+        self.rows = {label: j for j, label in enumerate(self.labels)}
+        self.complete = isinstance(meas, CompleteMeasurement)
+        lift = np.arange(cache_dim, dtype=np.int64) * k
+        if self.complete:
+            # one (labels x cache_dim) array: row a is basis index a per block
+            self.groups = np.arange(k, dtype=np.int64)[:, None] + lift
+        else:
+            self.groups = [
+                (lift[:, None] + meas.outcomes[label]).reshape(-1)
+                for label in self.labels
+            ]
+        self._lifted = None
+
+    @property
+    def lifted(self) -> Measurement:
+        """The lifted measurement itself, for the step-level runners."""
+        if self._lifted is None:
+            self._lifted = Measurement(
+                self.cache_dim * self.k, dict(zip(self.labels, self.groups)),
+                name=f"{self.meas.name}-lifted")
+        return self._lifted
+
+    def weights(self, psi: np.ndarray) -> list[float]:
+        """Probability of every row's outcome, summed per group in the same
+        order as the lifted measurement sums it."""
+        w2 = np.abs(psi) ** 2
+        if self.complete:
+            rows = np.ascontiguousarray(w2.reshape(self.cache_dim, self.k).T)
+            return rows.sum(axis=1).tolist()
+        return [float(w2[g].sum()) for g in self.groups]
 
 
-def _measurement_labels(meas: Measurement, k: int):
-    if isinstance(meas, CompleteMeasurement):
-        return list(range(k))
-    return list(meas.outcomes.keys())
+def _transposed(pos: np.ndarray, a, b, k: int) -> np.ndarray:
+    """Lifted positions pos after exchanging algorithm basis indices a and b
+    in every cache block (a = b = -1 leaves them)."""
+    inner = pos % k
+    return pos - inner + np.where(inner == a, b, np.where(inner == b, a, inner))
+
+
+class CompiledSegment:
+    """One algorithm segment on the machine register, fixed at compile time.
+
+    ops are the lifted unitaries. The decision table has one row per outcome
+    label that can occur, in measurement order: kind[j] ("accept", "reject"
+    or "continue"), next_segment[j] (-1 when the outcome halts) and swap[j],
+    the two basis indices the reset transposes (-1, -1 without a reset).
+    src[j] and dst[j] are the lifted positions of continuing outcome j's
+    group before and after its reset, both ordered by dst; for a complete
+    measurement they are (labels x cache_dim) arrays covering every row.
+    """
+
+    def __init__(self, seg: Segment, ops: list, outcomes: _LiftedOutcomes):
+        self.ops = ops
+        self.outcomes = outcomes
+        self.kind = []
+        self.next_segment = []
+        self.swap = np.full((len(outcomes.labels), 2), -1, dtype=np.int64)
+        for j, label in enumerate(outcomes.labels):
+            d = seg.decide(label)
+            self.kind.append(d.kind)
+            self.next_segment.append(d.next_segment if d.kind == "continue" else -1)
+            if d.kind == "continue" and d.reset is not None:
+                self.swap[j] = d.reset.a, d.reset.b
+        k = outcomes.k
+        if outcomes.complete:
+            # one group position per block, so every row stays ascending
+            self.src = outcomes.groups
+            self.dst = _transposed(self.src, self.swap[:, :1], self.swap[:, 1:], k)
+        else:
+            self.src, self.dst = {}, {}           # only continuing rows collapse
+            for j, (g, (a, b)) in enumerate(zip(outcomes.groups, self.swap.tolist())):
+                if self.kind[j] == "continue":
+                    dst = _transposed(g, a, b, k)
+                    order = np.argsort(dst, kind="stable")
+                    self.src[j], self.dst[j] = g[order], dst[order]
+        self._resets: dict = {}
+
+    def collapse(self, psi: np.ndarray, rows: list, probs: list):
+        """(key, positions, values) of the collapsed, reset state of each
+        continuing row; only positions in the row's group can be non-zero."""
+        if self.outcomes.complete:
+            vals = psi[self.src[rows]] / np.sqrt(probs)[:, None]
+            pos = self.dst[rows]
+            return zip(_sparse_keys(pos, vals), pos, vals)
+        out = []
+        for j, prob in zip(rows, probs):
+            vals = psi[self.src[j]] / np.sqrt(prob)
+            out.append((_sparse_keys(self.dst[j][None], vals[None])[0],
+                        self.dst[j], vals))
+        return out
+
+    def row(self, label) -> int:
+        return self.outcomes.rows[label]
+
+    def reset(self, j: int) -> BasisSwapOp | None:
+        """Row j's reset on the algorithm register."""
+        a, b = self.swap[j].tolist()
+        return None if a < 0 else BasisSwapOp(self.outcomes.k, a, b)
+
+    def reset_op(self, j: int) -> Op:
+        """Row j's lifted reset, for the step-level runners (built on use)."""
+        op = self._resets.get(j)
+        if op is None:
+            inner, blocks = self.reset(j), self.outcomes.cache_dim
+            op = (IdentityOp(self.outcomes.k * blocks) if inner is None
+                  else LiftedOp(inner, blocks))
+            self._resets[j] = op
+        return op
 
 
 @dataclass
@@ -91,7 +191,7 @@ class CompilationReport:
     algorithm: QueryAlgorithm = field(repr=False, default=None)
     gadget: Gadget = field(repr=False, default=None)
     # simulation internals shared by the generic runner and the fast path
-    lifted_segments: list = field(repr=False, default=None)
+    segments: list = field(repr=False, default=None)    # CompiledSegment per segment
     gflip: np.ndarray = field(repr=False, default=None)
     k_alg: int = field(repr=False, default=0)
     cache_dim: int = field(repr=False, default=0)
@@ -138,28 +238,34 @@ def compile_query_to_qcfa(alg: QueryAlgorithm, gadget: Gadget, n: int) -> Compil
         for v in range(cache_dim)
     }
 
-    lifted_segments = []
-    for seg in alg.segments:
-        ops = [
-            identity if isinstance(u, IdentityOp) else LiftedOp(u, cache_dim)
-            for u in seg.unitaries
-        ]
-        lifted_segments.append(
-            (ops, _lift_measurement(seg.measurement, cache_dim, k), seg.decide)
+    # lift each distinct operator and measurement object once
+    lifted: dict = {}
+
+    def lift(obj, make):
+        hit = lifted.get(id(obj))
+        if hit is None:
+            hit = lifted[id(obj)] = make(obj)
+        return hit
+
+    def lift_op(u: Op) -> Op:
+        return identity if isinstance(u, IdentityOp) else LiftedOp(u, cache_dim)
+
+    segments = [
+        CompiledSegment(
+            seg,
+            [lift(u, lift_op) for u in seg.unitaries],
+            lift(seg.measurement, lambda ms: _LiftedOutcomes(ms, cache_dim, k)),
         )
+        for seg in alg.segments
+    ]
 
     nseg = len(alg.segments)
-    continue_labels = []
-    for si, seg in enumerate(alg.segments):
-        labels = _measurement_labels(seg.measurement, k)
-        continue_labels.append(
-            [lb for lb in labels if seg.decide(lb).kind == "continue"]
-        )
+    continue_counts = [cs.kind.count("continue") for cs in segments]
 
     pass_states = 5 * n + 4 + p * (cache_dim - 1)
-    reset_total = sum(len(ls) for ls in continue_labels)
+    reset_total = sum(continue_counts)
     declared = (3 * n + 1) + t * pass_states + sum(
-        2 + len(ls) for ls in continue_labels
+        2 + r for r in continue_counts
     ) + 2
     formula = (
         "(3n+1) + t*(5n+4+p*(2^m-1)) + sum_s(2+r_s) + 2"
@@ -173,24 +279,15 @@ def compile_query_to_qcfa(alg: QueryAlgorithm, gadget: Gadget, n: int) -> Compil
             "segment": si,
             "calls": seg.calls,
             "pass_states": pass_states,
-            "continue_labels": len(continue_labels[si]),
+            "continue_labels": continue_counts[si],
         })
 
     calls_of = [seg.calls for seg in alg.segments]
-    rst_ops: dict = {}
-
-    def lifted_reset(si, label) -> Op:
-        op = rst_ops.get((si, label))
-        if op is None:
-            inner = alg.segments[si].decide(label).reset
-            op = identity if inner is None else LiftedOp(inner, cache_dim)
-            rst_ops[(si, label)] = op
-        return op
 
     def theta(state, sym):
         tag = state[0]
         if tag == "u":
-            return lifted_segments[state[1]][0][state[2]]
+            return segments[state[1]].ops[state[2]]
         if tag == "x1" or tag == "x2":
             if sym == "1":
                 return xflip[state[3] - 1] if tag == "x2" else xflip[state[3]]
@@ -201,9 +298,10 @@ def compile_query_to_qcfa(alg: QueryAlgorithm, gadget: Gadget, n: int) -> Compil
                 return yflip[(idx // m, (pref << 1) | (sym == "1"))]
             return identity
         if tag == "meas":
-            return lifted_segments[state[1]][1]
+            return segments[state[1]].outcomes.lifted
         if tag == "rst":
-            return lifted_reset(state[1], state[2])
+            cs = segments[state[1]]
+            return cs.reset_op(cs.row(state[2]))
         return identity
 
     def step(state, sym):
@@ -245,18 +343,22 @@ def compile_query_to_qcfa(alg: QueryAlgorithm, gadget: Gadget, n: int) -> Compil
             nxt = ("ret", si, ui, j + 1) if j < 2 * n else ("u", si, ui + 1)
             return nxt, 1
         if tag == "rst":
-            nxt_seg = alg.segments[si].decide(ui).next_segment
-            return ("u", nxt_seg, 0), 0
+            cs = segments[si]
+            return ("u", cs.next_segment[cs.row(ui)], 0), 0
         return None
 
     def step_measure(state, sym, label):
         if state[0] != "meas":
             return None
         si = state[1]
-        d = alg.segments[si].decide(label)
-        if d.kind == "accept":
+        cs = segments[si]
+        j = cs.outcomes.rows.get(label)
+        if j is None:
+            return None
+        kind = cs.kind[j]
+        if kind == "accept":
             return ACC, 0
-        if d.kind == "reject":
+        if kind == "reject":
             return REJ, 0
         return ("rst", si, label), 0
 
@@ -300,7 +402,7 @@ def compile_query_to_qcfa(alg: QueryAlgorithm, gadget: Gadget, n: int) -> Compil
         time_bound=time_bound,
         algorithm=alg,
         gadget=gadget,
-        lifted_segments=lifted_segments,
+        segments=segments,
         gflip=gflip,
         k_alg=k,
         cache_dim=cache_dim,
@@ -352,6 +454,22 @@ def _split_sides(report: CompilationReport, x: str, y: str):
     return xb, yv
 
 
+def _sparse_keys(pos: np.ndarray, vals: np.ndarray) -> list[bytes]:
+    """One key per row: the dense vector holding the row's vals at its pos
+    (ascending) and +0.0 elsewhere, keyed by the (position, bit pattern)
+    pairs whose bits are non-zero. Equal keys mean bitwise-equal vectors,
+    so -0.0 stays distinct from 0.0."""
+    nz = vals.view(np.uint64).reshape(*vals.shape, 2).any(axis=2)
+    pos_b = pos[nz].tobytes()
+    val_b = vals[nz].tobytes()
+    keys = []
+    start = 0
+    for end in np.cumsum(nz.sum(axis=1)).tolist():
+        keys.append(pos_b[8 * start : 8 * end] + val_b[16 * start : 16 * end])
+        start = end
+    return keys
+
+
 def run_compiled(report: CompilationReport, x: str, y: str) -> ExactRunResult:
     """Exact branch evaluation of the compiled machine on x #^n y.
 
@@ -361,31 +479,23 @@ def run_compiled(report: CompilationReport, x: str, y: str) -> ExactRunResult:
     mirror the step-level runner exactly (validated against it in tests).
     branch_count tallies halting measurement outcomes, which may group finer
     or coarser than the step-level runner's merged branch count.
+
+    Outcomes are routed through each segment's compile-time decision table:
+    halting outcomes only add their weight, and a continuing outcome becomes
+    a dense state only when its post-reset state is new to the next segment.
     """
-    n, m, t = report.n, report.m, report.t
+    n, m = report.n, report.m
     xb, yv = _split_sides(report, x, y)
     gflip = report.gflip
     d_w = report.d_w
+    dim = report.quantum_basis_count
     seg_steps = 6 * n + 4
 
-    psi0 = np.zeros(report.quantum_basis_count, dtype=np.complex128)
+    # per segment: sparse state key -> [weight, psi, steps, passes]
+    pending: list[dict] = [dict() for _ in report.segments]
+    psi0 = np.zeros(dim, dtype=np.complex128)
     psi0[0] = 1.0
-    # per segment: psi bytes -> [weight, psi, steps, passes]
-    pending: list[dict] = [dict() for _ in report.lifted_segments]
-
-    def insert(si, w, psi, steps, passes):
-        if w < BRANCH_PRUNE:
-            return
-        key = psi.tobytes()
-        slot = pending[si].get(key)
-        if slot is None:
-            pending[si][key] = [w, psi, steps, passes]
-        else:
-            slot[0] += w
-            slot[2] = max(slot[2], steps)
-            slot[3] = max(slot[3], passes)
-
-    insert(0, 1.0, psi0, 3 * n + 2, 0)
+    pending[0][b""] = [1.0, psi0, 3 * n + 2, 0]   # no outcome continues into segment 0
 
     accept_p = 0.0
     reject_p = 0.0
@@ -394,14 +504,14 @@ def run_compiled(report: CompilationReport, x: str, y: str) -> ExactRunResult:
     cross_max = 0
     branch_count = 0
     visited = 3 * n + 1
-    for si, (ops, meas, decide) in enumerate(report.lifted_segments):
+    for si, cs in enumerate(report.segments):
         if not pending[si]:
             continue
+        ops = cs.ops
         calls = len(ops) - 1
         visited += calls * seg_steps + 2          # pass states + final u + meas
         rst_hit = set()
         for w, psi, steps, passes in pending[si].values():
-            psi = psi.copy()
             psi = ops[0].apply(psi)
             for ui in range(1, len(ops)):
                 segment_pass(psi, xb, yv, m, d_w, gflip)
@@ -409,26 +519,44 @@ def run_compiled(report: CompilationReport, x: str, y: str) -> ExactRunResult:
             steps += calls * seg_steps + 2
             passes += calls
             crossings = 2 + 4 * passes
-            for label, prob, collapsed in meas.branches(psi):
+            cont, cont_p, cont_w = [], [], []
+            for j, prob in enumerate(cs.outcomes.weights(psi)):
+                if prob <= BRANCH_PRUNE:
+                    continue   # pruned by the measurement itself
                 wp = w * prob
                 if wp < BRANCH_PRUNE:
                     continue   # below the step-level runner's pruning floor
-                d = decide(label)
-                if d.kind == "accept":
+                kind = cs.kind[j]
+                if kind == "accept":
                     branch_count += 1
                     accept_p += wp
                     t_acc = max(t_acc, steps)
                     cross_max = max(cross_max, crossings)
-                elif d.kind == "reject":
+                elif kind == "reject":
                     branch_count += 1
                     reject_p += wp
                     t_rej = max(t_rej, steps)
                     cross_max = max(cross_max, crossings)
                 else:
-                    rst_hit.add(label)
-                    if d.reset is not None:
-                        collapsed = LiftedOp(d.reset, report.cache_dim).apply(collapsed)
-                    insert(d.next_segment, wp, collapsed, steps + 1, passes)
+                    cont.append(j)
+                    cont_p.append(prob)
+                    cont_w.append(wp)
+            if not cont:
+                continue
+            rst_hit.update(cont)
+            steps += 1                                # the reset step
+            collapsed = cs.collapse(psi, cont, cont_p)
+            for j, wp, (key, pos, vals) in zip(cont, cont_w, collapsed):
+                bucket = pending[cs.next_segment[j]]
+                slot = bucket.get(key)
+                if slot is None:
+                    child = np.zeros(dim, dtype=np.complex128)
+                    child[pos] = vals
+                    bucket[key] = [wp, child, steps, passes]
+                else:
+                    slot[0] += wp
+                    slot[2] = max(slot[2], steps)
+                    slot[3] = max(slot[3], passes)
         visited += len(rst_hit)
 
     total = accept_p + reject_p
@@ -476,19 +604,19 @@ def verify_segment_equivalence(
     calls_done = 0
     si = 0
     while True:
-        ops_m, meas_m, decide = report.lifted_segments[si]
+        cs = report.segments[si]
         seg = alg.segments[si]
-        for ui in range(len(ops_m)):
+        for ui in range(len(cs.ops)):
             if ui > 0:
                 phi = apply_oracle(alg.layout, z, phi)
                 segment_pass(psi, xb, yv, report.m, report.d_w, report.gflip)
                 calls_done += 1
             phi = seg.unitaries[ui].apply(phi)
-            psi = ops_m[ui].apply(psi)
+            psi = cs.ops[ui].apply(psi)
             if calls_done == j:
                 return _deviation(psi, phi, k)
         # j lies beyond this segment: cross its measurement canonically
-        phi, psi, si = _canonical_continue(seg, meas_m, decide, phi, psi, k, report)
+        phi, psi, si = _canonical_continue(seg, cs, phi, psi, k, report)
 
 
 def _deviation(psi, phi, k) -> float:
@@ -498,48 +626,45 @@ def _deviation(psi, phi, k) -> float:
     return dev
 
 
-def _canonical_continue(seg, meas_m, decide, phi, psi, k, report):
+def _canonical_continue(seg, cs, phi, psi, k, report):
     """Pick the continuing outcome of largest probability and collapse both
     sides through it; fall back to the lowest continuing basis outcome when
     no continuing branch carries probability (possible for one-sided runs
     that already succeeded with certainty)."""
+
+    def reset_both(j, phi2, psi2):
+        inner = cs.reset(j)
+        if inner is not None:
+            phi2 = inner.apply(phi2)
+        return phi2, cs.reset_op(j).apply(psi2), cs.next_segment[j]
+
     best = None
     for label, prob, collapsed in seg.measurement.branches(phi):
-        d = decide(label)
-        if d.kind != "continue":
+        j = cs.row(label)
+        if cs.kind[j] != "continue":
             continue
         if best is None or prob > best[1]:
             best = (label, prob, collapsed)
     if best is not None:
         label, _, phi2 = best
-        d = decide(label)
-        if d.reset is not None:
-            phi2 = d.reset.apply(phi2)
         # machine side: same outcome of the lifted measurement
-        for lb, _, collapsed_m in meas_m.branches(psi):
+        for lb, _, collapsed_m in cs.outcomes.lifted.branches(psi):
             if lb == label:
                 psi2 = collapsed_m
                 break
         else:
             raise SpecError("continuing outcome lost on the machine side")
-        if d.reset is not None:
-            psi2 = LiftedOp(d.reset, report.cache_dim).apply(psi2)
-        return phi2, psi2, d.next_segment
+        return reset_both(cs.row(label), phi2, psi2)
     if not isinstance(seg.measurement, CompleteMeasurement):
         raise UnsupportedStructureError(
             "no continuing branch has probability mass and the measurement "
             "outcomes are not basis states"
         )
     for label in range(k):
-        d = decide(label)
-        if d.kind == "continue":
+        if cs.kind[label] == "continue":
             phi2 = np.zeros(k, dtype=np.complex128)
             phi2[label] = 1.0
-            if d.reset is not None:
-                phi2 = d.reset.apply(phi2)
             psi2 = np.zeros(report.quantum_basis_count, dtype=np.complex128)
             psi2[label] = 1.0
-            if d.reset is not None:
-                psi2 = LiftedOp(d.reset, report.cache_dim).apply(psi2)
-            return phi2, psi2, d.next_segment
+            return reset_both(label, phi2, psi2)
     raise UnsupportedStructureError("no continuing outcome at this measurement")

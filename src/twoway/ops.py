@@ -80,7 +80,8 @@ def check_unitary(op: Op) -> None:
     """Assert ||U^dagger U - I||_max <= 1e-9 by materializing the operator."""
     u = op.to_dense()
     gram = u.conj().T @ u
-    dev = np.abs(gram - np.eye(op.dim)).max()
+    gram[np.diag_indices(op.dim)] -= 1.0   # in place: no second dense temporary
+    dev = np.abs(gram).max()
     if dev > UNITARY_ATOL:
         raise SpecError(f"operator {op.describe()} deviates from unitary by {dev:.3e}")
 
@@ -416,6 +417,11 @@ class Measurement:
         if not seen.all():
             raise SpecError("projectors do not sum to the identity")
 
+    def labels(self) -> list:
+        """Labels whose outcome group is non-empty, in outcome order: the
+        outcomes a state can ever produce."""
+        return [label for label, idx in self.outcomes.items() if idx.size]
+
     def branches(self, psi: np.ndarray):
         """Yield (label, probability, collapsed renormalized state) for every
         outcome with probability above the pruning threshold."""
@@ -445,6 +451,9 @@ class CompleteMeasurement(Measurement):
 
     def validate(self) -> None:
         pass
+
+    def labels(self) -> list:
+        return list(range(self.dim))
 
     def branches(self, psi: np.ndarray):
         weights = np.abs(psi) ** 2

@@ -5,11 +5,17 @@ states as |i, b, w> -> |i, b xor z_i, w>. An algorithm is a schedule of
 segments; each segment applies its unitaries with one oracle call between
 consecutive ones, then performs an orthogonal measurement. A per-outcome
 decision either halts (accept/reject) or continues into a later segment,
-optionally applying an outcome-dependent reset unitary first (the state at
-that point is a known basis vector, so a basis transposition suffices to
-re-enter the next segment from a canonical state).
+optionally applying an outcome-dependent reset first. A reset must be a
+basis transposition (`BasisSwapOp`): the state at that point is a known
+basis vector, so a transposition suffices to re-enter the next segment from
+a canonical state, and the compiled runner relies on resets only moving
+amplitudes.
 
 Plain algorithms are a single segment whose decision never continues.
+
+Builders should reuse one operator (and measurement) instance wherever a
+schedule repeats it: validation checks unitarity once per distinct object
+and the compiler lifts each distinct object once.
 """
 
 from __future__ import annotations
@@ -99,21 +105,36 @@ def apply_oracle(layout: RegisterLayout, z: Sequence[int], psi: np.ndarray) -> n
 
 def validate_algorithm(alg: QueryAlgorithm) -> None:
     """Structural checks: unitary operators (densely verified on small
-    dimensions), measurement partitions, and a forward-only control schedule."""
+    dimensions, once per distinct operator object), measurement partitions,
+    a forward-only control schedule, and basis-transposition resets."""
     if alg.arity < 1 or alg.layout.index_dim < alg.arity:
         raise SpecError("layout narrower than declared arity")
+    dim = alg.layout.dim
+    # keyed on identity, not describe(): some descriptions omit the matrix
+    checked: set[int] = set()
     for s, seg in enumerate(alg.segments):
         if len(seg.unitaries) < 1:
             raise SpecError("segment needs at least one unitary")
-        if alg.layout.dim <= DENSE_VALIDATE_DIM:
+        if dim <= DENSE_VALIDATE_DIM:
             for op in seg.unitaries:
-                check_unitary(op)
-        seg.measurement.validate()
-        for label, _, _ in seg.measurement.branches(np.full(alg.layout.dim,
-                                                   1 / math.sqrt(alg.layout.dim),
-                                                   dtype=np.complex128)):
+                if id(op) not in checked:
+                    check_unitary(op)
+                    checked.add(id(op))
+        if id(seg.measurement) not in checked:
+            seg.measurement.validate()
+            checked.add(id(seg.measurement))
+        for label in seg.measurement.labels():
             d = seg.decide(label)
             if d.kind == "continue":
+                rst = d.reset
+                if rst is not None and not (
+                    isinstance(rst, BasisSwapOp) and rst.dim == dim
+                    and 0 <= rst.a < dim and 0 <= rst.b < dim
+                ):
+                    raise SpecError(
+                        f"segment {s} outcome {label!r}: a reset must be a basis "
+                        f"transposition of the register, got {rst.describe()}"
+                    )
                 if not (s < d.next_segment < len(alg.segments)):
                     raise SpecError("continue must target a strictly later segment")
             elif d.kind not in ("accept", "reject"):
@@ -222,35 +243,37 @@ def grover_or(n: int) -> QueryAlgorithm:
         rounds.extend(grover_schedule(n_pad))
 
     canon = layout.flat(0, 0, 0)
+    # every round reuses these instances
+    prep = PrepReflectOp(layout, 0)
+    idle = IdentityOp(layout.dim)
+    enter = ComposeOp([prep, minus_prep_op(layout)])
+    diffuse = DiffusionOp(layout)
+    leave = ComposeOp([diffuse, unminus_op(layout)])
+    measure = CompleteMeasurement(layout.dim)
+    resets: dict[int, Op] = {}      # outcome -> its reset, shared by the rounds
     segments = []
     for r, j in enumerate(rounds):
         last = r == len(rounds) - 1
-        prep = PrepReflectOp(layout, 0)
         if j == 0:
-            unitaries: list[Op] = [prep, IdentityOp(layout.dim)]
+            unitaries: list[Op] = [prep, idle]
         else:
-            unitaries = [ComposeOp([prep, minus_prep_op(layout)])]
-            for _ in range(j - 1):
-                unitaries.append(DiffusionOp(layout))
-            unitaries.append(ComposeOp([DiffusionOp(layout), unminus_op(layout)]))
-            unitaries.append(IdentityOp(layout.dim))
+            unitaries = [enter] + [diffuse] * (j - 1) + [leave, idle]
 
         def make_decide(seg_id: int, is_last: bool):
             def decide(outcome: object) -> Decision:
-                i, b, w = layout.unpack(int(outcome))
-                if b == 1:
+                flat = int(outcome)
+                if layout.unpack(flat)[1] == 1:
                     return ACCEPT
                 if is_last:
                     return REJECT
-                return Decision(
-                    "continue",
-                    seg_id + 1,
-                    BasisSwapOp(layout.dim, layout.flat(i, b, w), canon),
-                )
+                reset = resets.get(flat)
+                if reset is None:
+                    reset = resets[flat] = BasisSwapOp(layout.dim, flat, canon)
+                return Decision("continue", seg_id + 1, reset)
             return decide
 
         segments.append(
-            Segment(tuple(unitaries), CompleteMeasurement(layout.dim), make_decide(r, last))
+            Segment(tuple(unitaries), measure, make_decide(r, last))
         )
 
     alg = QueryAlgorithm(

@@ -7,6 +7,7 @@ arithmetic blockwise and zero-amplitude blocks only ever add exact zeros.
 """
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -19,7 +20,25 @@ from twoway.compiler import (
     verify_segment_equivalence,
 )
 from twoway.errors import InputError
-from twoway.qquery import exact_parity, grover_or, run_query_alg
+from twoway.ops import (
+    BasisSwapOp,
+    CompleteMeasurement,
+    IdentityOp,
+    IndexPairHOp,
+    Measurement,
+    PrepReflectOp,
+    RegisterLayout,
+)
+from twoway.qquery import (
+    ACCEPT,
+    REJECT,
+    Decision,
+    QueryAlgorithm,
+    Segment,
+    exact_parity,
+    grover_or,
+    run_query_alg,
+)
 
 
 def payload(x, y):
@@ -105,8 +124,58 @@ def test_wide_gadget_blocks():
     for x in bitstrings(4):
         for y in bitstrings(4):
             z = gadget_word(x, y, g, 2)
-            assert abs(run_compiled(rep, x, y).accept_probability -
-                       run_query_alg(alg, z)) < 1e-12
+            assert run_compiled(rep, x, y).accept_probability == \
+                run_query_alg(alg, z)
+
+
+def test_wide_gadget_blocks_sampled():
+    # n = 8 sides, p = 4 blocks of width 2: outcome weights sum four cache
+    # blocks per label
+    alg = grover_or(4)
+    g = ip_gadget(2)
+    rep = compile_query_to_qcfa(alg, g, 8)
+    assert rep.cache_dim == 4
+    rng = random.Random(8)
+    for _ in range(300):
+        x = "".join(rng.choice("01") for _ in range(8))
+        y = "".join(rng.choice("01") for _ in range(8))
+        assert run_compiled(rep, x, y).accept_probability == \
+            run_query_alg(alg, gadget_word(x, y, g, 2))
+
+
+def test_partition_measurement_with_reordering_reset():
+    # a two-segment algorithm whose first measurement is a two-group
+    # partition; the "lo" reset swaps basis 0 and 3, so the lifted group
+    # [0, 1, 4, 5] lands on [3, 1, 7, 5] and the runner must order it
+    layout = RegisterLayout(2, 1)
+    split = Measurement(layout.dim, {"lo": np.array([0, 1]), "hi": np.array([2, 3])})
+
+    def first(label):
+        reset = BasisSwapOp(layout.dim, 0, 3) if label == "lo" else None
+        return Decision("continue", 1, reset)
+
+    def second(outcome):
+        return ACCEPT if layout.unpack(int(outcome))[1] else REJECT
+
+    alg = QueryAlgorithm("toy", 2, layout, (
+        Segment((PrepReflectOp(layout, 0), IdentityOp(layout.dim)), split, first),
+        Segment((IndexPairHOp(layout, 0, 1), IdentityOp(layout.dim)),
+                CompleteMeasurement(layout.dim), second),
+    ), 1 / 3)
+    rep = compile_query_to_qcfa(alg, and_gadget(), 2)
+    assert rep.phase_table[1]["continue_labels"] == 2
+    seen = set()
+    for x in bitstrings(2):
+        for y in bitstrings(2):
+            fast = run_compiled(rep, x, y)
+            slow = qcfa_exact(rep.machine, payload(x, y))
+            want = run_query_alg(alg, gadget_word(x, y, and_gadget(), 1))
+            assert fast.accept_probability == slow.accept_probability
+            assert abs(fast.accept_probability - want) < 1e-12
+            assert fast.t_max == slow.t_max
+            assert fast.visited == len(slow.origin_states)
+            seen.add(round(want, 9))
+    assert len(seen) > 1
 
 
 def test_side_length_must_factor():

@@ -5,11 +5,26 @@ import itertools
 import numpy as np
 import pytest
 
+import twoway.qquery
 from twoway.boolfn import BoolFunction, and_fn, or_fn, parse_function, xor_fn
-from twoway.errors import InputError, RefusalError
+from twoway.errors import InputError, RefusalError, SpecError
+from twoway.ops import (
+    MINUS_PREP,
+    BasisSwapOp,
+    CompleteMeasurement,
+    DenseOp,
+    DiffusionOp,
+    IdentityOp,
+    OnAnswerOp,
+    RegisterLayout,
+)
 from twoway.qquery import (
     DT_ARITY_CAP,
+    REJECT,
+    Decision,
     DecisionTree,
+    QueryAlgorithm,
+    Segment,
     build_optimal_dt,
     dt_optimal_depth,
     exact_parity,
@@ -131,3 +146,83 @@ def test_algorithm_layout_and_initial_state():
     psi = alg.initial_state()
     assert psi.shape == (alg.layout.dim,)
     assert abs(np.linalg.norm(psi) - 1) < 1e-12
+
+
+# --- validation of hand-built algorithms --------------------------------------
+
+TOY = RegisterLayout(2, 1)
+
+
+def toy_algorithm(*segments):
+    return QueryAlgorithm("toy", 2, TOY, tuple(segments), 1 / 3)
+
+
+def go_to(seg_id, reset=None):
+    return lambda label: Decision("continue", seg_id, reset)
+
+
+def halt(label):
+    return REJECT
+
+
+@pytest.mark.parametrize("segments", [1, 2])
+def test_continue_reset_must_be_a_basis_transposition(segments):
+    meas = CompleteMeasurement(TOY.dim)
+    idle = IdentityOp(TOY.dim)
+    first = Segment((idle,), meas, go_to(1, DiffusionOp(TOY)))
+    rest = [Segment((idle,), meas, halt)] * (segments - 1)
+    with pytest.raises(SpecError, match="basis transposition"):
+        validate_algorithm(toy_algorithm(first, *rest))
+    # the same schedule with a transposition reset is accepted
+    if segments == 2:
+        fine = Segment((idle,), meas, go_to(1, BasisSwapOp(TOY.dim, 1, 0)))
+        validate_algorithm(toy_algorithm(fine, *rest))
+
+
+def test_non_unitary_operator_in_a_later_segment_is_caught():
+    meas = CompleteMeasurement(TOY.dim)
+    idle = IdentityOp(TOY.dim)
+    bad = DenseOp(2 * np.eye(TOY.dim))
+    alg = toy_algorithm(Segment((idle,), meas, go_to(1)),
+                        Segment((idle, bad), meas, halt))
+    with pytest.raises(SpecError, match="unitary"):
+        validate_algorithm(alg)
+
+
+def test_non_unitary_look_alike_is_caught():
+    # OnAnswerOp.describe() omits the matrix, so a check keyed on the
+    # description would take the second operator for the first
+    meas = CompleteMeasurement(TOY.dim)
+    good = OnAnswerOp(TOY, MINUS_PREP, "answer")
+    bad = OnAnswerOp(TOY, 2 * MINUS_PREP, "answer")
+    assert good.describe() == bad.describe()
+    alg = toy_algorithm(Segment((good,), meas, go_to(1)),
+                        Segment((good, bad), meas, halt))
+    with pytest.raises(SpecError, match="unitary"):
+        validate_algorithm(alg)
+
+
+def test_non_unitary_operator_shared_across_segments_is_caught():
+    meas = CompleteMeasurement(TOY.dim)
+    bad = DenseOp(np.diag([1, 1, 1, 0.5]))
+    alg = toy_algorithm(Segment((bad,), meas, go_to(1)),
+                        Segment((bad, bad), meas, halt))
+    with pytest.raises(SpecError, match="unitary"):
+        validate_algorithm(alg)
+
+
+def test_validation_checks_each_distinct_operator_once(monkeypatch):
+    checked = []
+    real = twoway.qquery.check_unitary
+
+    def counting(op):
+        checked.append(op)
+        real(op)
+
+    monkeypatch.setattr(twoway.qquery, "check_unitary", counting)
+    alg = grover_or(256)
+    assert alg.layout.dim <= twoway.qquery.DENSE_VALIDATE_DIM
+    validate_algorithm(alg)
+    distinct = {id(u) for seg in alg.segments for u in seg.unitaries}
+    assert len(checked) <= 5
+    assert {id(op) for op in checked} == distinct
