@@ -48,24 +48,32 @@ class Tape:
     def length(self) -> int:
         return len(self.payload) + 2
 
-    def symbol(self, pos: int) -> str:
-        if pos == 0:
-            return LEFT_MARKER
-        if pos == self.length - 1:
-            return RIGHT_MARKER
-        return self.payload[pos - 1]
+    @property
+    def symbols(self) -> tuple[str, ...]:
+        """The symbol at every position, end markers included."""
+        return (LEFT_MARKER, *self.payload, RIGHT_MARKER)
 
-    def move(self, pos: int, delta: int) -> int:
-        if delta not in (-1, 0, 1):
-            raise SpecError(f"illegal head move {delta}")
+    def move(self, pos: int, delta: int, name: str, steps: int) -> int:
+        """Head position after `delta` from `pos`; `name` and `steps` (the
+        transitions taken before this one) only label the error."""
         new = pos + delta
-        if new < 0:
-            raise SpecError("head moved left of the left end marker")
-        if new >= self.length:
-            if self.circular and delta == 1:
-                return 0
-            raise SpecError("head moved right of the right end marker")
-        return new
+        if delta in (-1, 0, 1) and 0 <= new < self.length:
+            return new
+        if delta == 1 and self.circular:
+            return 0
+        raise _move_error(name, steps, pos, delta)
+
+
+def _move_error(name: str, steps: int, pos: int, delta) -> SpecError:
+    """The error for an illegal head move `delta` from `pos` on the
+    transition after `steps` completed ones."""
+    if delta not in (-1, 0, 1):
+        what = f"illegal head move {delta}"
+    elif delta == -1:
+        what = "head moved left of the left end marker"
+    else:
+        what = "head moved right of the right end marker"
+    return SpecError(f"{name}: {what} on step {steps + 1} at head position {pos}")
 
 
 @dataclass(frozen=True)
@@ -227,37 +235,56 @@ def run_dfa(
     deterministic machine loops forever and raises immediately."""
     tape = Tape(payload, machine.circular)
     record = _auto_record(tape) if record_positions is None else record_positions
+    symbols = tape.symbols
+    last = len(symbols) - 1
+    circular = machine.circular
+    halting = machine.states.halting
+    step = machine.step
     state = machine.states.initial
     pos = 0
     steps = 0
     origins: set = set()
     positions: list[int] | None = [0] if record else None
     seen: set = set()
+    seen_add = seen.add
     while True:
-        halt = machine.states.halting(state)
+        halt = halting(state)
         if halt is not None:
             return RunTrace(
                 halt, steps, len(origins), state, positions,
                 1 if halt == "accept" else 0, frozenset(origins),
             )
         config = (state, pos)
-        if config in seen:
+        seen_add(config)
+        if len(seen) == steps:      # one configuration per step: it repeats
             raise NonHaltingError(
                 f"{machine.name}: configuration repeats, machine cannot halt",
                 configuration=config,
             )
-        seen.add(config)
         if steps >= cutoff:
             raise NonHaltingError(
                 f"{machine.name}: step cutoff {cutoff} exceeded", configuration=config
             )
         origins.add(state)
-        sym = tape.symbol(pos)
-        nxt = machine.step(state, sym)
+        sym = symbols[pos]
+        nxt = step(state, sym)
         if nxt is None:
             raise SpecError(f"{machine.name}: undefined transition at {(state, sym)}")
         state, mv = nxt
-        pos = tape.move(pos, mv)
+        # Tape.move, inlined
+        if mv == 1:
+            if pos < last:
+                pos += 1
+            elif circular:
+                pos = 0
+            else:
+                raise _move_error(machine.name, steps, pos, mv)
+        elif mv == -1:
+            if pos == 0:
+                raise _move_error(machine.name, steps, pos, mv)
+            pos -= 1
+        elif mv != 0:
+            raise _move_error(machine.name, steps, pos, mv)
         steps += 1
         if record:
             positions.append(pos)
@@ -270,6 +297,8 @@ def _pfa_distribution(machine: TwoWayPfa, state: State, sym: str):
     dist = machine.step(state, sym)
     if dist is None:
         raise SpecError(f"{machine.name}: undefined transition at {(state, sym)}")
+    if len(dist) == 1 and dist[0][0] == 1:
+        return dist                 # one certain outcome: nothing to sum
     total = sum((p for p, _, _ in dist), Fraction(0))
     if total != 1:
         raise SpecError(
@@ -291,13 +320,17 @@ def run_pfa_sample(
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     tape = Tape(payload, machine.circular)
     record = _auto_record(tape) if record_positions is None else record_positions
+    symbols = tape.symbols
+    last = len(symbols) - 1
+    circular = machine.circular
+    halting = machine.states.halting
     state = machine.states.initial
     pos = 0
     steps = 0
     origins: set = set()
     positions: list[int] | None = [0] if record else None
     while True:
-        halt = machine.states.halting(state)
+        halt = halting(state)
         if halt is not None:
             return RunTrace(
                 halt, steps, len(origins), state, positions,
@@ -309,7 +342,7 @@ def run_pfa_sample(
                 configuration=(state, pos),
             )
         origins.add(state)
-        dist = _pfa_distribution(machine, state, tape.symbol(pos))
+        dist = _pfa_distribution(machine, state, symbols[pos])
         if len(dist) == 1:
             _, state_next, mv = dist[0]
         else:
@@ -322,37 +355,68 @@ def run_pfa_sample(
                     state_next, mv = s2, m2
                     break
         state = state_next
-        pos = tape.move(pos, mv)
+        # Tape.move, inlined
+        if mv == 1:
+            if pos < last:
+                pos += 1
+            elif circular:
+                pos = 0
+            else:
+                raise _move_error(machine.name, steps, pos, mv)
+        elif mv == -1:
+            if pos == 0:
+                raise _move_error(machine.name, steps, pos, mv)
+            pos -= 1
+        elif mv != 0:
+            raise _move_error(machine.name, steps, pos, mv)
         steps += 1
         if record:
             positions.append(pos)
 
 
-def _pfa_deterministic_walk(machine, tape, state, pos, steps, origins, positions, cutoff):
+def _pfa_deterministic_walk(machine, symbols, state, pos, steps, origins, positions, cutoff):
     """Follow single-support transitions until halt or a branching step.
     Returns (kind, ...) where kind is 'halt' or 'branch'."""
+    last = len(symbols) - 1
+    circular = machine.circular
+    halting = machine.states.halting
     seen = set()
+    seen_add = seen.add
+    first = steps
     while True:
-        halt = machine.states.halting(state)
+        halt = halting(state)
         if halt is not None:
             return ("halt", halt, state, steps)
         config = (state, pos)
-        if config in seen:
+        seen_add(config)
+        if len(seen) == steps - first:  # one configuration per step: it repeats
             raise NonHaltingError(
                 f"{machine.name}: deterministic segment repeats a configuration",
                 configuration=config,
             )
-        seen.add(config)
         if steps >= cutoff:
             raise NonHaltingError(
                 f"{machine.name}: step cutoff {cutoff} exceeded", configuration=config
             )
-        dist = _pfa_distribution(machine, state, tape.symbol(pos))
+        dist = _pfa_distribution(machine, state, symbols[pos])
         if len(dist) > 1:
             return ("branch", dist, state, pos, steps)
         origins.add(state)
         _, state, mv = dist[0]
-        pos = tape.move(pos, mv)
+        # Tape.move, inlined
+        if mv == 1:
+            if pos < last:
+                pos += 1
+            elif circular:
+                pos = 0
+            else:
+                raise _move_error(machine.name, steps, pos, mv)
+        elif mv == -1:
+            if pos == 0:
+                raise _move_error(machine.name, steps, pos, mv)
+            pos -= 1
+        elif mv != 0:
+            raise _move_error(machine.name, steps, pos, mv)
         steps += 1
         if positions is not None:
             positions.append(pos)
@@ -364,8 +428,9 @@ def _pfa_exact_one_shot(
     origins: set = set()
     traces: list[RunTrace] | None = [] if record else None
     prefix_positions: list[int] | None = [0] if record else None
+    symbols = tape.symbols
     walk = _pfa_deterministic_walk(
-        machine, tape, machine.states.initial, 0, 0, origins, prefix_positions, cutoff
+        machine, symbols, machine.states.initial, 0, 0, origins, prefix_positions, cutoff
     )
     if walk[0] == "halt":
         _, outcome, state, steps = walk
@@ -387,10 +452,10 @@ def _pfa_exact_one_shot(
     for p, s2, mv in dist:
         if p == 0:
             continue
-        branch_pos = tape.move(pos, mv)
+        branch_pos = tape.move(pos, mv, machine.name, steps)
         branch_positions = prefix_positions + [branch_pos] if record else None
         tail = _pfa_deterministic_walk(
-            machine, tape, s2, branch_pos, steps + 1, origins, branch_positions, cutoff
+            machine, symbols, s2, branch_pos, steps + 1, origins, branch_positions, cutoff
         )
         if tail[0] != "halt":
             raise SpecError(
@@ -415,17 +480,21 @@ def _pfa_exact_one_shot(
 def _pfa_exact_chain(machine: TwoWayPfa, tape: Tape, cutoff: int) -> ExactRunResult:
     """Absorbing-chain solve on the configuration graph.
 
-    Acyclic graphs get an exact backward propagation; small cyclic graphs get
-    rational Gaussian elimination; anything larger is refused.
+    Acyclic graphs get an exact backward propagation, and their longest run
+    must not exceed `cutoff` steps; small cyclic graphs get rational Gaussian
+    elimination (no worst-case time exists, so `cutoff` does not apply);
+    anything larger is refused. No step recurses, so chain depth is bounded
+    by memory, not by the interpreter's stack.
     """
     start = (machine.states.initial, 0)
+    symbols = tape.symbols
     configs: dict = {}
     order: list = []
-    stack = [start]
+    stack = [(start, 0)]          # (configuration, steps on the path that found it)
     edges: dict = {}
     halting: dict = {}
     while stack:
-        cfg = stack.pop()
+        cfg, steps = stack.pop()
         if cfg in configs:
             continue
         configs[cfg] = len(order)
@@ -439,60 +508,46 @@ def _pfa_exact_chain(machine: TwoWayPfa, tape: Tape, cutoff: int) -> ExactRunRes
         if halt is not None:
             halting[cfg] = halt
             continue
-        dist = _pfa_distribution(machine, state, tape.symbol(pos))
+        dist = _pfa_distribution(machine, state, symbols[pos])
         outs = []
         for p, s2, mv in dist:
             if p == 0:
                 continue
-            nxt = (s2, tape.move(pos, mv))
+            nxt = (s2, tape.move(pos, mv, machine.name, steps))
             outs.append((p, nxt))
-            stack.append(nxt)
+            stack.append((nxt, steps + 1))
         edges[cfg] = outs
 
-    # longest-path step counts only make sense without cycles; detect via DFS
-    color: dict = {}
+    # One iterative post-order walk: a successor still on the walk's path
+    # closes a cycle; otherwise every configuration is solved once all its
+    # successors are. Halting configurations are solved up front.
+    accept_p: dict = {}
+    t_long: dict = {}
+    t_acc: dict = {}               # -1: no accepting run from here
+    t_rej: dict = {}
+    for cfg, halt in halting.items():
+        accept_p[cfg] = Fraction(1) if halt == "accept" else Fraction(0)
+        t_long[cfg] = 0
+        t_acc[cfg] = 0 if halt == "accept" else -1
+        t_rej[cfg] = 0 if halt == "reject" else -1
     acyclic = True
-    def visit(cfg):
-        nonlocal acyclic
-        color[cfg] = 1
-        for _, nxt in edges.get(cfg, ()):  # halting nodes have no edges
-            c = color.get(nxt, 0)
-            if c == 1:
-                acyclic = False
-            elif c == 0:
-                visit(nxt)
-        color[cfg] = 2
-
-    import sys
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, len(order) * 2 + 100))
-    try:
-        visit(start)
-    finally:
-        sys.setrecursionlimit(old_limit)
-
-    origins = {cfg[0] for cfg in order if cfg not in halting}
-    if acyclic:
-        accept_p: dict = {}
-        t_long: dict = {}
-        t_acc: dict = {}
-        t_rej: dict = {}
-
-        def solve(cfg):
-            if cfg in accept_p:
-                return
-            halt = halting.get(cfg)
-            if halt is not None:
-                accept_p[cfg] = Fraction(1) if halt == "accept" else Fraction(0)
-                t_long[cfg] = 0
-                t_acc[cfg] = 0 if halt == "accept" else -1
-                t_rej[cfg] = 0 if halt == "reject" else -1
-                return
+    on_path = set()
+    walk = []
+    if start not in accept_p:
+        on_path.add(start)
+        walk.append((start, iter(edges[start])))
+    while walk:
+        cfg, successors = walk[-1]
+        for _, nxt in successors:
+            if nxt not in accept_p:
+                break
+        else:
+            walk.pop()
+            on_path.remove(cfg)
             total = Fraction(0)
             longest = 0
             la, lr = -1, -1
             for p, nxt in edges[cfg]:
-                solve(nxt)
                 total += p * accept_p[nxt]
                 longest = max(longest, 1 + t_long[nxt])
                 if t_acc[nxt] >= 0:
@@ -503,12 +558,21 @@ def _pfa_exact_chain(machine: TwoWayPfa, tape: Tape, cutoff: int) -> ExactRunRes
             t_long[cfg] = longest
             t_acc[cfg] = la
             t_rej[cfg] = lr
+            continue
+        if nxt in on_path:
+            acyclic = False
+            break
+        on_path.add(nxt)
+        walk.append((nxt, iter(edges[nxt])))
 
-        sys.setrecursionlimit(max(old_limit, len(order) * 2 + 100))
-        try:
-            solve(start)
-        finally:
-            sys.setrecursionlimit(old_limit)
+    origins = {cfg[0] for cfg in order if cfg not in halting}
+    if acyclic:
+        if t_long[start] > cutoff:
+            raise NonHaltingError(
+                f"{machine.name}: longest run of {t_long[start]} steps exceeds "
+                f"the step cutoff {cutoff}",
+                configuration=start,
+            )
         return ExactRunResult(
             accept_p[start],
             t_long[start],
@@ -631,6 +695,7 @@ def qcfa_exact(
         if record_positions is not None
         else (_auto_record(tape) and machine.quantum_dim <= 8)
     )
+    symbols = tape.symbols
     origins: set = set()
     accept = 0.0
     total = 0.0
@@ -664,7 +729,7 @@ def qcfa_exact(
                         f"{machine.name}: step cutoff {cutoff} exceeded",
                         configuration=(state, pos),
                     )
-                sym = tape.symbol(pos)
+                sym = symbols[pos]
                 action = _qcfa_step_quantum(machine, state, sym, psi)
                 origins.add(state)
                 if isinstance(action, Measurement):
@@ -678,7 +743,7 @@ def qcfa_exact(
                                 f"at {(state, sym)}"
                             )
                         s2, mv = nxt
-                        p2 = tape.move(pos, mv)
+                        p2 = tape.move(pos, mv, machine.name, steps)
                         stack.append(
                             (weight * p, s2, p2, collapsed, steps + 1,
                              positions + [p2])
@@ -693,7 +758,7 @@ def qcfa_exact(
                         f"{machine.name}: undefined transition at {(state, sym)}"
                     )
                 state, mv = nxt
-                pos = tape.move(pos, mv)
+                pos = tape.move(pos, mv, machine.name, steps)
                 steps += 1
                 positions.append(pos)
     else:
@@ -732,7 +797,7 @@ def qcfa_exact(
                     f"{machine.name}: step cutoff {cutoff} exceeded",
                     configuration=(state, pos),
                 )
-            sym = tape.symbol(pos)
+            sym = symbols[pos]
             action = _qcfa_step_quantum(machine, state, sym, psi)
             origins.add(state)
             if isinstance(action, Measurement):
@@ -744,7 +809,8 @@ def qcfa_exact(
                             f"at {(state, sym)}"
                         )
                     s2, mv = nxt
-                    insert(weight * p, s2, tape.move(pos, mv), collapsed, steps + 1)
+                    insert(weight * p, s2, tape.move(pos, mv, machine.name, steps),
+                           collapsed, steps + 1)
             else:
                 psi2 = action.apply(psi)
                 if not isinstance(action, IdentityOp):
@@ -755,7 +821,8 @@ def qcfa_exact(
                         f"{machine.name}: undefined transition at {(state, sym)}"
                     )
                 s2, mv = nxt
-                insert(weight, s2, tape.move(pos, mv), psi2, steps + 1)
+                insert(weight, s2, tape.move(pos, mv, machine.name, steps), psi2,
+                       steps + 1)
 
     if abs(total - 1.0) > 1e-6:
         raise SpecError(
@@ -778,6 +845,7 @@ def qcfa_sample(
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     tape = Tape(payload, machine.circular)
     record = _auto_record(tape) if record_positions is None else record_positions
+    symbols = tape.symbols
     state = machine.states.initial
     pos = 0
     steps = 0
@@ -795,7 +863,7 @@ def qcfa_sample(
             raise NonHaltingError(
                 f"{machine.name}: step cutoff {cutoff} exceeded", configuration=(state, pos)
             )
-        sym = tape.symbol(pos)
+        sym = symbols[pos]
         action = _qcfa_step_quantum(machine, state, sym, psi)
         origins.add(state)
         if isinstance(action, Measurement):
@@ -825,7 +893,7 @@ def qcfa_sample(
                     f"{machine.name}: undefined transition at {(state, sym)}"
                 )
         state, mv = nxt
-        pos = tape.move(pos, mv)
+        pos = tape.move(pos, mv, machine.name, steps)
         steps += 1
         if record:
             positions.append(pos)

@@ -14,6 +14,13 @@ acceptance probability, step count, and visited-state census exactly; the
 agreement is pinned against the step-level runner at small n in the test
 suite. Per-row visited counts are the maximum census over the evaluated
 inputs of that row.
+
+Most primes need no walk for the x part of that census. Before bit i of
+the right-to-left x read a branch holds (2^i mod p, a_i), and for odd p the
+powers 2^0..2^n mod p are pairwise distinct exactly when 2 has
+multiplicative order greater than n mod p, so such a branch visits n+1
+distinct states whatever x is. Only the remaining primes are walked and
+sorted (206 of the 6542 primes up to 256^2).
 """
 
 from __future__ import annotations
@@ -200,25 +207,45 @@ class _EqPfaFast:
     walk states per prime, the distinct (power, accumulator) pairs of the
     x re-read (a function of x alone), and the distinct running residues of
     the y comparison (a function of y alone).
+
+    The x re-read of prime p holds (2^i mod p, a_i) before bit i. When the
+    powers 2^0..2^n mod p are pairwise distinct, its n+1 states are too.
+    For odd p that holds unless 2^k = 1 mod p for some 1 <= k <= n (the
+    multiplicative order of 2 is at most n); for p = 2 the powers repeat 0
+    from n = 2 on. Only these "short" primes are walked and sorted; every
+    other prime adds exactly n+1 states.
     """
 
     def __init__(self, n: int):
         self.n = n
         table = PrimeTable.for_side_length(n)
+        self.prime_list = table.primes
         self.primes = np.array(table.primes, dtype=np.int64)
         self.count = table.count
         self.t_run = eq_pfa_time(n)
         self.shared = (3 * n + 1) + 2 * n + 2 * table.count
+        power = np.ones_like(self.primes)
+        short = self.primes == 2
+        for _ in range(n):
+            power = 2 * power % self.primes
+            short |= power == 1
+        self.short_primes = self.primes[short]
+        self.long_states = (n + 1) * (self.count - self.short_primes.size)
+        # residues fit the narrowest unsigned type holding the largest prime;
+        # the running value 2b + bit < 2p is reduced in one that holds 2p
+        top = int(self.primes.max())
+        self.residue_dtype = np.min_scalar_type(top)
+        self.reduce_primes = self.primes.astype(np.min_scalar_type(2 * top))
 
     def residues(self, s: str) -> np.ndarray:
         v = int(s, 2)
-        return np.array([v % int(p) for p in self.primes], dtype=np.int64)
+        return np.array([v % p for p in self.prime_list], dtype=np.int64)
 
     def b_census(self, x: str) -> int:
         """Distinct ("b", p, pow, a) states over the right-to-left x read,
         including the state at the left end marker (it originates the hop
         into the walk state, so the census counts it)."""
-        p = self.primes
+        p = self.short_primes
         pw = np.ones_like(p)
         a = np.zeros_like(p)
         codes = np.empty((self.n + 1, p.shape[0]), dtype=np.int64)
@@ -228,18 +255,21 @@ class _EqPfaFast:
                 a = (a + pw) % p
             pw = (2 * pw) % p
         codes[self.n] = pw * p + a
-        return _distinct_per_column(codes)
+        return self.long_states + _distinct_per_row(codes.T)
 
     def r_census(self, y: str) -> int:
         """Distinct ("r", p, a, b) states over the left-to-right y read; a is
         fixed per branch so only the running residue b varies."""
-        p = self.primes
+        p = self.reduce_primes
         b = np.zeros_like(p)
-        codes = np.empty((self.n, p.shape[0]), dtype=np.int64)
+        codes = np.empty((self.n, p.shape[0]), dtype=self.residue_dtype)
         for i, ch in enumerate(y):
-            b = (2 * b + (ch == "1")) % p
+            b <<= 1
+            if ch == "1":
+                b += 1
+            b -= p * (b >= p)           # 2b + bit < 2p: one subtraction reduces
             codes[i] = b                # state after consuming bit i
-        return _distinct_per_column(codes)
+        return _distinct_per_row(codes.T)
 
     def census(self, x: str, y: str) -> int:
         return self.shared + self.b_census(x) + self.r_census(y)
@@ -248,9 +278,15 @@ class _EqPfaFast:
         return float(np.count_nonzero(self.residues(x) == self.residues(y))) / self.count
 
 
-def _distinct_per_column(codes: np.ndarray) -> int:
-    codes = np.sort(codes, axis=0)
-    return int((np.diff(codes, axis=0) != 0).sum()) + codes.shape[1]
+def _distinct_per_row(codes: np.ndarray) -> int:
+    """Sum over rows of the number of distinct values in the row. Rows are
+    sorted in a contiguous copy with numpy's default sort: SIMD-accelerated
+    for small unsigned types, it took 1.6 ms on 6542 rows of 256 uint16
+    values where the radix sort (kind="stable") took 11.6 ms (AVX-512 x86
+    host, numpy 2.4)."""
+    rows = np.ascontiguousarray(codes)
+    rows.sort(axis=1)
+    return int(np.count_nonzero(np.diff(rows, axis=1))) + rows.shape[0]
 
 
 def _eval_eq_pfa(n: int, samples: int, seed) -> _Accum:

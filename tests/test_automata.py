@@ -1,13 +1,16 @@
 """Runner semantics on tiny machines whose behavior is checked by hand."""
 
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 
 from twoway.automata import (
     DEFAULT_CUTOFF,
+    ExactRunResult,
     TwoWayQcfa,
     StateSpace,
     cost_report,
@@ -68,8 +71,15 @@ def test_dfa_loop_detected():
         ("t", "¢"): ("s", 1),        # two-cycle, never halts
     }
     m = dfa_from_table("loop", table, "s", set(), set())
-    with pytest.raises(NonHaltingError):
+    with pytest.raises(NonHaltingError, match="loop: configuration repeats"):
         run_dfa(m, "0")
+    pfa = pfa_from_table(
+        "loop", {k: [(Fraction(1), *v)] for k, v in table.items()}, "s", set(), set(),
+        one_shot=True,
+    )
+    with pytest.raises(NonHaltingError,
+                       match="loop: deterministic segment repeats a configuration"):
+        pfa_exact(pfa, "0")
 
 
 def test_circular_dfa_wraps_off_the_right_end():
@@ -135,6 +145,116 @@ def test_pfa_exact_handles_two_sided_randomness():
     assert res.accept_probability == Fraction(8, 9)
 
 
+def deep_chain_pfa():
+    """Not one-shot: a fair coin at ¢, then a deterministic sweep to $ where
+    the heads branch accepts, so a payload of L zeros gives a configuration
+    chain L+2 steps deep."""
+    one, half = Fraction(1), Fraction(1, 2)
+    table = {
+        ("s", "¢"): [(half, "h", 1), (half, "t", 1)],
+        ("h", "0"): [(one, "h", 1)],
+        ("t", "0"): [(one, "t", 1)],
+        ("h", "$"): [(one, "yes", 0)],
+        ("t", "$"): [(one, "no", 0)],
+    }
+    return pfa_from_table("deep", table, "s", {"yes"}, {"no"})
+
+
+def test_pfa_exact_chain_solves_deep_chains_without_recursion(monkeypatch):
+    def refuse(limit):
+        raise AssertionError("the chain solve must not touch the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    res = pfa_exact(deep_chain_pfa(), "0" * 50_000)
+    assert res.accept_probability == Fraction(1, 2)
+    assert res.t_max == res.t_max_accepting == res.t_max_rejecting == 50_002
+    assert res.visited == 3                      # s, h, t
+
+
+def test_pfa_exact_chain_honours_the_cutoff():
+    m = deep_chain_pfa()
+    with pytest.raises(NonHaltingError,
+                       match="longest run of 50002 steps exceeds the step cutoff 1000"):
+        pfa_exact(m, "0" * 50_000, cutoff=1000)
+    # the same boundary as the sampler's: a run of exactly `cutoff` steps halts
+    assert pfa_exact(m, "0" * 10, cutoff=12).t_max == 12
+    assert run_pfa_sample(m, "0" * 10, cutoff=12).steps == 12
+    for run in (pfa_exact, run_pfa_sample):
+        with pytest.raises(NonHaltingError):
+            run(m, "0" * 10, cutoff=11)
+
+
+# --- the checks every step loop carries -------------------------------------------
+
+
+def _pfa_runner(exact, one_shot):
+    def run(name, table, circular=False):
+        dists = {k: v if isinstance(v, list) else [(Fraction(1), *v)]
+                 for k, v in table.items()}
+        m = pfa_from_table(name, dists, "a", {"yes"}, set(), circular, one_shot)
+        return pfa_exact(m, "0") if exact else run_pfa_sample(m, "0")
+    return run
+
+
+def _dfa_runner(name, table, circular=False):
+    return run_dfa(dfa_from_table(name, table, "a", {"yes"}, set(), circular), "0")
+
+
+PFA_RUNNERS = {
+    "run_pfa_sample": _pfa_runner(False, False),
+    "pfa_exact-chain": _pfa_runner(True, False),
+    "pfa_exact-one-shot": _pfa_runner(True, True),
+}
+RUNNERS = {"run_dfa": _dfa_runner, **PFA_RUNNERS}
+
+# tables over the payload "0" (tape ¢ 0 $ at positions 0..2)
+MOVE_CASES = {
+    "off-left": (
+        {("a", "¢"): ("b", 1), ("b", "0"): ("c", -1), ("c", "¢"): ("d", -1)},
+        r"walker: head moved left of the left end marker on step 3 "
+        r"at head position 0$",
+    ),
+    "off-right": (
+        {("a", "¢"): ("b", 1), ("b", "0"): ("b", 1), ("b", "$"): ("c", 1),
+         ("c", "¢"): ("yes", 0)},
+        r"walker: head moved right of the right end marker on step 3 "
+        r"at head position 2$",
+    ),
+    "move-2": (
+        {("a", "¢"): ("b", 1), ("b", "0"): ("c", 2)},
+        r"walker: illegal head move 2 on step 2 at head position 1$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MOVE_CASES)
+@pytest.mark.parametrize("runner", RUNNERS)
+def test_illegal_head_moves_name_machine_step_and_position(runner, case):
+    table, message = MOVE_CASES[case]
+    with pytest.raises(SpecError, match=message):
+        RUNNERS[runner]("walker", table)
+
+
+@pytest.mark.parametrize("runner", PFA_RUNNERS)
+def test_circular_tape_wraps_in_the_pfa_runners(runner):
+    # the run_dfa case is test_circular_dfa_wraps_off_the_right_end
+    table, _ = MOVE_CASES["off-right"]
+    res = PFA_RUNNERS[runner]("walker", table, circular=True)
+    if isinstance(res, ExactRunResult):
+        assert res.accept_probability == 1 and res.t_max == 4
+    else:
+        assert res.outcome == "accept" and res.steps == 4
+
+
+@pytest.mark.parametrize("runner", PFA_RUNNERS)
+def test_single_outcome_distributions_must_be_certain(runner):
+    table = {("a", "¢"): [(Fraction(1), "b", 1)],
+             ("b", "0"): [(Fraction(1, 2), "yes", 0)]}
+    with pytest.raises(SpecError,
+                       match=r"walker: probabilities at \('b', '0'\) sum to 1/2, not 1"):
+        PFA_RUNNERS[runner]("walker", table)
+
+
 def hadamard_qcfa():
     """One Hadamard, then a complete measurement: accept iff outcome 0."""
     h = DenseOp(np.array([[1, 1], [1, -1]]) / np.sqrt(2), "H")
@@ -179,6 +299,14 @@ def test_qcfa_runners_reject_missing_routes_alike(broken, message):
     m = replace(hadamard_qcfa(), **broken)
     for run in (qcfa_exact, qcfa_sample):
         with pytest.raises(SpecError, match=message):
+            run(m, "0")
+
+
+def test_qcfa_head_move_errors_name_step_and_position():
+    m = replace(hadamard_qcfa(), step=lambda state, sym: ("read", -1))
+    for run in (qcfa_exact, partial(qcfa_exact, record_positions=False), qcfa_sample):
+        with pytest.raises(SpecError, match=r"had: head moved left of the left end "
+                                            r"marker on step 1 at head position 0$"):
             run(m, "0")
 
 

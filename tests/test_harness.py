@@ -17,7 +17,7 @@ from twoway.boolfn import (
     xor_fn,
 )
 from twoway.errors import InputError, SpecError
-from twoway.handcrafted import build_eq_pfa
+from twoway.handcrafted import PrimeTable, build_eq_pfa
 from twoway.harness import (
     _EqPfaFast,
     _pair_iter,
@@ -48,6 +48,64 @@ def test_fast_evaluator_matches_step_runner(n):
         assert fast.prob(x, y) == float(res.accept_probability)
         assert fast.t_run == res.t_max
         assert fast.census(x, y) == res.visited
+
+
+def _census_pairs(n, count):
+    rng = random.Random(f"census:{n}")
+    pairs = [(format(rng.getrandbits(n), f"0{n}b"), format(rng.getrandbits(n), f"0{n}b"))
+             for _ in range(count)]
+    # leading zeros repeat the residue 0 in both reads; after "01" the y read
+    # holds 2^16 = -1 mod 65537, which a 16-bit residue would wrap onto that 0
+    return pairs + [("0" * n, "0" * n), ("0" * (n - 1) + "1", "01" + "0" * (n - 2))]
+
+
+def test_census_shortcut_matches_the_step_runner():
+    n = 12
+    fast = _EqPfaFast(n)
+    # both kinds of prime column occur: 2 has order <= 12 mod some primes only
+    assert 0 < fast.short_primes.size < fast.count
+    machine = build_eq_pfa(n)
+    for x, y in _census_pairs(n, 6):
+        res = pfa_exact(machine, payload(x, y))
+        tags = [s[0] for s in res.origin_states if isinstance(s, tuple)]
+        assert fast.b_census(x) == tags.count("b")
+        assert fast.r_census(y) == tags.count("r")
+        assert fast.census(x, y) == res.visited
+
+
+def _direct_census(primes, x, y):
+    """Distinct ("b", p, pow, a) and ("r", p, a, b) states summed over the
+    primes, counted one prime at a time from the machine's update rules."""
+    b_states = r_states = 0
+    x_bits = [ch == "1" for ch in reversed(x)]
+    y_bits = [ch == "1" for ch in y]
+    for p in primes:
+        pw, a = 1, 0
+        seen = {(pw, a)}
+        for bit in x_bits:
+            if bit:
+                a = (a + pw) % p
+            pw = 2 * pw % p
+            seen.add((pw, a))
+        b_states += len(seen)
+        b, residues = 0, set()
+        for bit in y_bits:
+            b = (2 * b + bit) % p
+            residues.add(b)
+        r_states += len(residues)
+    return b_states, r_states
+
+
+def test_census_shortcut_matches_a_direct_count_past_16_bit_primes():
+    n = 257                          # first side length with primes above 65535
+    fast = _EqPfaFast(n)
+    assert int(fast.primes.max()) > 0xFFFF
+    primes = PrimeTable.for_side_length(n).primes
+    for x, y in _census_pairs(n, 1):
+        b_states, r_states = _direct_census(primes, x, y)
+        assert fast.b_census(x) == b_states
+        assert fast.r_census(y) == r_states
+        assert fast.census(x, y) == fast.shared + b_states + r_states
 
 
 def test_sweep_exhausts_small_sides_and_matches_membership():
