@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import InputError, NonHaltingError, SpecError, UnsupportedStructureError
-from .ops import IdentityOp, Measurement, Op, check_norm
+from .ops import BRANCH_PRUNE, IdentityOp, Measurement, Op, check_norm
 
 LEFT_MARKER = "¢"
 RIGHT_MARKER = "$"
@@ -175,7 +175,6 @@ class ExactRunResult:
     visited: int
     branch_count: int
     origin_states: set = field(default_factory=set)
-    branch_traces: list[RunTrace] | None = None
     time_bounded: bool = True          # False: cyclic chain, no worst-case time
     crossings_max: int | None = None   # only from run_compiled, which counts boundary crossings
 
@@ -218,10 +217,6 @@ class CostReport:
         )
 
 
-def _auto_record(tape: Tape) -> bool:
-    return tape.length <= 4096
-
-
 # --- deterministic runner -----------------------------------------------------
 
 
@@ -229,12 +224,11 @@ def run_dfa(
     machine: TwoWayDfa,
     payload: str,
     cutoff: int = DEFAULT_CUTOFF,
-    record_positions: bool | None = None,
+    record_positions: bool = False,
 ) -> RunTrace:
     """Run to halt. A revisited (state, position) configuration means the
     deterministic machine loops forever and raises immediately."""
     tape = Tape(payload, machine.circular)
-    record = _auto_record(tape) if record_positions is None else record_positions
     symbols = tape.symbols
     last = len(symbols) - 1
     circular = machine.circular
@@ -244,7 +238,7 @@ def run_dfa(
     pos = 0
     steps = 0
     origins: set = set()
-    positions: list[int] | None = [0] if record else None
+    positions: list[int] | None = [0] if record_positions else None
     seen: set = set()
     seen_add = seen.add
     while True:
@@ -286,7 +280,7 @@ def run_dfa(
         elif mv != 0:
             raise _move_error(machine.name, steps, pos, mv)
         steps += 1
-        if record:
+        if record_positions:
             positions.append(pos)
 
 
@@ -314,12 +308,11 @@ def run_pfa_sample(
     payload: str,
     seed: int | random.Random = 0,
     cutoff: int = DEFAULT_CUTOFF,
-    record_positions: bool | None = None,
+    record_positions: bool = False,
 ) -> RunTrace:
     """One seeded trajectory."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     tape = Tape(payload, machine.circular)
-    record = _auto_record(tape) if record_positions is None else record_positions
     symbols = tape.symbols
     last = len(symbols) - 1
     circular = machine.circular
@@ -328,7 +321,7 @@ def run_pfa_sample(
     pos = 0
     steps = 0
     origins: set = set()
-    positions: list[int] | None = [0] if record else None
+    positions: list[int] | None = [0] if record_positions else None
     while True:
         halt = halting(state)
         if halt is not None:
@@ -370,11 +363,11 @@ def run_pfa_sample(
         elif mv != 0:
             raise _move_error(machine.name, steps, pos, mv)
         steps += 1
-        if record:
+        if record_positions:
             positions.append(pos)
 
 
-def _pfa_deterministic_walk(machine, symbols, state, pos, steps, origins, positions, cutoff):
+def _pfa_deterministic_walk(machine, symbols, state, pos, steps, origins, cutoff):
     """Follow single-support transitions until halt or a branching step.
     Returns (kind, ...) where kind is 'halt' or 'branch'."""
     last = len(symbols) - 1
@@ -418,31 +411,20 @@ def _pfa_deterministic_walk(machine, symbols, state, pos, steps, origins, positi
         elif mv != 0:
             raise _move_error(machine.name, steps, pos, mv)
         steps += 1
-        if positions is not None:
-            positions.append(pos)
 
 
-def _pfa_exact_one_shot(
-    machine: TwoWayPfa, tape: Tape, cutoff: int, record: bool = False
-) -> ExactRunResult:
+def _pfa_exact_one_shot(machine: TwoWayPfa, tape: Tape, cutoff: int) -> ExactRunResult:
     origins: set = set()
-    traces: list[RunTrace] | None = [] if record else None
-    prefix_positions: list[int] | None = [0] if record else None
     symbols = tape.symbols
     walk = _pfa_deterministic_walk(
-        machine, symbols, machine.states.initial, 0, 0, origins, prefix_positions, cutoff
+        machine, symbols, machine.states.initial, 0, 0, origins, cutoff
     )
     if walk[0] == "halt":
         _, outcome, state, steps = walk
         p = Fraction(1) if outcome == "accept" else Fraction(0)
-        if record:
-            traces.append(
-                RunTrace(outcome, steps, len(origins), state, prefix_positions,
-                         1 if outcome == "accept" else 0)
-            )
         return ExactRunResult(
             p, steps, steps if outcome == "accept" else 0,
-            steps if outcome == "reject" else 0, len(origins), 1, origins, traces,
+            steps if outcome == "reject" else 0, len(origins), 1, origins,
         )
     _, dist, state, pos, steps = walk
     origins.add(state)
@@ -452,28 +434,22 @@ def _pfa_exact_one_shot(
     for p, s2, mv in dist:
         if p == 0:
             continue
-        branch_pos = tape.move(pos, mv, machine.name, steps)
-        branch_positions = prefix_positions + [branch_pos] if record else None
         tail = _pfa_deterministic_walk(
-            machine, symbols, s2, branch_pos, steps + 1, origins, branch_positions, cutoff
+            machine, symbols, s2, tape.move(pos, mv, machine.name, steps), steps + 1,
+            origins, cutoff,
         )
         if tail[0] != "halt":
             raise SpecError(
                 f"{machine.name}: one-shot annotation violated, second branching at {tail[3]}"
             )
-        _, outcome, final_state, branch_steps = tail
+        _, outcome, _, branch_steps = tail
         if outcome == "accept":
             accept += p
             t_acc = max(t_acc, branch_steps)
         else:
             t_rej = max(t_rej, branch_steps)
-        if record:
-            traces.append(
-                RunTrace(outcome, branch_steps, len(origins), final_state,
-                         branch_positions, 1 if outcome == "accept" else 0)
-            )
     return ExactRunResult(
-        accept, max(t_acc, t_rej), t_acc, t_rej, len(origins), len(dist), origins, traces
+        accept, max(t_acc, t_rej), t_acc, t_rej, len(origins), len(dist), origins
     )
 
 
@@ -618,7 +594,7 @@ def _pfa_exact_chain(machine: TwoWayPfa, tape: Tape, cutoff: int) -> ExactRunRes
     # cyclic graphs have no finite worst-case run length, so the probability is
     # exact but the time fields are meaningless; mark them unbounded
     return ExactRunResult(
-        prob, 0, 0, 0, len(origins), len(order), origins, None, time_bounded=False
+        prob, 0, 0, 0, len(origins), len(order), origins, time_bounded=False
     )
 
 
@@ -630,18 +606,11 @@ def pfa_exact_prob(
 
 
 def pfa_exact(
-    machine: TwoWayPfa,
-    payload: str,
-    cutoff: int = DEFAULT_CUTOFF,
-    record_positions: bool = False,
+    machine: TwoWayPfa, payload: str, cutoff: int = DEFAULT_CUTOFF
 ) -> ExactRunResult:
     tape = Tape(payload, machine.circular)
     if machine.one_shot:
-        return _pfa_exact_one_shot(machine, tape, cutoff, record_positions)
-    if record_positions:
-        raise UnsupportedStructureError(
-            f"{machine.name}: per-branch trajectories need the one-shot annotation"
-        )
+        return _pfa_exact_one_shot(machine, tape, cutoff)
     return _pfa_exact_chain(machine, tape, cutoff)
 
 
@@ -654,14 +623,13 @@ def run_qcfa(
     mode: str = "exact",
     seed: int | random.Random = 0,
     cutoff: int = DEFAULT_CUTOFF,
-    record_positions: bool | None = None,
 ) -> ExactRunResult | RunTrace:
     """Exact acceptance probability by measurement-branch enumeration, or a
     single sampled trajectory (mode="sample")."""
     if mode == "exact":
-        return qcfa_exact(machine, payload, cutoff, record_positions)
+        return qcfa_exact(machine, payload, cutoff)
     if mode == "sample":
-        return qcfa_sample(machine, payload, seed, cutoff, record_positions)
+        return qcfa_sample(machine, payload, seed, cutoff)
     raise InputError(f"unknown mode {mode!r}")
 
 
@@ -673,28 +641,17 @@ def _qcfa_step_quantum(machine, state, sym, psi):
 
 
 def qcfa_exact(
-    machine: TwoWayQcfa,
-    payload: str,
-    cutoff: int = DEFAULT_CUTOFF,
-    record_positions: bool | None = None,
+    machine: TwoWayQcfa, payload: str, cutoff: int = DEFAULT_CUTOFF
 ) -> ExactRunResult:
     """Enumerate all measurement branches exactly.
 
     Branches with identical (classical state, head position, quantum state)
     evolve identically from that point on, so they are merged after every
     step; this keeps restart-style machines (measure, reset, retry) linear
-    instead of exponential in the number of rounds. Weights below 1e-12 are
-    pruned.
-
-    record_positions keeps full per-branch head trajectories and disables
-    merging; only use it on machines whose branching stays small.
+    instead of exponential in the number of rounds. Weights below
+    BRANCH_PRUNE are pruned.
     """
     tape = Tape(payload, machine.circular)
-    record = (
-        record_positions
-        if record_positions is not None
-        else (_auto_record(tape) and machine.quantum_dim <= 8)
-    )
     symbols = tape.symbols
     origins: set = set()
     accept = 0.0
@@ -702,127 +659,66 @@ def qcfa_exact(
     t_acc = 0
     t_rej = 0
     branch_count = 0
-    traces: list[RunTrace] | None = [] if record else None
+    # globally merged frontier, one step per iteration
+    pending: dict = {}
 
-    if record:
-        # simple branching walker, full trajectories, no merging
-        stack = [(1.0, machine.states.initial, 0, machine.initial_vector(), 0, [0])]
-        while stack:
-            weight, state, pos, psi, steps, positions = stack.pop()
-            while True:
-                halt = machine.states.halting(state)
-                if halt is not None:
-                    branch_count += 1
-                    total += weight
-                    if halt == "accept":
-                        accept += weight
-                        t_acc = max(t_acc, steps)
-                    else:
-                        t_rej = max(t_rej, steps)
-                    traces.append(
-                        RunTrace(halt, steps, len(origins), state, positions,
-                                 1 if halt == "accept" else 0)
-                    )
-                    break
-                if steps >= cutoff:
-                    raise NonHaltingError(
-                        f"{machine.name}: step cutoff {cutoff} exceeded",
-                        configuration=(state, pos),
-                    )
-                sym = symbols[pos]
-                action = _qcfa_step_quantum(machine, state, sym, psi)
-                origins.add(state)
-                if isinstance(action, Measurement):
-                    for label, p, collapsed in action.branches(psi):
-                        if weight * p < 1e-12:
-                            continue
-                        nxt = machine.step_measure(state, sym, label)
-                        if nxt is None:
-                            raise SpecError(
-                                f"{machine.name}: no route for outcome {label!r} "
-                                f"at {(state, sym)}"
-                            )
-                        s2, mv = nxt
-                        p2 = tape.move(pos, mv, machine.name, steps)
-                        stack.append(
-                            (weight * p, s2, p2, collapsed, steps + 1,
-                             positions + [p2])
-                        )
-                    break
-                psi = action.apply(psi)
-                if not isinstance(action, IdentityOp):
-                    check_norm(psi, f"at {(state, sym)}")
-                nxt = machine.step(state, sym)
+    def insert(w, state, pos, psi, steps):
+        if w < BRANCH_PRUNE:
+            return
+        key = (state, pos, psi.round(12).tobytes())
+        prev = pending.get(key)
+        if prev is None:
+            pending[key] = (w, psi, steps)
+        else:
+            w0, psi_0, st0 = prev
+            pending[key] = (w0 + w, psi_0, max(st0, steps))
+
+    insert(1.0, machine.states.initial, 0, machine.initial_vector(), 0)
+    while pending:
+        key = next(iter(pending))
+        state, pos, _ = key
+        weight, psi, steps = pending.pop(key)
+        halt = machine.states.halting(state)
+        if halt is not None:
+            branch_count += 1
+            total += weight
+            if halt == "accept":
+                accept += weight
+                t_acc = max(t_acc, steps)
+            else:
+                t_rej = max(t_rej, steps)
+            continue
+        if steps >= cutoff:
+            raise NonHaltingError(
+                f"{machine.name}: step cutoff {cutoff} exceeded",
+                configuration=(state, pos),
+            )
+        sym = symbols[pos]
+        action = _qcfa_step_quantum(machine, state, sym, psi)
+        origins.add(state)
+        if isinstance(action, Measurement):
+            for label, p, collapsed in action.branches(psi):
+                nxt = machine.step_measure(state, sym, label)
                 if nxt is None:
                     raise SpecError(
-                        f"{machine.name}: undefined transition at {(state, sym)}"
-                    )
-                state, mv = nxt
-                pos = tape.move(pos, mv, machine.name, steps)
-                steps += 1
-                positions.append(pos)
-    else:
-        # globally merged frontier, one step per iteration
-        psi0 = machine.initial_vector()
-        pending: dict = {}
-
-        def insert(w, state, pos, psi, steps):
-            if w < 1e-12:
-                return
-            key = (state, pos, psi.round(12).tobytes())
-            prev = pending.get(key)
-            if prev is None:
-                pending[key] = (w, psi, steps)
-            else:
-                w0, psi_0, st0 = prev
-                pending[key] = (w0 + w, psi_0, max(st0, steps))
-
-        insert(1.0, machine.states.initial, 0, psi0, 0)
-        while pending:
-            key = next(iter(pending))
-            state, pos, _ = key
-            weight, psi, steps = pending.pop(key)
-            halt = machine.states.halting(state)
-            if halt is not None:
-                branch_count += 1
-                total += weight
-                if halt == "accept":
-                    accept += weight
-                    t_acc = max(t_acc, steps)
-                else:
-                    t_rej = max(t_rej, steps)
-                continue
-            if steps >= cutoff:
-                raise NonHaltingError(
-                    f"{machine.name}: step cutoff {cutoff} exceeded",
-                    configuration=(state, pos),
-                )
-            sym = symbols[pos]
-            action = _qcfa_step_quantum(machine, state, sym, psi)
-            origins.add(state)
-            if isinstance(action, Measurement):
-                for label, p, collapsed in action.branches(psi):
-                    nxt = machine.step_measure(state, sym, label)
-                    if nxt is None:
-                        raise SpecError(
-                            f"{machine.name}: no route for outcome {label!r} "
-                            f"at {(state, sym)}"
-                        )
-                    s2, mv = nxt
-                    insert(weight * p, s2, tape.move(pos, mv, machine.name, steps),
-                           collapsed, steps + 1)
-            else:
-                psi2 = action.apply(psi)
-                if not isinstance(action, IdentityOp):
-                    check_norm(psi2, f"at {(state, sym)}")
-                nxt = machine.step(state, sym)
-                if nxt is None:
-                    raise SpecError(
-                        f"{machine.name}: undefined transition at {(state, sym)}"
+                        f"{machine.name}: no route for outcome {label!r} "
+                        f"at {(state, sym)}"
                     )
                 s2, mv = nxt
-                insert(weight, s2, tape.move(pos, mv, machine.name, steps), psi2,
-                       steps + 1)
+                insert(weight * p, s2, tape.move(pos, mv, machine.name, steps),
+                       collapsed, steps + 1)
+        else:
+            psi2 = action.apply(psi)
+            if not isinstance(action, IdentityOp):
+                check_norm(psi2, f"at {(state, sym)}")
+            nxt = machine.step(state, sym)
+            if nxt is None:
+                raise SpecError(
+                    f"{machine.name}: undefined transition at {(state, sym)}"
+                )
+            s2, mv = nxt
+            insert(weight, s2, tape.move(pos, mv, machine.name, steps), psi2,
+                   steps + 1)
 
     if abs(total - 1.0) > 1e-6:
         raise SpecError(
@@ -831,7 +727,7 @@ def qcfa_exact(
         )
     return ExactRunResult(
         min(accept, 1.0), max(t_acc, t_rej), t_acc, t_rej, len(origins),
-        branch_count, origins, traces,
+        branch_count, origins,
     )
 
 
@@ -840,18 +736,17 @@ def qcfa_sample(
     payload: str,
     seed: int | random.Random = 0,
     cutoff: int = DEFAULT_CUTOFF,
-    record_positions: bool | None = None,
+    record_positions: bool = False,
 ) -> RunTrace:
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     tape = Tape(payload, machine.circular)
-    record = _auto_record(tape) if record_positions is None else record_positions
     symbols = tape.symbols
     state = machine.states.initial
     pos = 0
     steps = 0
     psi = machine.initial_vector()
     origins: set = set()
-    positions: list[int] | None = [0] if record else None
+    positions: list[int] | None = [0] if record_positions else None
     while True:
         halt = machine.states.halting(state)
         if halt is not None:
@@ -895,7 +790,7 @@ def qcfa_sample(
         state, mv = nxt
         pos = tape.move(pos, mv, machine.name, steps)
         steps += 1
-        if record:
+        if record_positions:
             positions.append(pos)
 
 
@@ -912,7 +807,7 @@ def cost_report(machine, payloads: Iterable[str], cutoff: int = DEFAULT_CUTOFF) 
     for payload in payloads:
         count += 1
         if machine.kind == "2dfa":
-            trace = run_dfa(machine, payload, cutoff, record_positions=False)
+            trace = run_dfa(machine, payload, cutoff)
             if trace.outcome == "accept":
                 t_acc = max(t_acc, trace.steps)
             else:
@@ -929,7 +824,7 @@ def cost_report(machine, payloads: Iterable[str], cutoff: int = DEFAULT_CUTOFF) 
             t_rej = max(t_rej, res.t_max_rejecting)
             visited |= res.origin_states
         elif machine.kind == "2qcfa":
-            res = qcfa_exact(machine, payload, cutoff, record_positions=False)
+            res = qcfa_exact(machine, payload, cutoff)
             t_acc = max(t_acc, res.t_max_accepting)
             t_rej = max(t_rej, res.t_max_rejecting)
             visited |= res.origin_states

@@ -24,18 +24,14 @@ from .automata import ExactRunResult, StateSpace, TwoWayQcfa
 from .boolfn import Gadget
 from .errors import InputError, SpecError, UnsupportedStructureError
 from .kernels import segment_pass
-from .ops import (
-    BRANCH_PRUNE,
-    BasisSwapOp,
-    CacheFlipOp,
-    CompleteMeasurement,
-    GadgetFlipOp,
-    IdentityOp,
-    LiftedOp,
-    Measurement,
-    Op,
+from .ops import CacheFlipOp, CompleteMeasurement, GadgetFlipOp, IdentityOp
+from .qquery import (
+    QueryAlgorithm,
+    apply_oracle,
+    run_segments,
+    segment_tables,
+    validate_algorithm,
 )
-from .qquery import QueryAlgorithm, Segment, apply_oracle, validate_algorithm
 
 __all__ = [
     "CompilationReport",
@@ -46,127 +42,6 @@ __all__ = [
 
 ACC = ("acc",)
 REJ = ("rej",)
-
-
-class _LiftedOutcomes:
-    """An algorithm measurement over the machine register, built once per
-    distinct measurement object: its possible labels, their rows, and the
-    lifted basis positions of every outcome group. Outcome groups simply
-    repeat in every cache block, so labels are unchanged."""
-
-    def __init__(self, meas: Measurement, cache_dim: int, k: int):
-        self.meas = meas
-        self.cache_dim = cache_dim
-        self.k = k
-        self.labels = meas.labels()
-        self.rows = {label: j for j, label in enumerate(self.labels)}
-        self.complete = isinstance(meas, CompleteMeasurement)
-        lift = np.arange(cache_dim, dtype=np.int64) * k
-        if self.complete:
-            # one (labels x cache_dim) array: row a is basis index a per block
-            self.groups = np.arange(k, dtype=np.int64)[:, None] + lift
-        else:
-            self.groups = [
-                (lift[:, None] + meas.outcomes[label]).reshape(-1)
-                for label in self.labels
-            ]
-        self._lifted = None
-
-    @property
-    def lifted(self) -> Measurement:
-        """The lifted measurement itself, for the step-level runners."""
-        if self._lifted is None:
-            self._lifted = Measurement(
-                self.cache_dim * self.k, dict(zip(self.labels, self.groups)),
-                name=f"{self.meas.name}-lifted")
-        return self._lifted
-
-    def weights(self, psi: np.ndarray) -> list[float]:
-        """Probability of every row's outcome, summed per group in the same
-        order as the lifted measurement sums it."""
-        w2 = np.abs(psi) ** 2
-        if self.complete:
-            rows = np.ascontiguousarray(w2.reshape(self.cache_dim, self.k).T)
-            return rows.sum(axis=1).tolist()
-        return [float(w2[g].sum()) for g in self.groups]
-
-
-def _transposed(pos: np.ndarray, a, b, k: int) -> np.ndarray:
-    """Lifted positions pos after exchanging algorithm basis indices a and b
-    in every cache block (a = b = -1 leaves them)."""
-    inner = pos % k
-    return pos - inner + np.where(inner == a, b, np.where(inner == b, a, inner))
-
-
-class CompiledSegment:
-    """One algorithm segment on the machine register, fixed at compile time.
-
-    ops are the lifted unitaries. The decision table has one row per outcome
-    label that can occur, in measurement order: kind[j] ("accept", "reject"
-    or "continue"), next_segment[j] (-1 when the outcome halts) and swap[j],
-    the two basis indices the reset transposes (-1, -1 without a reset).
-    src[j] and dst[j] are the lifted positions of continuing outcome j's
-    group before and after its reset, both ordered by dst; for a complete
-    measurement they are (labels x cache_dim) arrays covering every row.
-    """
-
-    def __init__(self, seg: Segment, ops: list, outcomes: _LiftedOutcomes):
-        self.ops = ops
-        self.outcomes = outcomes
-        self.kind = []
-        self.next_segment = []
-        self.swap = np.full((len(outcomes.labels), 2), -1, dtype=np.int64)
-        for j, label in enumerate(outcomes.labels):
-            d = seg.decide(label)
-            self.kind.append(d.kind)
-            self.next_segment.append(d.next_segment if d.kind == "continue" else -1)
-            if d.kind == "continue" and d.reset is not None:
-                self.swap[j] = d.reset.a, d.reset.b
-        k = outcomes.k
-        if outcomes.complete:
-            # one group position per block, so every row stays ascending
-            self.src = outcomes.groups
-            self.dst = _transposed(self.src, self.swap[:, :1], self.swap[:, 1:], k)
-        else:
-            self.src, self.dst = {}, {}           # only continuing rows collapse
-            for j, (g, (a, b)) in enumerate(zip(outcomes.groups, self.swap.tolist())):
-                if self.kind[j] == "continue":
-                    dst = _transposed(g, a, b, k)
-                    order = np.argsort(dst, kind="stable")
-                    self.src[j], self.dst[j] = g[order], dst[order]
-        self._resets: dict = {}
-
-    def collapse(self, psi: np.ndarray, rows: list, probs: list):
-        """(key, positions, values) of the collapsed, reset state of each
-        continuing row; only positions in the row's group can be non-zero."""
-        if self.outcomes.complete:
-            vals = psi[self.src[rows]] / np.sqrt(probs)[:, None]
-            pos = self.dst[rows]
-            return zip(_sparse_keys(pos, vals), pos, vals)
-        out = []
-        for j, prob in zip(rows, probs):
-            vals = psi[self.src[j]] / np.sqrt(prob)
-            out.append((_sparse_keys(self.dst[j][None], vals[None])[0],
-                        self.dst[j], vals))
-        return out
-
-    def row(self, label) -> int:
-        return self.outcomes.rows[label]
-
-    def reset(self, j: int) -> BasisSwapOp | None:
-        """Row j's reset on the algorithm register."""
-        a, b = self.swap[j].tolist()
-        return None if a < 0 else BasisSwapOp(self.outcomes.k, a, b)
-
-    def reset_op(self, j: int) -> Op:
-        """Row j's lifted reset, for the step-level runners (built on use)."""
-        op = self._resets.get(j)
-        if op is None:
-            inner, blocks = self.reset(j), self.outcomes.cache_dim
-            op = (IdentityOp(self.outcomes.k * blocks) if inner is None
-                  else LiftedOp(inner, blocks))
-            self._resets[j] = op
-        return op
 
 
 @dataclass
@@ -238,26 +113,7 @@ def compile_query_to_qcfa(alg: QueryAlgorithm, gadget: Gadget, n: int) -> Compil
         for v in range(cache_dim)
     }
 
-    # lift each distinct operator and measurement object once
-    lifted: dict = {}
-
-    def lift(obj, make):
-        hit = lifted.get(id(obj))
-        if hit is None:
-            hit = lifted[id(obj)] = make(obj)
-        return hit
-
-    def lift_op(u: Op) -> Op:
-        return identity if isinstance(u, IdentityOp) else LiftedOp(u, cache_dim)
-
-    segments = [
-        CompiledSegment(
-            seg,
-            [lift(u, lift_op) for u in seg.unitaries],
-            lift(seg.measurement, lambda ms: _LiftedOutcomes(ms, cache_dim, k)),
-        )
-        for seg in alg.segments
-    ]
+    segments = segment_tables(alg, cache_dim)
 
     nseg = len(alg.segments)
     continue_counts = [cs.kind.count("continue") for cs in segments]
@@ -454,120 +310,52 @@ def _split_sides(report: CompilationReport, x: str, y: str):
     return xb, yv
 
 
-def _sparse_keys(pos: np.ndarray, vals: np.ndarray) -> list[bytes]:
-    """One key per row: the dense vector holding the row's vals at its pos
-    (ascending) and +0.0 elsewhere, keyed by the (position, bit pattern)
-    pairs whose bits are non-zero. Equal keys mean bitwise-equal vectors,
-    so -0.0 stays distinct from 0.0."""
-    nz = vals.view(np.uint64).reshape(*vals.shape, 2).any(axis=2)
-    pos_b = pos[nz].tobytes()
-    val_b = vals[nz].tobytes()
-    keys = []
-    start = 0
-    for end in np.cumsum(nz.sum(axis=1)).tolist():
-        keys.append(pos_b[8 * start : 8 * end] + val_b[16 * start : 16 * end])
-        start = end
-    return keys
-
-
 def run_compiled(report: CompilationReport, x: str, y: str) -> ExactRunResult:
     """Exact branch evaluation of the compiled machine on x #^n y.
 
-    Works segment-at-a-time on the quantum register alone: the classical
-    walk of a well-formed input is the same for every branch, so time,
-    census, and boundary crossings are reconstructed from closed forms that
-    mirror the step-level runner exactly (validated against it in tests).
-    branch_count tallies halting measurement outcomes, which may group finer
-    or coarser than the step-level runner's merged branch count.
-
-    Outcomes are routed through each segment's compile-time decision table:
-    halting outcomes only add their weight, and a continuing outcome becomes
-    a dense state only when its post-reset state is new to the next segment.
+    The segment schedule runs through qquery.run_segments on the machine's
+    quantum register alone, one segment_pass per oracle call; run_query_alg
+    is the same engine on the algorithm's own register. The classical walk
+    of a well-formed input is the same for every branch, so time, census,
+    and boundary crossings are reconstructed from closed forms over each
+    branch's oracle calls and resets that mirror the step-level runner
+    exactly (validated against it in tests). branch_count tallies halting
+    measurement outcomes, which may group finer or coarser than the
+    step-level runner's merged branch count.
     """
     n, m = report.n, report.m
     xb, yv = _split_sides(report, x, y)
-    gflip = report.gflip
-    d_w = report.d_w
-    dim = report.quantum_basis_count
+    gflip, d_w = report.gflip, report.d_w
+
+    def oracle(psi):
+        segment_pass(psi, xb, yv, m, d_w, gflip)
+        return psi
+
+    psi0 = np.zeros(report.quantum_basis_count, dtype=np.complex128)
+    psi0[0] = 1.0
+    run = run_segments(report.segments, psi0, oracle, report.machine.name)
+
+    # 3n+2 steps reach the first unitary; a segment takes 6n+4 steps per
+    # oracle call plus 2 (its last unitary and the measurement), a reset 1,
+    # so a path of c calls and r resets halts after 3n+4 + c(6n+4) + 3r
     seg_steps = 6 * n + 4
 
-    # per segment: sparse state key -> [weight, psi, steps, passes]
-    pending: list[dict] = [dict() for _ in report.segments]
-    psi0 = np.zeros(dim, dtype=np.complex128)
-    psi0[0] = 1.0
-    pending[0][b""] = [1.0, psi0, 3 * n + 2, 0]   # no outcome continues into segment 0
+    def longest(histories) -> int:
+        return max((3 * n + 4 + c * seg_steps + 3 * r
+                    for h in histories for c, r in h), default=0)
 
-    accept_p = 0.0
-    reject_p = 0.0
-    t_acc = 0
-    t_rej = 0
-    cross_max = 0
-    branch_count = 0
-    visited = 3 * n + 1
-    for si, cs in enumerate(report.segments):
-        if not pending[si]:
-            continue
-        ops = cs.ops
-        calls = len(ops) - 1
-        visited += calls * seg_steps + 2          # pass states + final u + meas
-        rst_hit = set()
-        for w, psi, steps, passes in pending[si].values():
-            psi = ops[0].apply(psi)
-            for ui in range(1, len(ops)):
-                segment_pass(psi, xb, yv, m, d_w, gflip)
-                psi = ops[ui].apply(psi)
-            steps += calls * seg_steps + 2
-            passes += calls
-            crossings = 2 + 4 * passes
-            cont, cont_p, cont_w = [], [], []
-            for j, prob in enumerate(cs.outcomes.weights(psi)):
-                if prob <= BRANCH_PRUNE:
-                    continue   # pruned by the measurement itself
-                wp = w * prob
-                if wp < BRANCH_PRUNE:
-                    continue   # below the step-level runner's pruning floor
-                kind = cs.kind[j]
-                if kind == "accept":
-                    branch_count += 1
-                    accept_p += wp
-                    t_acc = max(t_acc, steps)
-                    cross_max = max(cross_max, crossings)
-                elif kind == "reject":
-                    branch_count += 1
-                    reject_p += wp
-                    t_rej = max(t_rej, steps)
-                    cross_max = max(cross_max, crossings)
-                else:
-                    cont.append(j)
-                    cont_p.append(prob)
-                    cont_w.append(wp)
-            if not cont:
-                continue
-            rst_hit.update(cont)
-            steps += 1                                # the reset step
-            collapsed = cs.collapse(psi, cont, cont_p)
-            for j, wp, (key, pos, vals) in zip(cont, cont_w, collapsed):
-                bucket = pending[cs.next_segment[j]]
-                slot = bucket.get(key)
-                if slot is None:
-                    child = np.zeros(dim, dtype=np.complex128)
-                    child[pos] = vals
-                    bucket[key] = [wp, child, steps, passes]
-                else:
-                    slot[0] += wp
-                    slot[2] = max(slot[2], steps)
-                    slot[3] = max(slot[3], passes)
-        visited += len(rst_hit)
-
-    total = accept_p + reject_p
-    if abs(total - 1.0) > 1e-6:
-        raise SpecError(
-            f"{report.machine.name}: terminal branch weights sum to {total}, "
-            "lost probability mass exceeds the pruning budget"
-        )
+    t_acc, t_rej = longest(run.accepted), longest(run.rejected)
+    cross_max = max((2 + 4 * c for h in run.accepted + run.rejected for c, _ in h),
+                    default=0)
+    # census: the form check's 3n+1 states; per segment entered, its pass
+    # states, last unitary and measurement, and one reset per row continued
+    visited = 3 * n + 1 + sum(
+        report.segments[si].calls * seg_steps + 2 + len(rows)
+        for si, rows in run.continued.items()
+    )
     return ExactRunResult(
-        min(accept_p, 1.0), max(t_acc, t_rej), t_acc, t_rej, visited,
-        branch_count, set(), None, True, cross_max,
+        run.accept_probability, max(t_acc, t_rej), t_acc, t_rej, visited,
+        run.halts, set(), True, cross_max,
     )
 
 

@@ -8,7 +8,8 @@ decision either halts (accept/reject) or continues into a later segment,
 optionally applying an outcome-dependent reset first. A reset must be a
 basis transposition (`BasisSwapOp`): the state at that point is a known
 basis vector, so a transposition suffices to re-enter the next segment from
-a canonical state, and the compiled runner relies on resets only moving
+a canonical state, and the branch engine (`run_segments`, shared by
+`run_query_alg` and the compiled runner) relies on resets only moving
 amplitudes.
 
 Plain algorithms are a single segment whose decision never continues.
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,11 +39,11 @@ from .ops import (
     IdentityOp,
     IndexPairHOp,
     IndexPermOp,
+    LiftedOp,
     Measurement,
     Op,
     PrepReflectOp,
     RegisterLayout,
-    check_norm,
     check_unitary,
     minus_prep_op,
     unminus_op,
@@ -89,6 +91,13 @@ class QueryAlgorithm:
 
     def initial_state(self) -> np.ndarray:
         return self.layout.basis_state(0, 0, 0)
+
+    @cached_property
+    def tables(self) -> list[CompiledSegment]:
+        """The segments' decision tables on the algorithm's own register,
+        built (after validation) on first use."""
+        validate_algorithm(self)
+        return segment_tables(self, 1)
 
 
 def apply_oracle(layout: RegisterLayout, z: Sequence[int], psi: np.ndarray) -> np.ndarray:
@@ -141,65 +150,281 @@ def validate_algorithm(alg: QueryAlgorithm) -> None:
                 raise SpecError(f"unknown decision {d.kind!r}")
 
 
+class _LiftedOutcomes:
+    """An algorithm measurement over the register lifted by cache_dim blocks
+    (1: the algorithm's own register), built once per distinct measurement
+    object: its possible labels, their rows, and the lifted basis positions
+    of every outcome group. Outcome groups simply repeat in every cache
+    block, so labels are unchanged."""
+
+    def __init__(self, meas: Measurement, cache_dim: int, k: int):
+        self.meas = meas
+        self.cache_dim = cache_dim
+        self.k = k
+        self.labels = meas.labels()
+        self.rows = {label: j for j, label in enumerate(self.labels)}
+        self.complete = isinstance(meas, CompleteMeasurement)
+        lift = np.arange(cache_dim, dtype=np.int64) * k
+        if self.complete:
+            # one (labels x cache_dim) array: row a is basis index a per block
+            self.groups = np.arange(k, dtype=np.int64)[:, None] + lift
+        else:
+            self.groups = [
+                (lift[:, None] + meas.outcomes[label]).reshape(-1)
+                for label in self.labels
+            ]
+        self._lifted = None
+
+    @property
+    def lifted(self) -> Measurement:
+        """The lifted measurement itself, for the step-level runners."""
+        if self._lifted is None:
+            self._lifted = Measurement(
+                self.cache_dim * self.k, dict(zip(self.labels, self.groups)),
+                name=f"{self.meas.name}-lifted")
+        return self._lifted
+
+    def weights(self, psi: np.ndarray) -> list[float]:
+        """Probability of every row's outcome, summed per group in the same
+        order as the lifted measurement sums it."""
+        w2 = np.abs(psi) ** 2
+        if self.complete:
+            rows = np.ascontiguousarray(w2.reshape(self.cache_dim, self.k).T)
+            return rows.sum(axis=1).tolist()
+        return [float(w2[g].sum()) for g in self.groups]
+
+
+def _transposed(pos: np.ndarray, a, b, k: int) -> np.ndarray:
+    """Lifted positions pos after exchanging algorithm basis indices a and b
+    in every cache block (a = b = -1 leaves them)."""
+    inner = pos % k
+    return pos - inner + np.where(inner == a, b, np.where(inner == b, a, inner))
+
+
+class CompiledSegment:
+    """One algorithm segment on the lifted register, fixed before any run.
+
+    ops are the lifted unitaries. The decision table has one row per outcome
+    label that can occur, in measurement order: kind[j] ("accept", "reject"
+    or "continue"), next_segment[j] (-1 when the outcome halts) and swap[j],
+    the two basis indices the reset transposes (-1, -1 without a reset).
+    src[j] and dst[j] are the lifted positions of continuing outcome j's
+    group before and after its reset, both ordered by dst; for a complete
+    measurement they are (labels x cache_dim) arrays covering every row.
+    """
+
+    def __init__(self, seg: Segment, ops: list, outcomes: _LiftedOutcomes):
+        self.ops = ops
+        self.calls = len(ops) - 1
+        self.outcomes = outcomes
+        self.kind = []
+        self.next_segment = []
+        self.swap = np.full((len(outcomes.labels), 2), -1, dtype=np.int64)
+        for j, label in enumerate(outcomes.labels):
+            d = seg.decide(label)
+            self.kind.append(d.kind)
+            self.next_segment.append(d.next_segment if d.kind == "continue" else -1)
+            if d.kind == "continue" and d.reset is not None:
+                self.swap[j] = d.reset.a, d.reset.b
+        k = outcomes.k
+        if outcomes.complete:
+            # one group position per block, so every row stays ascending
+            self.src = outcomes.groups
+            self.dst = _transposed(self.src, self.swap[:, :1], self.swap[:, 1:], k)
+        else:
+            self.src, self.dst = {}, {}           # only continuing rows collapse
+            for j, (g, (a, b)) in enumerate(zip(outcomes.groups, self.swap.tolist())):
+                if self.kind[j] == "continue":
+                    dst = _transposed(g, a, b, k)
+                    order = np.argsort(dst, kind="stable")
+                    self.src[j], self.dst[j] = g[order], dst[order]
+        self._resets: dict = {}
+
+    def collapse(self, psi: np.ndarray, rows: list, probs: list):
+        """(key, positions, values) of the collapsed, reset state of each
+        continuing row; only positions in the row's group can be non-zero."""
+        if self.outcomes.complete:
+            vals = psi[self.src[rows]] / np.sqrt(probs)[:, None]
+            pos = self.dst[rows]
+            return zip(_sparse_keys(pos, vals), pos, vals)
+        out = []
+        for j, prob in zip(rows, probs):
+            vals = psi[self.src[j]] / np.sqrt(prob)
+            out.append((_sparse_keys(self.dst[j][None], vals[None])[0],
+                        self.dst[j], vals))
+        return out
+
+    def row(self, label) -> int:
+        return self.outcomes.rows[label]
+
+    def reset(self, j: int) -> BasisSwapOp | None:
+        """Row j's reset on the algorithm register."""
+        a, b = self.swap[j].tolist()
+        return None if a < 0 else BasisSwapOp(self.outcomes.k, a, b)
+
+    def reset_op(self, j: int) -> Op:
+        """Row j's lifted reset, for the step-level runners (built on use)."""
+        op = self._resets.get(j)
+        if op is None:
+            inner, blocks = self.reset(j), self.outcomes.cache_dim
+            op = (IdentityOp(self.outcomes.k * blocks) if inner is None
+                  else LiftedOp(inner, blocks))
+            self._resets[j] = op
+        return op
+
+
+def segment_tables(alg: QueryAlgorithm, cache_dim: int) -> list[CompiledSegment]:
+    """The decision table of every segment of a validated algorithm on its
+    register lifted by cache_dim blocks (1: the register itself). Each
+    distinct operator and measurement object is lifted once."""
+    k = alg.layout.dim
+    identity = IdentityOp(cache_dim * k)
+    lifted: dict = {}
+
+    def lift(obj, make):
+        hit = lifted.get(id(obj))
+        if hit is None:
+            hit = lifted[id(obj)] = make(obj)
+        return hit
+
+    def lift_op(u: Op) -> Op:
+        if cache_dim == 1:
+            return u
+        return identity if isinstance(u, IdentityOp) else LiftedOp(u, cache_dim)
+
+    return [
+        CompiledSegment(
+            seg,
+            [lift(u, lift_op) for u in seg.unitaries],
+            lift(seg.measurement, lambda ms: _LiftedOutcomes(ms, cache_dim, k)),
+        )
+        for seg in alg.segments
+    ]
+
+
+def _sparse_keys(pos: np.ndarray, vals: np.ndarray) -> list[bytes]:
+    """One key per row: the dense vector holding the row's vals at its pos
+    (ascending) and +0.0 elsewhere, keyed by the (position, bit pattern)
+    pairs whose bits are non-zero. Equal keys mean bitwise-equal vectors,
+    so -0.0 stays distinct from 0.0."""
+    nz = vals.view(np.uint64).reshape(*vals.shape, 2).any(axis=2)
+    pos_b = pos[nz].tobytes()
+    val_b = vals[nz].tobytes()
+    keys = []
+    start = 0
+    for end in np.cumsum(nz.sum(axis=1)).tolist():
+        keys.append(pos_b[8 * start : 8 * end] + val_b[16 * start : 16 * end])
+        start = end
+    return keys
+
+
 @dataclass
-class QueryRunStats:
-    probability: float
-    oracle_calls_declared: int
-    oracle_calls_worst_path: int
-    branches_processed: int
+class FrontierRun:
+    """What run_segments saw. A branch's history is the set of (oracle
+    calls, resets) pairs of the paths merged into it; accepted and rejected
+    hold the history of every branch with an outcome of that kind."""
+
+    accept_probability: float
+    halts: int                    # halting outcomes above the pruning floor
+    accepted: list[frozenset]
+    rejected: list[frozenset]
+    continued: dict[int, set]     # per segment some branch ran: rows that continued
 
 
-def run_query_alg(alg: QueryAlgorithm, z: Sequence[int], stats: bool = False):
-    """Exact acceptance probability on input word z by branch enumeration.
+def run_segments(tables: list[CompiledSegment], psi: np.ndarray, oracle,
+                 name: str) -> FrontierRun:
+    """Exact branch evaluation of a segment schedule from state psi, with
+    oracle(psi) -> psi making one oracle call.
 
-    Branches with identical (segment, state) merge by summing weights;
-    probabilities below the pruning threshold are dropped.
+    Outcomes are routed through each segment's decision table. An outcome
+    of probability at most BRANCH_PRUNE, or of branch weight below it, is
+    dropped; a halting outcome only adds its weight; a continuing outcome
+    becomes a dense state only when its post-reset state is new to the next
+    segment, and otherwise merges into the branch with the same sparse key,
+    in the order the branches were created. Halting mass that misses 1 by
+    more than 1e-6 raises SpecError, labelled with name.
+    """
+    # per segment: sparse state key -> [weight, psi, history]
+    pending: list[dict] = [dict() for _ in tables]
+    pending[0][b""] = [1.0, psi, frozenset({(0, 0)})]
+    accept_p = 0.0
+    reject_p = 0.0
+    halts = 0
+    accepted, rejected = [], []
+    continued: dict[int, set] = {}
+    for si, cs in enumerate(tables):
+        if not pending[si]:
+            continue
+        continued[si] = set()
+        ops = cs.ops
+        for w, psi, history in pending[si].values():
+            psi = ops[0].apply(psi)
+            for op in ops[1:]:
+                psi = op.apply(oracle(psi))
+            history = frozenset((c + cs.calls, r) for c, r in history)
+            cont, cont_p, cont_w = [], [], []
+            kinds = set()
+            for j, prob in enumerate(cs.outcomes.weights(psi)):
+                if prob <= BRANCH_PRUNE:
+                    continue   # pruned by the measurement itself
+                wp = w * prob
+                if wp < BRANCH_PRUNE:
+                    continue   # below the branch pruning floor
+                kind = cs.kind[j]
+                if kind == "accept":
+                    accept_p += wp
+                elif kind == "reject":
+                    reject_p += wp
+                else:
+                    cont.append(j)
+                    cont_p.append(prob)
+                    cont_w.append(wp)
+                    continue
+                halts += 1
+                kinds.add(kind)
+            if "accept" in kinds:
+                accepted.append(history)
+            if "reject" in kinds:
+                rejected.append(history)
+            if not cont:
+                continue
+            continued[si].update(cont)
+            history = frozenset((c, r + 1) for c, r in history)
+            collapsed = cs.collapse(psi, cont, cont_p)
+            for j, wp, (key, pos, vals) in zip(cont, cont_w, collapsed):
+                bucket = pending[cs.next_segment[j]]
+                slot = bucket.get(key)
+                if slot is None:
+                    child = np.zeros_like(psi)
+                    child[pos] = vals
+                    bucket[key] = [wp, child, history]
+                else:
+                    slot[0] += wp
+                    slot[2] = slot[2] | history
+
+    total = accept_p + reject_p
+    if abs(total - 1.0) > 1e-6:
+        raise SpecError(
+            f"{name}: terminal branch weights sum to {total}, "
+            "lost probability mass exceeds the pruning budget"
+        )
+    return FrontierRun(min(accept_p, 1.0), halts, accepted, rejected, continued)
+
+
+def run_query_alg(alg: QueryAlgorithm, z: Sequence[int]) -> float:
+    """Exact acceptance probability on input word z.
+
+    The schedule runs through run_segments on the algorithm's own register
+    (the lift-factor-1 case of the compiled runner), with apply_oracle as
+    the oracle; the algorithm is validated and its tables are built on its
+    first run.
     """
     zbits = as_bits(z, alg.arity)
-    # branch bookkeeping: segment id -> {state key: (weight, psi)}
-    pending: dict[int, dict[bytes, tuple[float, np.ndarray]]] = {0: {}}
-    psi0 = alg.initial_state()
-    pending[0][psi0.tobytes()] = (1.0, psi0)
-    accept = 0.0
-    branches = 0
-    worst_calls = 0
-    for s, seg in enumerate(alg.segments):
-        here = pending.pop(s, {})
-        if not here:
-            continue
-        worst_calls += seg.calls
-        for _, (weight, psi) in here.items():
-            branches += 1
-            psi = seg.unitaries[0].apply(psi.copy())
-            for u in seg.unitaries[1:]:
-                psi = apply_oracle(alg.layout, zbits, psi)
-                psi = u.apply(psi)
-            check_norm(psi, f"in segment {s}")
-            for label, p, collapsed in seg.measurement.branches(psi):
-                d = seg.decide(label)
-                if d.kind == "accept":
-                    accept += weight * p
-                elif d.kind == "reject":
-                    continue
-                else:
-                    child = collapsed
-                    if d.reset is not None:
-                        child = d.reset.apply(child)
-                    w = weight * p
-                    if w <= BRANCH_PRUNE:
-                        continue
-                    bucket = pending.setdefault(d.next_segment, {})
-                    key = child.tobytes()
-                    if key in bucket:
-                        old_w, old_psi = bucket[key]
-                        bucket[key] = (old_w + w, old_psi)
-                    else:
-                        bucket[key] = (w, child)
-    if pending:
-        raise SpecError("control schedule left unreachable pending branches")
-    if stats:
-        return QueryRunStats(accept, alg.total_calls, worst_calls, branches)
-    return accept
+    layout = alg.layout
+    return run_segments(
+        alg.tables, alg.initial_state(),
+        lambda psi: apply_oracle(layout, zbits, psi), alg.name,
+    ).accept_probability
 
 
 # --- Grover-style bounded-error OR -------------------------------------------

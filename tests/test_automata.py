@@ -3,7 +3,6 @@
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 import pytest
@@ -304,7 +303,7 @@ def test_qcfa_runners_reject_missing_routes_alike(broken, message):
 
 def test_qcfa_head_move_errors_name_step_and_position():
     m = replace(hadamard_qcfa(), step=lambda state, sym: ("read", -1))
-    for run in (qcfa_exact, partial(qcfa_exact, record_positions=False), qcfa_sample):
+    for run in (qcfa_exact, qcfa_sample):
         with pytest.raises(SpecError, match=r"had: head moved left of the left end "
                                             r"marker on step 1 at head position 0$"):
             run(m, "0")

@@ -97,13 +97,32 @@ def test_compiled_probability_matches_algorithm_exhaustively():
 
 
 def test_fast_path_equals_generic_runner():
-    rep = compile_query_to_qcfa(grover_or(3), and_gadget(), 3)
-    for x, y in (("000", "000"), ("001", "001"), ("111", "101"), ("010", "110")):
+    cases = [(3, ("000", "000")), (3, ("001", "001")), (3, ("111", "101")),
+             (3, ("010", "110"))]
+    # every n=2 pair: the register is small enough (dim 8) for any
+    # small-machine special case of the step-level runner to show
+    cases += [(2, (x, y)) for x in bitstrings(2) for y in bitstrings(2)]
+    reports = {n: compile_query_to_qcfa(grover_or(n), and_gadget(), n) for n in (2, 3)}
+    for n, (x, y) in cases:
+        rep = reports[n]
         fast = run_compiled(rep, x, y)
         slow = qcfa_exact(rep.machine, payload(x, y))
-        assert fast.accept_probability == slow.accept_probability
+        assert fast.accept_probability == slow.accept_probability, (x, y)
         assert fast.t_max == slow.t_max
         assert fast.visited == len(slow.origin_states)
+
+
+def test_algorithm_runner_equals_compiled_runner_at_n16():
+    # the algorithm side runs the same branch engine on its own register,
+    # so even outcomes below the pruning floor are dropped alike
+    alg = grover_or(16)
+    rep = compile_query_to_qcfa(alg, and_gadget(), 16)
+    rng = random.Random(16)
+    for _ in range(100):
+        x = "".join(rng.choice("01") for _ in range(16))
+        y = "".join(rng.choice("01") for _ in range(16))
+        z = gadget_word(x, y, and_gadget(), 1)
+        assert run_query_alg(alg, z) == run_compiled(rep, x, y).accept_probability
 
 
 def test_generic_runner_time_within_declared_budget():
@@ -176,6 +195,47 @@ def test_partition_measurement_with_reordering_reset():
             assert fast.visited == len(slow.origin_states)
             seen.add(round(want, 9))
     assert len(seen) > 1
+
+
+def test_paths_merged_from_different_schedules_keep_exact_times():
+    # segment 0 forks: "lo" runs segments 1 and 3 (no oracle calls, three
+    # resets in all), "hi" runs segment 2 (one call, two resets). Both reset
+    # to the same basis state, so the branches merge before segment 4 with
+    # histories (2 calls, 3 resets) and (3 calls, 2 resets); the longest
+    # run is the larger of the two paths, not their componentwise maximum
+    layout = RegisterLayout(2, 1)
+    dim = layout.dim
+    idle = IdentityOp(dim)
+    mix = IndexPairHOp(layout, 0, 1)
+    basis = CompleteMeasurement(dim)
+    split = Measurement(dim, {"lo": np.array([0, 1]), "hi": np.array([2, 3])})
+
+    def to(seg):
+        return lambda o: Decision(
+            "continue", seg, BasisSwapOp(dim, int(o), 0) if int(o) else None)
+
+    def last(outcome):
+        return ACCEPT if layout.unpack(int(outcome))[1] else REJECT
+
+    alg = QueryAlgorithm("fork", 2, layout, (
+        Segment((mix, idle), split,
+                lambda label: Decision("continue", 1 if label == "lo" else 2)),
+        Segment((idle,), basis, to(3)),
+        Segment((idle, idle), basis, to(4)),
+        Segment((idle,), basis, to(4)),
+        Segment((mix, idle), basis, last),
+    ), 1 / 3)
+    rep = compile_query_to_qcfa(alg, and_gadget(), 2)
+    for x in bitstrings(2):
+        for y in bitstrings(2):
+            fast = run_compiled(rep, x, y)
+            slow = qcfa_exact(rep.machine, payload(x, y))
+            assert fast.accept_probability == slow.accept_probability
+            assert fast.accept_probability == \
+                run_query_alg(alg, gadget_word(x, y, and_gadget(), 1))
+            assert (fast.t_max, fast.t_max_accepting, fast.t_max_rejecting) == \
+                (slow.t_max, slow.t_max_accepting, slow.t_max_rejecting)
+            assert fast.visited == len(slow.origin_states)
 
 
 def test_side_length_must_factor():

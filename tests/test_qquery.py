@@ -179,6 +179,16 @@ def test_continue_reset_must_be_a_basis_transposition(segments):
         validate_algorithm(toy_algorithm(fine, *rest))
 
 
+@pytest.mark.parametrize("target", [0, 2])
+def test_run_query_alg_refuses_a_continue_that_is_not_forward(target):
+    meas = CompleteMeasurement(TOY.dim)
+    idle = IdentityOp(TOY.dim)
+    alg = toy_algorithm(Segment((idle,), meas, go_to(target)),
+                        Segment((idle,), meas, halt))
+    with pytest.raises(SpecError):
+        run_query_alg(alg, "00")
+
+
 def test_non_unitary_operator_in_a_later_segment_is_caught():
     meas = CompleteMeasurement(TOY.dim)
     idle = IdentityOp(TOY.dim)
