@@ -176,15 +176,17 @@ class ComposedFunction:
         m = self.gadget.width
         xv = as_bits(x, self.side_bits)
         yv = as_bits(y, self.side_bits)
+        # the blocks of validated sides need no second validation
+        g = self.gadget.fn
         return tuple(
-            self.gadget(xv[i * m : (i + 1) * m], yv[i * m : (i + 1) * m])
+            int(g(xv[i * m : (i + 1) * m], yv[i * m : (i + 1) * m]))
             for i in range(self.blocks)
         )
 
 
 def compose_eval(f: ComposedFunction, x: Sequence[int] | str, y: Sequence[int] | str) -> int:
     """Evaluate the composed function on a full (x, y) pair."""
-    return f.outer(f.inner_word(x, y))
+    return int(f.outer.fn(f.inner_word(x, y)))
 
 
 # --- languages -------------------------------------------------------------

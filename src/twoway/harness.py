@@ -8,6 +8,16 @@ member/non-member samples beyond that.
 Every evaluated run is also checked against the protocol-extraction
 certificate: crossings * n <= T and transferred bits <= S * floor(T/n) + 1.
 
+The equality sweep machine's exhaustive rows walk every pair of the row in
+lockstep (lockstep.run_dfa_lanes): the machine's transitions are tabulated
+the first time a pair of the row needs them. A lane the walk hands back (a
+failing transition, a bad head position, a long run) or whose certificate
+fails is replayed through run_dfa and the owner walk in input order, so the
+row raises the error the first failing pair raises on its own. Its sampled
+rows, whose states seldom repeat, take that per-run path for every pair.
+Either way, language values and worst inputs are array operations over the
+row's pairs.
+
 The equality fingerprint family uses a vectorized evaluator (residues and
 per-prime branch walks computed with numpy) that reproduces the machine's
 acceptance probability, step count, and visited-state census exactly; the
@@ -35,12 +45,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .automata import run_dfa
+from .automata import DEFAULT_CUTOFF, PAYLOAD_SYMBOLS, run_dfa
 from .boolfn import HASH, LanguageSpec, eq_language, ints_language, lifted_language, ComposedFunction, and_gadget, xor_fn
 from .commlab import _owner_walk, machine_space
 from .compiler import compile_query_to_qcfa, run_compiled
 from .errors import InputError, SpecError
 from .handcrafted import PrimeTable, build_eq_dfa, eq_pfa_time
+from .lockstep import LaneRuns, distinct_per_row, run_dfa_lanes
 from .qquery import exact_parity, grover_or
 
 __all__ = [
@@ -178,6 +189,27 @@ class _Accum:
                 self.nonmember_err = prob
                 self.worst_nonmember = f"{x}|{y}"
 
+    def add_lanes(self, x: np.ndarray, y: np.ndarray, member: np.ndarray,
+                  prob: np.ndarray, t_run: np.ndarray, visited: np.ndarray) -> None:
+        """add() over pairs given as bit-matrix rows in _pair_iter order,
+        once every pair's certificate has passed: the worst input of a class
+        is its first pair whose error exceeds the running maximum."""
+        self.evaluated += len(prob)
+        if not len(prob):
+            return
+        self.t_max = max(self.t_max, int(t_run.max()))
+        self.visited_max = max(self.visited_max, int(visited.max()))
+        member_err = np.where(member, 1.0 - prob, 0.0)
+        i = int(member_err.argmax())        # argmax: the first maximum
+        if member_err[i] > self.member_err:
+            self.member_err = float(member_err[i])
+            self.worst_member = f"{_word(x[i])}|{_word(y[i])}"
+        nonmember_err = np.where(member, 0.0, prob)
+        i = int(nonmember_err.argmax())
+        if nonmember_err[i] > self.nonmember_err:
+            self.nonmember_err = float(nonmember_err[i])
+            self.worst_nonmember = f"{_word(x[i])}|{_word(y[i])}"
+
 
 # --- family evaluators ---------------------------------------------------------
 
@@ -186,12 +218,68 @@ def _eval_eq_dfa(n: int, samples: int, seed) -> _Accum:
     machine = build_eq_dfa(n)
     lang = eq_language(n)
     acc = _Accum(lang, machine_space(machine))
-    for x, y in _pair_iter(lang, n, samples, seed):
-        trace = run_dfa(machine, x + HASH * n + y, record_positions=True)
-        crossings = len(_owner_walk(trace.positions, _regions(n)))
-        acc.add(x, y, float(trace.accepted_bit), trace.steps,
-                trace.visited, crossings)
+    x, y = _pair_bits(lang, n, samples, seed)
+    # An exhaustive row's pairs share their prefixes, so its lanes pass
+    # through the same states and each table entry serves many of them. A
+    # sampled row's states carry its random x and almost never repeat: its
+    # pairs run faster one by one (the n=64 and 256 rows, 24 pairs each:
+    # 0.09 s pair by pair, 0.16 s in lockstep, on a 2-vCPU x86 VM).
+    _add_dfa_pairs(acc, machine, x, y, _regions(n),
+                   lockstep=1 << (2 * n) <= EXHAUSTIVE_LIMIT)
     return acc
+
+
+def _add_dfa_pairs(acc: _Accum, machine, x: np.ndarray, y: np.ndarray, regions,
+                   cutoff: int = DEFAULT_CUTOFF, lockstep: bool = True) -> None:
+    """Add the runs of a 2DFA on the equality pairs x_i #^n y_i (bit-matrix
+    rows in _pair_iter order) to acc.
+
+    With `lockstep`, every pair walks in lockstep (run_dfa_lanes); without
+    it, every pair is handed back. The lanes handed back, and those whose
+    certificate fails, go through the per-run path (run_dfa, _owner_walk,
+    certificate_check) in input order, so the first pair that path fails on
+    raises its error, with its message."""
+    n = x.shape[1]
+    if lockstep:
+        payloads = np.empty((x.shape[0], 3 * n), dtype=np.uint8)
+        payloads[:, :n] = x
+        payloads[:, n:2 * n] = PAYLOAD_SYMBOLS.index(HASH)
+        payloads[:, 2 * n:] = y
+        runs = run_dfa_lanes(machine, payloads, regions, cutoff)
+        del payloads
+    else:
+        runs = LaneRuns.zeros(x.shape[0])
+        runs.replay[:] = True
+    steps, crossings = runs.steps, runs.crossings
+    bits = crossings * math.ceil(acc.space) + 1
+    suspect = (runs.replay | (crossings * n > steps)
+               | (bits > acc.space * (steps // n) + 1))
+    for i in np.flatnonzero(suspect).tolist():
+        if runs.replay[i]:
+            trace = run_dfa(machine, _word(x[i]) + HASH * n + _word(y[i]),
+                            cutoff, record_positions=True)
+            crossings[i] = len(_owner_walk(trace.positions, regions))
+            runs.accepted[i], steps[i], runs.visited[i] = (
+                trace.accepted_bit, trace.steps, trace.visited)
+        certificate_check(acc.space, int(steps[i]), int(crossings[i]), n)
+    acc.add_lanes(x, y, (x == y).all(axis=1), runs.accepted.astype(float),
+                  steps, runs.visited)
+
+
+def _pair_bits(lang: LanguageSpec, n: int, samples: int, seed):
+    """The pairs of _pair_iter, in its order, as x and y bit matrices (one
+    row per pair); exhaustive rows are built from the integers directly."""
+    if 1 << (2 * n) <= EXHAUSTIVE_LIMIT:
+        values = np.arange(1 << n)
+        bits = ((values[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
+        return np.repeat(bits, 1 << n, axis=0), np.tile(bits, (1 << n, 1))
+    sides = ["".join(side) for side in zip(*_pair_iter(lang, n, samples, seed))]
+    return tuple(np.frombuffer(side.encode(), np.uint8).reshape(-1, n) - ord("0")
+                 for side in sides or ("", ""))
+
+
+def _word(bits: np.ndarray) -> str:
+    return "".join("01"[b] for b in bits.tolist())
 
 
 def _regions(n: int):
@@ -255,7 +343,7 @@ class _EqPfaFast:
                 a = (a + pw) % p
             pw = (2 * pw) % p
         codes[self.n] = pw * p + a
-        return self.long_states + _distinct_per_row(codes.T)
+        return self.long_states + int(distinct_per_row(codes.T).sum())
 
     def r_census(self, y: str) -> int:
         """Distinct ("r", p, a, b) states over the left-to-right y read; a is
@@ -269,24 +357,13 @@ class _EqPfaFast:
                 b += 1
             b -= p * (b >= p)           # 2b + bit < 2p: one subtraction reduces
             codes[i] = b                # state after consuming bit i
-        return _distinct_per_row(codes.T)
+        return int(distinct_per_row(codes.T).sum())
 
     def census(self, x: str, y: str) -> int:
         return self.shared + self.b_census(x) + self.r_census(y)
 
     def prob(self, x: str, y: str) -> float:
         return float(np.count_nonzero(self.residues(x) == self.residues(y))) / self.count
-
-
-def _distinct_per_row(codes: np.ndarray) -> int:
-    """Sum over rows of the number of distinct values in the row. Rows are
-    sorted in a contiguous copy with numpy's default sort: SIMD-accelerated
-    for small unsigned types, it took 1.6 ms on 6542 rows of 256 uint16
-    values where the radix sort (kind="stable") took 11.6 ms (AVX-512 x86
-    host, numpy 2.4)."""
-    rows = np.ascontiguousarray(codes)
-    rows.sort(axis=1)
-    return int(np.count_nonzero(np.diff(rows, axis=1))) + rows.shape[0]
 
 
 def _eval_eq_pfa(n: int, samples: int, seed) -> _Accum:
@@ -308,10 +385,9 @@ def _eval_eq_pfa(n: int, samples: int, seed) -> _Accum:
         certificate_check(acc.space, fast.t_run, 3, n)
         off = ~np.eye(1 << n, dtype=bool)
         worst = probs[off].max() if off.any() else 0.0
-        idx = np.argwhere((probs >= worst) & off)
         acc.nonmember_err = float(worst)
-        if idx.size:
-            xv, yv = int(idx[0][0]), int(idx[0][1])
+        if worst > 0:           # as in _Accum.add, a zero error names no input
+            xv, yv = (int(v) for v in np.argwhere((probs == worst) & off)[0])
             acc.worst_nonmember = f"{format(xv, f'0{n}b')}|{format(yv, f'0{n}b')}"
         acc.member_err = float(1.0 - probs.diagonal().min())
         acc.evaluated = 1 << (2 * n)

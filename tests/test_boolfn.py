@@ -169,3 +169,30 @@ def test_default_gadget_width_grows_logarithmically():
     assert default_gadget_width(1) == 1
     assert default_gadget_width(128) == 7
     assert default_gadget_width(129) == 8
+
+
+@pytest.mark.parametrize("ident", ["xor:2.and1", "xor:2.ip:2"])
+def test_composed_values_validate_once_and_still_reject_malformed_sides(ident):
+    lang = parse_language(ident)
+    f, n = lang.composed, lang.n
+    m = f.gadget.width
+
+    def by_gadget_calls(x, y):
+        return f.outer([f.gadget(x[i:i + m], y[i:i + m]) for i in range(0, n, m)])
+
+    for xs, ys in itertools.product(itertools.product("01", repeat=n), repeat=2):
+        x, y = "".join(xs), "".join(ys)
+        assert lang.value(x, y) == compose_eval(f, x, y) == by_gadget_calls(x, y)
+    good, bad = "0" * n, "1" * (n - 1) + "2"
+    for x, y, message in (
+        (bad, good, f"non-binary digit in '{bad}'"),
+        (good, bad, f"non-binary digit in '{bad}'"),
+        (good, "x" * n, f"not a bit string: '{'x' * n}'"),
+        (good[1:], good, f"expected {n} bits, got {n - 1}"),
+        (good, good + "0", f"expected {n} bits, got {n + 1}"),
+    ):
+        for call in (lambda: compose_eval(f, x, y), lambda: lang.value(x, y),
+                     lambda: f.inner_word(x, y)):
+            with pytest.raises(InputError) as err:
+                call()
+            assert str(err.value) == message

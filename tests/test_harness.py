@@ -126,6 +126,20 @@ def test_sweep_exhausts_small_sides_and_matches_membership():
         assert row.ts == row.t_max * row.s_declared
 
 
+@pytest.mark.parametrize("family", ["eq-pfa", "eq-dfa"])
+def test_a_zero_error_names_no_worst_input(family):
+    one, two = sweep_ts(family, [1, 2])
+    # at n=1 the prime 2 separates 0 from 1: no pair has an error to name
+    assert (one.member_err, one.nonmember_err) == (0.0, 0.0)
+    assert one.worst_member == one.worst_nonmember == ""
+    assert two.member_err == 0.0 and two.worst_member == ""
+    if family == "eq-pfa":
+        # 0 and 2 agree mod the prime 2 only: half the primes up to 4
+        assert (two.nonmember_err, two.worst_nonmember) == (0.5, "00|10")
+    else:
+        assert (two.nonmember_err, two.worst_nonmember) == (0.0, "")
+
+
 def test_pair_iter_switches_to_sampling():
     lang = eq_language(2)
     assert len(list(_pair_iter(lang, 2, 99, 0))) == 16    # exhaustive
