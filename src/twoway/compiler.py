@@ -28,6 +28,7 @@ from .ops import CacheFlipOp, CompleteMeasurement, GadgetFlipOp, IdentityOp
 from .qquery import (
     QueryAlgorithm,
     apply_oracle,
+    oracle_rows,
     run_segments,
     segment_tables,
     validate_algorithm,
@@ -384,6 +385,7 @@ def verify_segment_equivalence(
         for i in range(report.p)
     ]
     k = report.k_alg
+    marked = oracle_rows(z)
 
     phi = alg.initial_state()
     psi = np.zeros(report.quantum_basis_count, dtype=np.complex128)
@@ -396,7 +398,7 @@ def verify_segment_equivalence(
         seg = alg.segments[si]
         for ui in range(len(cs.ops)):
             if ui > 0:
-                phi = apply_oracle(alg.layout, z, phi)
+                phi = apply_oracle(alg.layout, marked, phi)
                 segment_pass(psi, xb, yv, report.m, report.d_w, report.gflip)
                 calls_done += 1
             phi = seg.unitaries[ui].apply(phi)

@@ -8,8 +8,13 @@ operator to the machine space is a per-block application and stays
 numerically identical block by block.
 
 Structured operators are applied analytically (O(changed amplitudes), never
-via dense matrices); every operator can still materialize itself densely for
-unitarity checks on small dimensions.
+via dense matrices). Every operator certifies its own unitarity from its
+parameters: certify() returns an upper bound on the spectral norm of
+U^dagger U - I without materializing U, so check_unitary runs at every
+dimension. An operator class without a certificate is refused, never
+trusted. On small dimensions every operator can still materialize itself
+densely (to_dense, dense_deviation): the oracle the certificates are tested
+against.
 """
 
 from __future__ import annotations
@@ -23,8 +28,7 @@ from .errors import SpecError
 UNITARY_ATOL = 1e-9     # max-norm tolerance for U^dagger U - I
 NORM_ATOL = 1e-9        # state-norm drift tolerance
 BRANCH_PRUNE = 1e-12    # measurement branches below this probability are dropped
-DENSE_CHECK_LIMIT = 512   # to_dense() validation cap (structured ops above this
-                          # are unitary by construction; runtime norm checks guard)
+DENSE_CHECK_LIMIT = 512   # largest dimension to_dense() materializes
 
 
 @dataclass(frozen=True)
@@ -75,15 +79,43 @@ class Op:
     def describe(self) -> dict:
         raise NotImplementedError
 
+    def certify(self) -> float:
+        """Upper bound on ||U^dagger U - I||_2, from the operator's
+        parameters alone. The spectral norm bounds the max norm, so a
+        certificate at most UNITARY_ATOL implies the dense check."""
+        raise SpecError(f"{type(self).__name__} has no unitarity certificate")
+
 
 def check_unitary(op: Op) -> None:
-    """Assert ||U^dagger U - I||_max <= 1e-9 by materializing the operator."""
+    """Assert op.certify() <= UNITARY_ATOL, at any dimension."""
+    dev = op.certify()
+    if dev > UNITARY_ATOL:
+        raise SpecError(
+            f"operator {op.describe()} deviates from unitary by up to {dev:.3e}")
+
+
+def dense_deviation(op: Op) -> float:
+    """||U^dagger U - I||_max of the materialized operator: the test oracle
+    for certify() (dim <= DENSE_CHECK_LIMIT)."""
     u = op.to_dense()
     gram = u.conj().T @ u
     gram[np.diag_indices(op.dim)] -= 1.0   # in place: no second dense temporary
-    dev = np.abs(gram).max()
-    if dev > UNITARY_ATOL:
-        raise SpecError(f"operator {op.describe()} deviates from unitary by {dev:.3e}")
+    return float(np.abs(gram).max())
+
+
+def _gram_deviation(matrix: np.ndarray) -> float:
+    """||M^dagger M - I||_F, which bounds the spectral norm of the same
+    difference. einsum rather than BLAS or LAPACK: a certificate loads no
+    library pages the run itself does not need."""
+    gram = np.einsum("ki,kj->ij", matrix.conj(), matrix)
+    gram[np.diag_indices(len(gram))] -= 1.0
+    return float(np.sqrt(np.sum(np.abs(gram) ** 2)))
+
+
+def _require_indices(op: Op, bound: int, *indices: int) -> None:
+    for i in indices:
+        if not 0 <= i < bound:
+            raise SpecError(f"operator {op.describe()}: index {i} outside [0, {bound})")
 
 
 class DenseOp(Op):
@@ -101,6 +133,9 @@ class DenseOp(Op):
     def to_dense(self) -> np.ndarray:
         return self.matrix.copy()
 
+    def certify(self) -> float:
+        return _gram_deviation(self.matrix)
+
     def describe(self) -> dict:
         return {"op": "dense", "matrix": [[ [float(z.real), float(z.imag)] for z in row ] for row in self.matrix]}
 
@@ -111,6 +146,9 @@ class IdentityOp(Op):
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         return psi
+
+    def certify(self) -> float:
+        return 0.0
 
     def describe(self) -> dict:
         return {"op": "identity", "dim": self.dim}
@@ -132,6 +170,13 @@ class ComposeOp(Op):
             psi = op.apply(psi)
         return psi
 
+    def certify(self) -> float:
+        # ||(AB)^dagger AB - I|| <= ||B||^2 eps_A + eps_B <= (1+eps_A)(1+eps_B) - 1
+        bound = 1.0
+        for op in self.ops:
+            bound *= 1.0 + op.certify()
+        return bound - 1.0
+
     def describe(self) -> dict:
         return {"op": "compose", "ops": [op.describe() for op in self.ops]}
 
@@ -150,6 +195,9 @@ class OnIndexOp(Op):
     def apply(self, psi: np.ndarray) -> np.ndarray:
         cols = psi.reshape(self.layout.index_dim, 2 * self.layout.work_dim)
         return (self.matrix @ cols).reshape(-1)
+
+    def certify(self) -> float:
+        return _gram_deviation(self.matrix)
 
     def describe(self) -> dict:
         return {
@@ -175,6 +223,9 @@ class OnAnswerOp(Op):
         out = np.einsum("ab,ibw->iaw", self.matrix, grid)
         return out.reshape(-1)
 
+    def certify(self) -> float:
+        return _gram_deviation(self.matrix)
+
     def describe(self) -> dict:
         return {"op": "on-answer", "name": self.name}
 
@@ -190,6 +241,9 @@ class DiffusionOp(Op):
         grid = psi.reshape(self.layout.index_dim, 2 * self.layout.work_dim)
         mean = grid.mean(axis=0)
         return (2.0 * mean - grid).reshape(-1)
+
+    def certify(self) -> float:
+        return 0.0     # 2|u><u| - I with |u| = 1 by construction
 
     def describe(self) -> dict:
         return {"op": "diffusion", "n": self.layout.index_dim}
@@ -220,6 +274,15 @@ class PrepReflectOp(Op):
         coeff = self.w @ grid
         return (grid - 2.0 * np.outer(self.w, coeff)).reshape(-1)
 
+    def certify(self) -> float:
+        # (I - 2ww^T)^2 = I + 4(|w|^2 - 1) ww^T, of norm 4 | |w|^2 - 1 | |w|^2
+        if self.w is None:
+            return 0.0
+        if np.iscomplexobj(self.w):
+            raise SpecError(f"operator {self.describe()}: reflection vector must be real")
+        sq = float(self.w @ self.w)
+        return 4.0 * abs(sq - 1.0) * sq
+
     def describe(self) -> dict:
         return {"op": "uniform-prep", "n": self.layout.index_dim, "src": self.src}
 
@@ -227,6 +290,9 @@ class PrepReflectOp(Op):
 class IndexPairHOp(Op):
     """Hadamard mix of two index values a, b (identity elsewhere):
     |a> -> (|a>+|b>)/sqrt2, |b> -> (|a>-|b>)/sqrt2. Self-inverse."""
+
+    # every pair mixes through the same 2x2 block
+    _BLOCK_DEVIATION = _gram_deviation(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
 
     def __init__(self, layout: RegisterLayout, a: int, b: int):
         self.layout = layout
@@ -241,6 +307,12 @@ class IndexPairHOp(Op):
         grid[self.a] = r * (va + vb)
         grid[self.b] = r * (va - vb)
         return grid.reshape(-1)
+
+    def certify(self) -> float:
+        _require_indices(self, self.layout.index_dim, self.a, self.b)
+        if self.a == self.b:
+            raise SpecError(f"operator {self.describe()} mixes an index with itself")
+        return self._BLOCK_DEVIATION
 
     def describe(self) -> dict:
         return {"op": "index-pair-h", "a": self.a, "b": self.b}
@@ -265,6 +337,11 @@ class IndexPermOp(Op):
             grid[[a, b]] = grid[[b, a]]
         return grid.reshape(-1)
 
+    def certify(self) -> float:
+        for a, b in self.swaps:
+            _require_indices(self, self.layout.index_dim, a, b)
+        return 0.0     # disjoint transpositions, checked on construction
+
     def describe(self) -> dict:
         return {"op": "index-swap", "swaps": [list(s) for s in self.swaps]}
 
@@ -280,6 +357,10 @@ class BasisSwapOp(Op):
         if self.a != self.b:
             psi[self.a], psi[self.b] = psi[self.b], psi[self.a]
         return psi
+
+    def certify(self) -> float:
+        _require_indices(self, self.dim, self.a, self.b)
+        return 0.0
 
     def describe(self) -> dict:
         return {"op": "basis-swap", "a": self.a, "b": self.b}
@@ -303,6 +384,9 @@ class LiftedOp(Op):
             seg = psi[blk * d : (blk + 1) * d]
             psi[blk * d : (blk + 1) * d] = self.op.apply(seg)
         return psi
+
+    def certify(self) -> float:
+        return self.op.certify()     # op (x) I deviates exactly as op does
 
     def describe(self) -> dict:
         return {"op": "lifted", "blocks": self.blocks, "inner": self.op.describe()}
@@ -330,6 +414,12 @@ class CacheFlipOp(Op):
         view = psi.reshape(self.cache_dim, self.p_pad, 2, self.d_w)
         view[:, self.block] = view[self._perm, self.block]
         return psi
+
+    def certify(self) -> float:
+        _require_indices(self, self.p_pad, self.block)
+        # XOR with a mask is injective, so in range means a permutation
+        _require_indices(self, self.cache_dim, *self._perm.tolist())
+        return 0.0
 
     def describe(self) -> dict:
         return {
@@ -363,6 +453,11 @@ class GadgetFlipOp(Op):
             view[self._sel, self.block, 0] = view[self._sel, self.block, 1]
             view[self._sel, self.block, 1] = tmp
         return psi
+
+    def certify(self) -> float:
+        _require_indices(self, self.p_pad, self.block)
+        _require_indices(self, self.cache_dim, *self.flips)
+        return 0.0     # swaps answers 0 and 1 on every listed row
 
     def describe(self) -> dict:
         return {

@@ -14,9 +14,15 @@ amplitudes.
 
 Plain algorithms are a single segment whose decision never continues.
 
+Validation (`validate_algorithm`) certifies every distinct operator object
+through its own `certify()` bound, at every register dimension, and reads
+every (segment, label) decision once into decision rows (kind, next
+segment, reset swap). The rows are cached on the algorithm object; the
+tables of `run_query_alg` and of the compiler take them from there.
+
 Builders should reuse one operator (and measurement) instance wherever a
-schedule repeats it: validation checks unitarity once per distinct object
-and the compiler lifts each distinct object once.
+schedule repeats it: validation certifies each distinct object once and
+the compiler lifts each distinct object once.
 """
 
 from __future__ import annotations
@@ -48,9 +54,6 @@ from .ops import (
     minus_prep_op,
     unminus_op,
 )
-
-DENSE_VALIDATE_DIM = 512  # validate unitarity densely up to this dimension
-
 
 @dataclass(frozen=True)
 class Decision:
@@ -93,61 +96,111 @@ class QueryAlgorithm:
         return self.layout.basis_state(0, 0, 0)
 
     @cached_property
+    def decisions(self) -> list[DecisionRows]:
+        """Every segment's decision rows, read once when the algorithm is
+        first validated (see validate_algorithm)."""
+        return _validated_decisions(self)
+
+    @cached_property
     def tables(self) -> list[CompiledSegment]:
         """The segments' decision tables on the algorithm's own register,
         built (after validation) on first use."""
-        validate_algorithm(self)
         return segment_tables(self, 1)
 
 
-def apply_oracle(layout: RegisterLayout, z: Sequence[int], psi: np.ndarray) -> np.ndarray:
-    """One oracle call: flip the answer bit on every index i with z_i = 1.
+@dataclass(frozen=True)
+class DecisionRows:
+    """One segment's decisions, one row per label of its measurement's
+    labels(), in that order: kind[j] ("accept", "reject" or "continue"),
+    next_segment[j] (-1 when the outcome halts) and swap[j], the two basis
+    indices the reset transposes (-1, -1 without a reset)."""
 
-    z is given on the declared indices; padded index values query fixed 0s.
-    """
+    kind: list[str]
+    next_segment: list[int]
+    swap: np.ndarray               # (rows, 2) int64
+
+
+def oracle_rows(z: Sequence[int]) -> np.ndarray:
+    """The index values an oracle call on input word z marks: every i with
+    z_i = 1. z is given on the declared indices; padded index values query
+    fixed 0s."""
+    return np.flatnonzero(np.asarray(z, dtype=np.int8))
+
+
+def apply_oracle(layout: RegisterLayout, marked: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """One oracle call: flip the answer bit on every marked index value
+    (oracle_rows of the input word), as one row swap."""
     grid = psi.reshape(layout.index_dim, 2, layout.work_dim)
-    for i, bit in enumerate(z):
-        if bit:
-            grid[i] = grid[i, ::-1, :]
+    grid[marked] = grid[marked, ::-1]
     return grid.reshape(-1)
 
 
-def validate_algorithm(alg: QueryAlgorithm) -> None:
-    """Structural checks: unitary operators (densely verified on small
-    dimensions, once per distinct operator object), measurement partitions,
-    a forward-only control schedule, and basis-transposition resets."""
+def validate_algorithm(alg: QueryAlgorithm) -> list[DecisionRows]:
+    """Structural checks, returning every segment's decision rows.
+
+    Each distinct operator object must carry a unitarity certificate
+    (check_unitary, at every register dimension); each measurement must
+    partition the basis; every outcome that can occur must halt or continue
+    into a strictly later segment, through no reset or a basis
+    transposition of the register. Each (segment, label) decision is read
+    once. The result is cached on the algorithm object (alg.decisions), so
+    a second call returns it without checking again.
+    """
+    return alg.decisions
+
+
+def _validated_decisions(alg: QueryAlgorithm) -> list[DecisionRows]:
     if alg.arity < 1 or alg.layout.index_dim < alg.arity:
         raise SpecError("layout narrower than declared arity")
     dim = alg.layout.dim
+    nseg = len(alg.segments)
     # keyed on identity, not describe(): some descriptions omit the matrix
     checked: set[int] = set()
+    rows = []
     for s, seg in enumerate(alg.segments):
         if len(seg.unitaries) < 1:
-            raise SpecError("segment needs at least one unitary")
-        if dim <= DENSE_VALIDATE_DIM:
-            for op in seg.unitaries:
-                if id(op) not in checked:
+            raise SpecError(f"segment {s} needs at least one unitary")
+        for ui, op in enumerate(seg.unitaries):
+            if id(op) not in checked:
+                try:
                     check_unitary(op)
-                    checked.add(id(op))
+                except SpecError as exc:
+                    raise SpecError(f"segment {s} unitary {ui}: {exc}") from None
+                checked.add(id(op))
         if id(seg.measurement) not in checked:
             seg.measurement.validate()
             checked.add(id(seg.measurement))
+        kinds, nexts, swaps = [], [], []
         for label in seg.measurement.labels():
             d = seg.decide(label)
-            if d.kind == "continue":
+            kind = d.kind
+            if kind == "continue":
                 rst = d.reset
-                if rst is not None and not (
-                    isinstance(rst, BasisSwapOp) and rst.dim == dim
-                    and 0 <= rst.a < dim and 0 <= rst.b < dim
-                ):
+                if rst is None:
+                    swaps.append((-1, -1))
+                elif (isinstance(rst, BasisSwapOp) and rst.dim == dim
+                        and 0 <= rst.a < dim and 0 <= rst.b < dim):
+                    swaps.append((rst.a, rst.b))
+                else:
                     raise SpecError(
                         f"segment {s} outcome {label!r}: a reset must be a basis "
                         f"transposition of the register, got {rst.describe()}"
                     )
-                if not (s < d.next_segment < len(alg.segments)):
-                    raise SpecError("continue must target a strictly later segment")
-            elif d.kind not in ("accept", "reject"):
-                raise SpecError(f"unknown decision {d.kind!r}")
+                if not s < d.next_segment < nseg:
+                    raise SpecError(
+                        f"segment {s} outcome {label!r}: continue must target a "
+                        f"strictly later segment, got {d.next_segment}"
+                    )
+                nexts.append(d.next_segment)
+            elif kind == "accept" or kind == "reject":
+                swaps.append((-1, -1))
+                nexts.append(-1)
+            else:
+                raise SpecError(f"segment {s} outcome {label!r}: unknown decision {kind!r}")
+            kinds.append(kind)
+        rows.append(DecisionRows(
+            kinds, nexts, np.array(swaps, dtype=np.int64).reshape(-1, 2)))
+    return rows
 
 
 class _LiftedOutcomes:
@@ -204,28 +257,20 @@ def _transposed(pos: np.ndarray, a, b, k: int) -> np.ndarray:
 class CompiledSegment:
     """One algorithm segment on the lifted register, fixed before any run.
 
-    ops are the lifted unitaries. The decision table has one row per outcome
-    label that can occur, in measurement order: kind[j] ("accept", "reject"
-    or "continue"), next_segment[j] (-1 when the outcome halts) and swap[j],
-    the two basis indices the reset transposes (-1, -1 without a reset).
+    ops are the lifted unitaries. kind, next_segment and swap are the
+    segment's DecisionRows, shared by every lift of the algorithm.
     src[j] and dst[j] are the lifted positions of continuing outcome j's
     group before and after its reset, both ordered by dst; for a complete
     measurement they are (labels x cache_dim) arrays covering every row.
     """
 
-    def __init__(self, seg: Segment, ops: list, outcomes: _LiftedOutcomes):
+    def __init__(self, ops: list, outcomes: _LiftedOutcomes, rows: DecisionRows):
         self.ops = ops
         self.calls = len(ops) - 1
         self.outcomes = outcomes
-        self.kind = []
-        self.next_segment = []
-        self.swap = np.full((len(outcomes.labels), 2), -1, dtype=np.int64)
-        for j, label in enumerate(outcomes.labels):
-            d = seg.decide(label)
-            self.kind.append(d.kind)
-            self.next_segment.append(d.next_segment if d.kind == "continue" else -1)
-            if d.kind == "continue" and d.reset is not None:
-                self.swap[j] = d.reset.a, d.reset.b
+        self.kind = rows.kind
+        self.next_segment = rows.next_segment
+        self.swap = rows.swap
         k = outcomes.k
         if outcomes.complete:
             # one group position per block, so every row stays ascending
@@ -274,8 +319,9 @@ class CompiledSegment:
 
 
 def segment_tables(alg: QueryAlgorithm, cache_dim: int) -> list[CompiledSegment]:
-    """The decision table of every segment of a validated algorithm on its
-    register lifted by cache_dim blocks (1: the register itself). Each
+    """The decision table of every segment of an algorithm on its register
+    lifted by cache_dim blocks (1: the register itself), from the decision
+    rows validation cached on it (validating it first if it was not). Each
     distinct operator and measurement object is lifted once."""
     k = alg.layout.dim
     identity = IdentityOp(cache_dim * k)
@@ -294,11 +340,11 @@ def segment_tables(alg: QueryAlgorithm, cache_dim: int) -> list[CompiledSegment]
 
     return [
         CompiledSegment(
-            seg,
             [lift(u, lift_op) for u in seg.unitaries],
             lift(seg.measurement, lambda ms: _LiftedOutcomes(ms, cache_dim, k)),
+            rows,
         )
-        for seg in alg.segments
+        for seg, rows in zip(alg.segments, alg.decisions)
     ]
 
 
@@ -419,11 +465,11 @@ def run_query_alg(alg: QueryAlgorithm, z: Sequence[int]) -> float:
     the oracle; the algorithm is validated and its tables are built on its
     first run.
     """
-    zbits = as_bits(z, alg.arity)
+    marked = oracle_rows(as_bits(z, alg.arity))
     layout = alg.layout
     return run_segments(
         alg.tables, alg.initial_state(),
-        lambda psi: apply_oracle(layout, zbits, psi), alg.name,
+        lambda psi: apply_oracle(layout, marked, psi), alg.name,
     ).accept_probability
 
 

@@ -228,6 +228,18 @@ def test_criterion_09_intersection_ts_scaling():
           f"[1.3, 1.7], {elapsed:.1f}s < 10min")
 
 
+def test_criterion_09_fit_extends_to_n4096():
+    # n=4096 compiles a register of dim 16384, whose every operator is
+    # certified unitary like the smaller ones
+    started = time.perf_counter()
+    rows = sweep_ts("grover-ints", [64, 256, 1024, 4096], seed=0)
+    fit = fit_scaling(rows, "divide-by-log-n")
+    assert 1.3 <= fit.slope <= 1.7
+    elapsed = time.perf_counter() - started
+    print(f"criterion 09 to n=4096: PASS  corrected slope {fit.slope:.3f} in "
+          f"[1.3, 1.7], {elapsed:.1f}s")
+
+
 def test_criterion_10_sampling_agrees_with_exact():
     started = time.perf_counter()
     reps = 10_000

@@ -6,6 +6,7 @@ bit for bit, because every lifted operation applies the same float
 arithmetic blockwise and zero-amplitude blocks only ever add exact zeros.
 """
 
+import dataclasses
 import itertools
 import random
 
@@ -123,6 +124,29 @@ def test_algorithm_runner_equals_compiled_runner_at_n16():
         y = "".join(rng.choice("01") for _ in range(16))
         z = gadget_word(x, y, and_gadget(), 1)
         assert run_query_alg(alg, z) == run_compiled(rep, x, y).accept_probability
+
+
+def test_each_decision_is_read_once_per_algorithm_object():
+    calls = {}
+
+    def counted(s, decide):
+        def wrapper(label):
+            calls[s, label] = calls.get((s, label), 0) + 1
+            return decide(label)
+        return wrapper
+
+    alg = grover_or(4)
+    alg = dataclasses.replace(alg, segments=tuple(
+        dataclasses.replace(seg, decide=counted(s, seg.decide))
+        for s, seg in enumerate(alg.segments)))
+    rep = compile_query_to_qcfa(alg, and_gadget(), 4)
+    for x, y in (("0110", "0111"), ("1111", "0000")):
+        z = gadget_word(x, y, and_gadget(), 1)
+        assert run_query_alg(alg, z) == run_compiled(rep, x, y).accept_probability
+    expected = {(s, label) for s, seg in enumerate(alg.segments)
+                for label in seg.measurement.labels()}
+    assert set(calls) == expected
+    assert set(calls.values()) == {1}
 
 
 def test_generic_runner_time_within_declared_budget():

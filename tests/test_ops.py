@@ -6,6 +6,7 @@ import pytest
 from twoway.errors import SpecError
 from twoway.ops import (
     BRANCH_PRUNE,
+    UNITARY_ATOL,
     BasisSwapOp,
     CacheFlipOp,
     CompleteMeasurement,
@@ -24,8 +25,10 @@ from twoway.ops import (
     PrepReflectOp,
     RegisterLayout,
     UNMINUS,
+    Op,
     check_norm,
     check_unitary,
+    dense_deviation,
     minus_prep_op,
     unminus_op,
 )
@@ -57,6 +60,86 @@ def test_minus_prep_and_unminus_are_inverse():
 ])
 def test_standard_ops_are_unitary(op_builder):
     check_unitary(op_builder())
+
+
+def _tampered_prep(scale):
+    op = PrepReflectOp(RegisterLayout(4, 1))
+    op.w = op.w * scale
+    return op
+
+
+L4 = RegisterLayout(4, 1)
+BAD_ANSWER = OnAnswerOp(L4, 1.01 * MINUS_PREP, "scaled")
+
+# (operator, unitary?): every op class, and non-unitary look-alikes
+CERTIFIED = [
+    (DenseOp(np.array([[1, 1], [1, -1]]) / np.sqrt(2), "H"), True),
+    (DenseOp(1.01 * np.array([[1, 1], [1, -1]]) / np.sqrt(2), "scaled H"), False),
+    (DenseOp(np.diag([1, 1, 1, 0.5])), False),
+    (IdentityOp(6), True),
+    (DiffusionOp(L4), True),
+    (DiffusionOp(RegisterLayout(3, 2)), True),
+    (PrepReflectOp(L4, 2), True),
+    (PrepReflectOp(RegisterLayout(1, 1)), True),
+    (_tampered_prep(1.01), False),
+    (_tampered_prep(0.5), False),
+    (IndexPairHOp(L4, 0, 3), True),
+    (IndexPermOp(L4, [(0, 1), (2, 3)]), True),
+    (BasisSwapOp(8, 0, 2), True),
+    (BasisSwapOp(8, 5, 5), True),
+    (minus_prep_op(L4), True),
+    (BAD_ANSWER, False),
+    (OnAnswerOp(L4, np.diag([1, 0.5]), "damp"), False),
+    (OnIndexOp(L4, np.eye(4)[[1, 0, 3, 2]], "perm"), True),
+    (OnIndexOp(L4, 1.1 * np.eye(4), "scaled"), False),
+    (ComposeOp([DiffusionOp(L4), unminus_op(L4)]), True),
+    (ComposeOp([DiffusionOp(L4), BAD_ANSWER]), False),
+    (LiftedOp(PrepReflectOp(L4, 1), 3), True),
+    (LiftedOp(BAD_ANSWER, 2), False),
+    (CacheFlipOp(cache_dim=4, p_pad=3, d_w=2, block=1, mask=3), True),
+    (GadgetFlipOp(cache_dim=4, p_pad=2, d_w=1, block=1, flips=(0, 3)), True),
+]
+
+
+@pytest.mark.parametrize("op,unitary", CERTIFIED,
+                         ids=[f"{type(op).__name__}-{i}" for i, (op, _) in enumerate(CERTIFIED)])
+def test_certificate_bounds_the_dense_deviation(op, unitary):
+    # certify() bounds the spectral norm, which bounds the max norm of the
+    # dense check; the slack only covers the dense oracle's own roundoff
+    dense = dense_deviation(op)
+    assert op.certify() + 1e-12 >= dense
+    if unitary:
+        check_unitary(op)
+    else:
+        assert dense > UNITARY_ATOL
+        with pytest.raises(SpecError, match="unitary"):
+            check_unitary(op)
+
+
+@pytest.mark.parametrize("op", [
+    IndexPermOp(L4, [(0, 4)]),
+    BasisSwapOp(8, 0, 8),
+    IndexPairHOp(L4, 1, 1),
+    IndexPairHOp(L4, 0, 4),
+    CacheFlipOp(cache_dim=4, p_pad=3, d_w=1, block=3, mask=1),
+    CacheFlipOp(cache_dim=4, p_pad=3, d_w=1, block=0, mask=4),
+    GadgetFlipOp(cache_dim=2, p_pad=2, d_w=1, block=0, flips=(2,)),
+    _tampered_prep(1j),
+])
+def test_certificates_refuse_malformed_parameters(op):
+    with pytest.raises(SpecError):
+        check_unitary(op)
+
+
+def test_an_op_without_a_certificate_is_refused():
+    class Opaque(Op):
+        dim = 2
+
+        def apply(self, psi):
+            return psi
+
+    with pytest.raises(SpecError, match="no unitarity certificate"):
+        check_unitary(Opaque())
 
 
 def test_compose_applies_right_to_left():

@@ -1,5 +1,6 @@
 """Query algorithms: acceptance probabilities, call counts, decision trees."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -221,6 +222,29 @@ def test_non_unitary_operator_shared_across_segments_is_caught():
         validate_algorithm(alg)
 
 
+@pytest.mark.parametrize("n", [256, 1024])   # register dims 512 and 2048
+def test_non_unitary_operator_spliced_into_grover_is_caught_at_any_dimension(n):
+    alg = grover_or(n)
+    bad = OnAnswerOp(alg.layout, np.array([[1, 0], [0, 0.5]]), "damp")
+    seg = alg.segments[1]
+    spliced = dataclasses.replace(seg, unitaries=seg.unitaries[:1] + (bad,) + seg.unitaries[1:])
+    alg = dataclasses.replace(alg, segments=alg.segments[:1] + (spliced,) + alg.segments[2:])
+    with pytest.raises(SpecError, match="segment 1 unitary 1: .*unitary"):
+        validate_algorithm(alg)
+
+
+def test_continue_errors_name_the_segment_and_the_label():
+    meas = CompleteMeasurement(TOY.dim)
+    idle = IdentityOp(TOY.dim)
+    backward = toy_algorithm(Segment((idle,), meas, halt),
+                             Segment((idle,), meas, go_to(1)))
+    with pytest.raises(SpecError, match="segment 1 outcome 0: continue must target"):
+        validate_algorithm(backward)
+    odd = toy_algorithm(Segment((idle,), meas, lambda label: Decision("maybe")))
+    with pytest.raises(SpecError, match="segment 0 outcome 0: unknown decision 'maybe'"):
+        validate_algorithm(odd)
+
+
 def test_validation_checks_each_distinct_operator_once(monkeypatch):
     checked = []
     real = twoway.qquery.check_unitary
@@ -230,9 +254,10 @@ def test_validation_checks_each_distinct_operator_once(monkeypatch):
         real(op)
 
     monkeypatch.setattr(twoway.qquery, "check_unitary", counting)
-    alg = grover_or(256)
-    assert alg.layout.dim <= twoway.qquery.DENSE_VALIDATE_DIM
-    validate_algorithm(alg)
-    distinct = {id(u) for seg in alg.segments for u in seg.unitaries}
-    assert len(checked) <= 5
-    assert {id(op) for op in checked} == distinct
+    for n in (256, 1024):          # dim 512 and 2048: no dimension is skipped
+        checked.clear()
+        alg = grover_or(n)
+        validate_algorithm(alg)
+        distinct = {id(u) for seg in alg.segments for u in seg.unitaries}
+        assert len(checked) <= 5
+        assert {id(op) for op in checked} == distinct
