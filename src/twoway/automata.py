@@ -10,6 +10,15 @@ Space S is log2 of the declared classical state bound, plus the number of
 qubits for quantum machines. The visited census counts distinct classical
 states a transition was taken from, so a machine that halts immediately on
 its first step has visited 1 state.
+
+Every trajectory runner (run_dfa, run_pfa_sample, qcfa_sample, and the
+one-shot exact 2PFA runner) walks through one step walker. It follows a
+machine's certain transitions until the machine halts or meets a choice: a
+distribution with more than one outcome, or a measurement. A sampler draws
+once at a choice and walks on. Between two choices the run is deterministic
+(for a 2QCFA too: its classical control reads only the state and the
+symbol), so a configuration that repeats since the last choice repeats
+forever, and the walker raises at once instead of running to the cutoff.
 """
 
 from __future__ import annotations
@@ -217,40 +226,44 @@ class CostReport:
         )
 
 
-# --- deterministic runner -----------------------------------------------------
+# --- the step walker -----------------------------------------------------------
+
+_CHOICE = object()     # marks a transition that is a choice, not a certain step
 
 
-def run_dfa(
-    machine: TwoWayDfa,
-    payload: str,
-    cutoff: int = DEFAULT_CUTOFF,
-    record_positions: bool = False,
-) -> RunTrace:
-    """Run to halt. A revisited (state, position) configuration means the
-    deterministic machine loops forever and raises immediately."""
-    tape = Tape(payload, machine.circular)
-    symbols = tape.symbols
+def _undefined(machine, state: State, sym: str) -> SpecError:
+    return SpecError(f"{machine.name}: undefined transition at {(state, sym)}")
+
+
+def _walk(machine, symbols, transition, cutoff, origins, positions,
+          state, pos, steps, choose=None):
+    """Follow `machine` on the tape `symbols` from `state` at head position
+    `pos`, `steps` transitions in, until it halts.
+
+    `transition(state, symbol)` is a certain step (state, move), None where
+    the machine defines none, or (_CHOICE, choice) for a random choice or a
+    measurement. `choose(state, symbol, choice)` resolves a choice to
+    (state, move); without `choose` the walk stops at the first choice.
+    Returns (state, pos, steps, choice), choice None when `state` halts.
+
+    Between two choices a run is deterministic, so a configuration that
+    repeats in that stretch repeats forever: the walk raises on it at once,
+    before the step cutoff. Every state a transition is taken from joins
+    `origins`; every head position after a step joins `positions`, unless
+    that is None.
+    """
     last = len(symbols) - 1
     circular = machine.circular
     halting = machine.states.halting
-    step = machine.step
-    state = machine.states.initial
-    pos = 0
-    steps = 0
-    origins: set = set()
-    positions: list[int] | None = [0] if record_positions else None
     seen: set = set()
     seen_add = seen.add
+    first = steps                  # where the current deterministic stretch began
     while True:
-        halt = halting(state)
-        if halt is not None:
-            return RunTrace(
-                halt, steps, len(origins), state, positions,
-                1 if halt == "accept" else 0, frozenset(origins),
-            )
+        if halting(state) is not None:
+            return state, pos, steps, None
         config = (state, pos)
         seen_add(config)
-        if len(seen) == steps:      # one configuration per step: it repeats
+        if len(seen) == steps - first:  # one configuration per step: it repeats
             raise NonHaltingError(
                 f"{machine.name}: configuration repeats, machine cannot halt",
                 configuration=config,
@@ -261,10 +274,17 @@ def run_dfa(
             )
         origins.add(state)
         sym = symbols[pos]
-        nxt = step(state, sym)
+        nxt = transition(state, sym)
         if nxt is None:
-            raise SpecError(f"{machine.name}: undefined transition at {(state, sym)}")
-        state, mv = nxt
+            raise _undefined(machine, state, sym)
+        nxt_state, mv = nxt
+        if nxt_state is _CHOICE:
+            if choose is None:
+                return state, pos, steps, mv
+            nxt_state, mv = choose(state, sym, mv)
+            seen.clear()
+            first = steps + 1
+        state = nxt_state
         # Tape.move, inlined
         if mv == 1:
             if pos < last:
@@ -280,17 +300,47 @@ def run_dfa(
         elif mv != 0:
             raise _move_error(machine.name, steps, pos, mv)
         steps += 1
-        if record_positions:
+        if positions is not None:
             positions.append(pos)
+
+
+def _run(machine, payload: str, transition, choose, cutoff: int,
+         record_positions: bool) -> RunTrace:
+    """One trajectory of `machine` on `payload`, walked to its halt."""
+    origins: set = set()
+    positions = [0] if record_positions else None
+    state, _, steps, _ = _walk(
+        machine, Tape(payload, machine.circular).symbols, transition, cutoff,
+        origins, positions, machine.states.initial, 0, 0, choose,
+    )
+    halt = machine.states.halting(state)
+    return RunTrace(
+        halt, steps, len(origins), state, positions,
+        1 if halt == "accept" else 0, frozenset(origins),
+    )
+
+
+# --- deterministic runner -----------------------------------------------------
+
+
+def run_dfa(
+    machine: TwoWayDfa,
+    payload: str,
+    cutoff: int = DEFAULT_CUTOFF,
+    record_positions: bool = False,
+) -> RunTrace:
+    """Run to halt. A revisited (state, position) configuration means the
+    deterministic machine loops forever and raises immediately."""
+    return _run(machine, payload, machine.step, None, cutoff, record_positions)
 
 
 # --- probabilistic runners ------------------------------------------------------
 
 
-def _pfa_distribution(machine: TwoWayPfa, state: State, sym: str):
-    dist = machine.step(state, sym)
+def _pfa_distribution(machine: TwoWayPfa, state: State, sym: str, dist):
+    """`dist`, the machine's distribution at (state, sym), once checked."""
     if dist is None:
-        raise SpecError(f"{machine.name}: undefined transition at {(state, sym)}")
+        raise _undefined(machine, state, sym)
     if len(dist) == 1 and dist[0][0] == 1:
         return dist                 # one certain outcome: nothing to sum
     total = sum((p for p, _, _ in dist), Fraction(0))
@@ -303,6 +353,22 @@ def _pfa_distribution(machine: TwoWayPfa, state: State, sym: str):
     return dist
 
 
+def _pfa_transition(machine: TwoWayPfa):
+    """The walker's transition for a 2PFA: the outcome of a certain
+    single-outcome distribution, else the checked distribution as a choice."""
+    step = machine.step
+
+    def transition(state, sym):
+        dist = step(state, sym)
+        if dist is not None and len(dist) == 1:
+            p, nxt_state, mv = dist[0]
+            if p == 1:
+                return nxt_state, mv
+        return _CHOICE, _pfa_distribution(machine, state, sym, dist)
+
+    return transition
+
+
 def run_pfa_sample(
     machine: TwoWayPfa,
     payload: str,
@@ -310,146 +376,57 @@ def run_pfa_sample(
     cutoff: int = DEFAULT_CUTOFF,
     record_positions: bool = False,
 ) -> RunTrace:
-    """One seeded trajectory."""
+    """One seeded trajectory: one draw per random choice."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    tape = Tape(payload, machine.circular)
-    symbols = tape.symbols
-    last = len(symbols) - 1
-    circular = machine.circular
-    halting = machine.states.halting
-    state = machine.states.initial
-    pos = 0
-    steps = 0
-    origins: set = set()
-    positions: list[int] | None = [0] if record_positions else None
-    while True:
-        halt = halting(state)
-        if halt is not None:
-            return RunTrace(
-                halt, steps, len(origins), state, positions,
-                1 if halt == "accept" else 0, frozenset(origins),
-            )
-        if steps >= cutoff:
-            raise NonHaltingError(
-                f"{machine.name}: step cutoff {cutoff} exceeded",
-                configuration=(state, pos),
-            )
-        origins.add(state)
-        dist = _pfa_distribution(machine, state, symbols[pos])
-        if len(dist) == 1:
-            _, state_next, mv = dist[0]
-        else:
-            r = rng.random()
-            acc = 0.0
-            state_next, mv = dist[-1][1], dist[-1][2]
-            for p, s2, m2 in dist:
-                acc += float(p)
-                if r < acc:
-                    state_next, mv = s2, m2
-                    break
-        state = state_next
-        # Tape.move, inlined
-        if mv == 1:
-            if pos < last:
-                pos += 1
-            elif circular:
-                pos = 0
-            else:
-                raise _move_error(machine.name, steps, pos, mv)
-        elif mv == -1:
-            if pos == 0:
-                raise _move_error(machine.name, steps, pos, mv)
-            pos -= 1
-        elif mv != 0:
-            raise _move_error(machine.name, steps, pos, mv)
-        steps += 1
-        if record_positions:
-            positions.append(pos)
 
+    def choose(state, sym, dist):
+        r = rng.random()
+        acc = 0.0
+        for p, nxt_state, mv in dist:   # past the float total: the last outcome
+            acc += float(p)
+            if r < acc:
+                break
+        return nxt_state, mv
 
-def _pfa_deterministic_walk(machine, symbols, state, pos, steps, origins, cutoff):
-    """Follow single-support transitions until halt or a branching step.
-    Returns (kind, ...) where kind is 'halt' or 'branch'."""
-    last = len(symbols) - 1
-    circular = machine.circular
-    halting = machine.states.halting
-    seen = set()
-    seen_add = seen.add
-    first = steps
-    while True:
-        halt = halting(state)
-        if halt is not None:
-            return ("halt", halt, state, steps)
-        config = (state, pos)
-        seen_add(config)
-        if len(seen) == steps - first:  # one configuration per step: it repeats
-            raise NonHaltingError(
-                f"{machine.name}: deterministic segment repeats a configuration",
-                configuration=config,
-            )
-        if steps >= cutoff:
-            raise NonHaltingError(
-                f"{machine.name}: step cutoff {cutoff} exceeded", configuration=config
-            )
-        dist = _pfa_distribution(machine, state, symbols[pos])
-        if len(dist) > 1:
-            return ("branch", dist, state, pos, steps)
-        origins.add(state)
-        _, state, mv = dist[0]
-        # Tape.move, inlined
-        if mv == 1:
-            if pos < last:
-                pos += 1
-            elif circular:
-                pos = 0
-            else:
-                raise _move_error(machine.name, steps, pos, mv)
-        elif mv == -1:
-            if pos == 0:
-                raise _move_error(machine.name, steps, pos, mv)
-            pos -= 1
-        elif mv != 0:
-            raise _move_error(machine.name, steps, pos, mv)
-        steps += 1
+    return _run(machine, payload, _pfa_transition(machine), choose, cutoff,
+                record_positions)
 
 
 def _pfa_exact_one_shot(machine: TwoWayPfa, tape: Tape, cutoff: int) -> ExactRunResult:
+    """Walk to the one random choice, then walk each of its outcomes to a
+    halt; a second choice breaks the one-shot annotation."""
     origins: set = set()
     symbols = tape.symbols
-    walk = _pfa_deterministic_walk(
-        machine, symbols, machine.states.initial, 0, 0, origins, cutoff
-    )
-    if walk[0] == "halt":
-        _, outcome, state, steps = walk
-        p = Fraction(1) if outcome == "accept" else Fraction(0)
-        return ExactRunResult(
-            p, steps, steps if outcome == "accept" else 0,
-            steps if outcome == "reject" else 0, len(origins), 1, origins,
-        )
-    _, dist, state, pos, steps = walk
-    origins.add(state)
-    accept = Fraction(0)
-    t_acc = 0
-    t_rej = 0
-    for p, s2, mv in dist:
+    transition = _pfa_transition(machine)
+
+    def walk(state, pos, steps):
+        return _walk(machine, symbols, transition, cutoff, origins, None,
+                     state, pos, steps)
+
+    state, pos, steps, dist = walk(machine.states.initial, 0, 0)
+    ends = [(Fraction(1), state, steps)] if dist is None else []
+    for p, nxt_state, mv in dist or ():
         if p == 0:
             continue
-        tail = _pfa_deterministic_walk(
-            machine, symbols, s2, tape.move(pos, mv, machine.name, steps), steps + 1,
-            origins, cutoff,
+        end, end_pos, end_steps, second = walk(
+            nxt_state, tape.move(pos, mv, machine.name, steps), steps + 1
         )
-        if tail[0] != "halt":
+        if second is not None:
             raise SpecError(
-                f"{machine.name}: one-shot annotation violated, second branching at {tail[3]}"
+                f"{machine.name}: one-shot annotation violated, second branching at {end_pos}"
             )
-        _, outcome, _, branch_steps = tail
-        if outcome == "accept":
+        ends.append((p, end, end_steps))
+    accept = Fraction(0)
+    t_acc = t_rej = 0
+    for p, end, end_steps in ends:
+        if machine.states.halting(end) == "accept":
             accept += p
-            t_acc = max(t_acc, branch_steps)
+            t_acc = max(t_acc, end_steps)
         else:
-            t_rej = max(t_rej, branch_steps)
+            t_rej = max(t_rej, end_steps)
     return ExactRunResult(
-        accept, max(t_acc, t_rej), t_acc, t_rej, len(origins), len(dist), origins
+        accept, max(t_acc, t_rej), t_acc, t_rej, len(origins),
+        len(dist) if dist else 1, origins,
     )
 
 
@@ -484,7 +461,8 @@ def _pfa_exact_chain(machine: TwoWayPfa, tape: Tape, cutoff: int) -> ExactRunRes
         if halt is not None:
             halting[cfg] = halt
             continue
-        dist = _pfa_distribution(machine, state, symbols[pos])
+        sym = symbols[pos]
+        dist = _pfa_distribution(machine, state, sym, machine.step(state, sym))
         outs = []
         for p, s2, mv in dist:
             if p == 0:
@@ -633,11 +611,39 @@ def run_qcfa(
     raise InputError(f"unknown mode {mode!r}")
 
 
-def _qcfa_step_quantum(machine, state, sym, psi):
-    action = machine.theta(state, sym)
-    if action is None:
-        raise SpecError(f"{machine.name}: no quantum action at {(state, sym)}")
-    return action
+class _QcfaRegister:
+    """The quantum register of a 2QCFA run and the steps that drive it.
+
+    transition() is the walker's: a unitary action is applied to `psi` (its
+    norm checked unless it is the identity) and the classical step is
+    machine.step's (None where undefined); a measurement is a choice and
+    leaves `psi` alone. route() is where a measurement outcome goes."""
+
+    __slots__ = ("machine", "psi")
+
+    def __init__(self, machine: TwoWayQcfa, psi: np.ndarray):
+        self.machine = machine
+        self.psi = psi
+
+    def transition(self, state: State, sym: str):
+        machine = self.machine
+        action = machine.theta(state, sym)
+        if action is None:
+            raise SpecError(f"{machine.name}: no quantum action at {(state, sym)}")
+        if isinstance(action, Measurement):
+            return _CHOICE, action
+        psi = action.apply(self.psi)
+        if not isinstance(action, IdentityOp):
+            check_norm(psi, f"at {(state, sym)}")
+        self.psi = psi
+        return machine.step(state, sym)
+
+    def route(self, state: State, sym: str, label) -> tuple[State, int]:
+        nxt = self.machine.step_measure(state, sym, label)
+        if nxt is None:
+            raise SpecError(f"{self.machine.name}: no route for outcome "
+                            f"{label!r} at {(state, sym)}")
+        return nxt
 
 
 def qcfa_exact(
@@ -654,10 +660,8 @@ def qcfa_exact(
     tape = Tape(payload, machine.circular)
     symbols = tape.symbols
     origins: set = set()
-    accept = 0.0
-    total = 0.0
-    t_acc = 0
-    t_rej = 0
+    accept = total = 0.0
+    t_acc = t_rej = 0
     branch_count = 0
     # globally merged frontier, one step per iteration
     pending: dict = {}
@@ -673,6 +677,7 @@ def qcfa_exact(
             w0, psi_0, st0 = prev
             pending[key] = (w0 + w, psi_0, max(st0, steps))
 
+    register = _QcfaRegister(machine, None)
     insert(1.0, machine.states.initial, 0, machine.initial_vector(), 0)
     while pending:
         key = next(iter(pending))
@@ -694,31 +699,20 @@ def qcfa_exact(
                 configuration=(state, pos),
             )
         sym = symbols[pos]
-        action = _qcfa_step_quantum(machine, state, sym, psi)
+        register.psi = psi
+        nxt = register.transition(state, sym)
         origins.add(state)
-        if isinstance(action, Measurement):
-            for label, p, collapsed in action.branches(psi):
-                nxt = machine.step_measure(state, sym, label)
-                if nxt is None:
-                    raise SpecError(
-                        f"{machine.name}: no route for outcome {label!r} "
-                        f"at {(state, sym)}"
-                    )
-                s2, mv = nxt
-                insert(weight * p, s2, tape.move(pos, mv, machine.name, steps),
-                       collapsed, steps + 1)
-        else:
-            psi2 = action.apply(psi)
-            if not isinstance(action, IdentityOp):
-                check_norm(psi2, f"at {(state, sym)}")
-            nxt = machine.step(state, sym)
-            if nxt is None:
-                raise SpecError(
-                    f"{machine.name}: undefined transition at {(state, sym)}"
-                )
-            s2, mv = nxt
-            insert(weight, s2, tape.move(pos, mv, machine.name, steps), psi2,
-                   steps + 1)
+        if nxt is None:
+            raise _undefined(machine, state, sym)
+        nxt_state, mv = nxt
+        if nxt_state is not _CHOICE:
+            insert(weight, nxt_state, tape.move(pos, mv, machine.name, steps),
+                   register.psi, steps + 1)
+            continue
+        for label, p, collapsed in mv.branches(psi):
+            nxt_state, mv = register.route(state, sym, label)
+            insert(weight * p, nxt_state, tape.move(pos, mv, machine.name, steps),
+                   collapsed, steps + 1)
 
     if abs(total - 1.0) > 1e-6:
         raise SpecError(
@@ -738,60 +732,23 @@ def qcfa_sample(
     cutoff: int = DEFAULT_CUTOFF,
     record_positions: bool = False,
 ) -> RunTrace:
+    """One seeded trajectory: one draw per measurement."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    tape = Tape(payload, machine.circular)
-    symbols = tape.symbols
-    state = machine.states.initial
-    pos = 0
-    steps = 0
-    psi = machine.initial_vector()
-    origins: set = set()
-    positions: list[int] | None = [0] if record_positions else None
-    while True:
-        halt = machine.states.halting(state)
-        if halt is not None:
-            return RunTrace(
-                halt, steps, len(origins), state, positions,
-                1 if halt == "accept" else 0, frozenset(origins),
-            )
-        if steps >= cutoff:
-            raise NonHaltingError(
-                f"{machine.name}: step cutoff {cutoff} exceeded", configuration=(state, pos)
-            )
-        sym = symbols[pos]
-        action = _qcfa_step_quantum(machine, state, sym, psi)
-        origins.add(state)
-        if isinstance(action, Measurement):
-            outcomes = list(action.branches(psi))
-            r = rng.random()
-            acc = 0.0
-            label, chosen = outcomes[-1][0], outcomes[-1][2]
-            for lab, p, collapsed in outcomes:
-                acc += p
-                if r < acc:
-                    label, chosen = lab, collapsed
-                    break
-            psi = chosen
-            nxt = machine.step_measure(state, sym, label)
-            if nxt is None:
-                raise SpecError(
-                    f"{machine.name}: no route for outcome {label!r} "
-                    f"at {(state, sym)}"
-                )
-        else:
-            psi = action.apply(psi)
-            if not isinstance(action, IdentityOp):
-                check_norm(psi, f"at {(state, sym)}")
-            nxt = machine.step(state, sym)
-            if nxt is None:
-                raise SpecError(
-                    f"{machine.name}: undefined transition at {(state, sym)}"
-                )
-        state, mv = nxt
-        pos = tape.move(pos, mv, machine.name, steps)
-        steps += 1
-        if record_positions:
-            positions.append(pos)
+    register = _QcfaRegister(machine, machine.initial_vector())
+
+    def choose(state, sym, measurement):
+        r = rng.random()
+        acc = 0.0
+        # collapse lazily up to the drawn outcome; past the float total: the last
+        for label, p, collapsed in measurement.branches(register.psi):
+            acc += p
+            if r < acc:
+                break
+        register.psi = collapsed
+        return register.route(state, sym, label)
+
+    return _run(machine, payload, register.transition, choose, cutoff,
+                record_positions)
 
 
 # --- aggregate accounting --------------------------------------------------------
@@ -813,18 +770,14 @@ def cost_report(machine, payloads: Iterable[str], cutoff: int = DEFAULT_CUTOFF) 
             else:
                 t_rej = max(t_rej, trace.steps)
             visited |= trace.origins
-        elif machine.kind == "2pfa":
-            res = pfa_exact(machine, payload, cutoff)
+        elif machine.kind in ("2pfa", "2qcfa"):
+            exact = pfa_exact if machine.kind == "2pfa" else qcfa_exact
+            res = exact(machine, payload, cutoff)
             if not res.time_bounded:
                 raise UnsupportedStructureError(
                     f"{machine.name}: run time is unbounded on {payload!r}, "
                     "time-space accounting refused"
                 )
-            t_acc = max(t_acc, res.t_max_accepting)
-            t_rej = max(t_rej, res.t_max_rejecting)
-            visited |= res.origin_states
-        elif machine.kind == "2qcfa":
-            res = qcfa_exact(machine, payload, cutoff)
             t_acc = max(t_acc, res.t_max_accepting)
             t_rej = max(t_rej, res.t_max_rejecting)
             visited |= res.origin_states
@@ -836,20 +789,8 @@ def cost_report(machine, payloads: Iterable[str], cutoff: int = DEFAULT_CUTOFF) 
 # --- explicit (table-backed) machines --------------------------------------------
 
 
-def dfa_from_table(
-    name: str,
-    table: dict[tuple[State, str], tuple[State, int]],
-    initial: State,
-    accept: set,
-    reject: set,
-    circular: bool = False,
-) -> TwoWayDfa:
-    states = {initial} | accept | reject
-    for (s, _), (s2, _) in table.items():
-        states.add(s)
-        states.add(s2)
-    accept = frozenset(accept)
-    reject = frozenset(reject)
+def _table_space(initial: State, accept: frozenset, reject: frozenset,
+                 states: set) -> StateSpace:
     if accept & reject:
         raise SpecError("accepting and rejecting states overlap")
 
@@ -860,7 +801,23 @@ def dfa_from_table(
             return "reject"
         return None
 
-    space = StateSpace(initial, halting, len(states), str(len(states)))
+    return StateSpace(initial, halting, len(states), str(len(states)))
+
+
+def dfa_from_table(
+    name: str,
+    table: dict[tuple[State, str], tuple[State, int]],
+    initial: State,
+    accept: set,
+    reject: set,
+    circular: bool = False,
+) -> TwoWayDfa:
+    accept, reject = frozenset(accept), frozenset(reject)
+    states = {initial} | accept | reject
+    for (s, _), (s2, _) in table.items():
+        states.add(s)
+        states.add(s2)
+    space = _table_space(initial, accept, reject, states)
     return TwoWayDfa(
         name,
         space,
@@ -887,24 +844,13 @@ def pfa_from_table(
     circular: bool = False,
     one_shot: bool = False,
 ) -> TwoWayPfa:
-    states = {initial} | set(accept) | set(reject)
+    accept, reject = frozenset(accept), frozenset(reject)
+    states = {initial} | accept | reject
     for (s, _), dist in table.items():
         states.add(s)
         for _, s2, _ in dist:
             states.add(s2)
-    accept = frozenset(accept)
-    reject = frozenset(reject)
-    if accept & reject:
-        raise SpecError("accepting and rejecting states overlap")
-
-    def halting(s):
-        if s in accept:
-            return "accept"
-        if s in reject:
-            return "reject"
-        return None
-
-    space = StateSpace(initial, halting, len(states), str(len(states)))
+    space = _table_space(initial, accept, reject, states)
     return TwoWayPfa(
         name,
         space,

@@ -7,7 +7,6 @@ Subcommands:
   oracle     brute-force deterministic protocol cost / decision-tree depth
   sweep      evaluate a machine family across side lengths into a CSV
   fit        least-squares scaling exponent of a sweep CSV
-  bench      time the oracle-pass kernel
 
 Machine specs are either registry ids ("eq-dfa:8", "eq-pfa:8") or paths to
 machine JSON files produced by `compile --out` or `save_json`.
@@ -18,13 +17,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from .automata import pfa_exact, qcfa_exact, run_dfa, run_pfa_sample, qcfa_sample
 from .boolfn import parse_gadget
 from .commlab import FunctionMatrix, bruteforce_dcc, extract_protocol
 from .compiler import compile_query_to_qcfa
-from .errors import InputError, TwoWayError
+from .errors import TwoWayError
 from .handcrafted import build_eq_dfa, build_eq_pfa
 from .harness import FAMILIES, fit_scaling, read_rows, sweep_ts, write_rows
 from .qquery import build_optimal_dt, dt_optimal_depth, parse_query_algorithm
@@ -146,29 +144,6 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    import numpy as np
-    from .kernels import segment_pass
-
-    if args.n < 1 or args.reps < 1:
-        raise InputError("bench needs --n and --reps of at least 1")
-    n = args.n
-    rng = np.random.default_rng(0)
-    cache_dim, p_pad, d_w = 2, n, 2
-    dim = cache_dim * p_pad * 2 * d_w
-    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    psi /= np.linalg.norm(psi)
-    xb = rng.integers(0, 2, n).astype(np.uint8)
-    yv = rng.integers(0, 2, n).astype(np.int64)
-    gflip = np.array([[0, 0], [0, 1]], dtype=np.uint8)   # AND gadget
-    t0 = time.perf_counter()
-    for _ in range(args.reps):
-        segment_pass(psi, xb, yv, 1, d_w, gflip)
-    dt = time.perf_counter() - t0
-    print(f"{args.reps} passes, n={n}: {dt:.4f}s ({dt / args.reps * 1e6:.1f} us/pass)")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="twoway",
@@ -218,11 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--logcorrect", action="store_true",
                    help="fit TS / log2(n) instead of TS")
     p.set_defaults(fn=_cmd_fit)
-
-    p = sub.add_parser("bench", help="time the oracle-pass kernel")
-    p.add_argument("--n", type=int, default=256)
-    p.add_argument("--reps", type=int, default=200)
-    p.set_defaults(fn=_cmd_bench)
 
     return ap
 

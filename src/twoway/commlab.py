@@ -68,6 +68,12 @@ def machine_space(machine) -> float:
     return machine.qubits + math.log2(machine.states.declared_bound)
 
 
+def _regions(n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The head positions each party owns on ¢ x #^n y $: Alice ¢ x #^n,
+    Bob #^n y $ (the padding block is shared)."""
+    return ((0, 2 * n), (n + 1, 3 * n + 1))
+
+
 def _owner_walk(positions: list, regions) -> list:
     """Replay a head trajectory against the two ownership regions, returning
     the crossing points as (step index, old owner). The walk also checks the
@@ -102,7 +108,7 @@ def extract_protocol(machine, x: str, y: str, seed=0) -> ProtocolTranscript:
     if len(y) != n or n < 1:
         raise InputError("protocol extraction needs |x| = |y| >= 1")
     payload = x + HASH * n + y
-    regions = ((0, 2 * n), (n + 1, 3 * n + 1))
+    regions = _regions(n)
     if machine.kind == "2dfa":
         trace = run_dfa(machine, payload, record_positions=True)
     elif machine.kind == "2pfa":

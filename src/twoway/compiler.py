@@ -66,7 +66,7 @@ class CompilationReport:
     time_bound: int                       # 8t(n+2) + 4(n+2)
     algorithm: QueryAlgorithm = field(repr=False, default=None)
     gadget: Gadget = field(repr=False, default=None)
-    # simulation internals shared by the generic runner and the fast path
+    # internals run_compiled and verify_segment_equivalence read
     segments: list = field(repr=False, default=None)    # CompiledSegment per segment
     gflip: np.ndarray = field(repr=False, default=None)
     k_alg: int = field(repr=False, default=0)

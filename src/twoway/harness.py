@@ -47,7 +47,7 @@ import numpy as np
 
 from .automata import DEFAULT_CUTOFF, PAYLOAD_SYMBOLS, run_dfa
 from .boolfn import HASH, LanguageSpec, eq_language, ints_language, lifted_language, ComposedFunction, and_gadget, xor_fn
-from .commlab import _owner_walk, machine_space
+from .commlab import _owner_walk, _regions, machine_space
 from .compiler import compile_query_to_qcfa, run_compiled
 from .errors import InputError, SpecError
 from .handcrafted import PrimeTable, build_eq_dfa, eq_pfa_time
@@ -280,10 +280,6 @@ def _pair_bits(lang: LanguageSpec, n: int, samples: int, seed):
 
 def _word(bits: np.ndarray) -> str:
     return "".join("01"[b] for b in bits.tolist())
-
-
-def _regions(n: int):
-    return ((0, 2 * n), (n + 1, 3 * n + 1))
 
 
 class _EqPfaFast:

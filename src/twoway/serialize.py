@@ -16,6 +16,7 @@ from pathlib import Path
 from .automata import TwoWayDfa, TwoWayPfa, TwoWayQcfa, dfa_from_table, pfa_from_table
 from .boolfn import PAYLOAD_ALPHABET, parse_gadget
 from .errors import InputError, UnsupportedStructureError
+from .ops import BasisSwapOp
 from .qquery import QueryAlgorithm, parse_query_algorithm
 
 __all__ = [
@@ -140,21 +141,20 @@ def _build_generator(gen: dict):
 
 
 def algorithm_to_json(alg: QueryAlgorithm) -> dict:
+    """The algorithm's document: its operators, and one decision row per
+    outcome its measurements can produce, from the decisions read once on
+    validation (alg.decisions)."""
+    dim = alg.layout.dim
     segs = []
-    for seg in alg.segments:
-        labels = (
-            list(seg.measurement.outcomes.keys())
-            if seg.measurement.outcomes is not None
-            else list(range(alg.layout.dim))
-        )
+    for seg, rows in zip(alg.segments, alg.decisions):
         decisions = []
-        for lb in labels:
-            d = seg.decide(lb)
-            row = {"label": lb, "kind": d.kind}
-            if d.kind == "continue":
-                row["next_segment"] = d.next_segment
-                if d.reset is not None:
-                    row["reset"] = d.reset.describe()
+        for label, kind, nxt, (a, b) in zip(seg.measurement.labels(), rows.kind,
+                                            rows.next_segment, rows.swap.tolist()):
+            row = {"label": label, "kind": kind}
+            if kind == "continue":
+                row["next_segment"] = nxt
+                if a >= 0:
+                    row["reset"] = BasisSwapOp(dim, a, b).describe()
             decisions.append(row)
         segs.append({
             "unitaries": [u.describe() for u in seg.unitaries],

@@ -77,7 +77,7 @@ def test_dfa_loop_detected():
         one_shot=True,
     )
     with pytest.raises(NonHaltingError,
-                       match="loop: deterministic segment repeats a configuration"):
+                       match="loop: configuration repeats, machine cannot halt"):
         pfa_exact(pfa, "0")
 
 
@@ -307,6 +307,52 @@ def test_qcfa_head_move_errors_name_step_and_position():
         with pytest.raises(SpecError, match=r"had: head moved left of the left end "
                                             r"marker on step 1 at head position 0$"):
             run(m, "0")
+
+
+# --- the repeated-configuration rule every trajectory runner shares ---------------
+
+
+HALF = Fraction(1, 2)
+# a coin at ¢ whose outcomes both enter the certain two-cycle b@0 <-> c@1
+COIN_THEN_CYCLE = {
+    ("a", "¢"): [(HALF, "b", 0), (HALF, "c", 1)],
+    ("b", "¢"): [(Fraction(1), "c", 1)],
+    ("c", "0"): [(Fraction(1), "b", -1)],
+}
+
+
+def test_pfa_sample_raises_on_a_repeat_after_the_last_coin():
+    m = pfa_from_table("cycle", COIN_THEN_CYCLE, "a", {"yes"}, set())
+    for seed in range(4):                  # both coin outcomes
+        with pytest.raises(NonHaltingError,
+                           match="cycle: configuration repeats, machine cannot halt"):
+            run_pfa_sample(m, "0", seed=seed)
+
+
+def test_qcfa_sample_raises_on_a_control_cycle_of_identity_ops():
+    identity = IdentityOp(2)
+    cycle = {("a", "¢"): ("b", 1), ("b", "0"): ("a", -1)}
+    space = StateSpace("a", lambda s: None, 2, "2")
+    m = TwoWayQcfa("spin", space, 2, lambda state, sym: identity,
+                   lambda state, sym: cycle.get((state, sym)),
+                   lambda state, sym, label: None)
+    with pytest.raises(NonHaltingError,
+                       match="spin: configuration repeats, machine cannot halt"):
+        qcfa_sample(m, "0")
+
+
+def test_restarts_across_coin_flips_are_not_repeats():
+    # every tails flip walks back to (a, 0), the configuration the run began in
+    restart = {
+        ("a", "¢"): [(HALF, "yes", 0), (HALF, "b", 1)],
+        ("b", "0"): [(Fraction(1), "a", -1)],
+    }
+    m = pfa_from_table("restart", restart, "a", {"yes"}, set())
+    steps = [run_pfa_sample(m, "0", seed=s).steps for s in range(40)]
+    assert max(steps) > 3                  # some run came back to (a, 0) twice
+    assert all(k % 2 == 1 for k in steps)  # one step per heads, two per tails
+    res = pfa_exact(m, "0")
+    assert res.accept_probability == 1 and not res.time_bounded
 
 
 def test_run_qcfa_mode_dispatch():

@@ -93,12 +93,6 @@ def test_sweep_then_fit(tmp_path, capsys):
     assert "(divide-by-log-n)" in out
 
 
-def test_bench_smoke(capsys):
-    rc, out, _ = run_cli(capsys, "bench", "--n", "16", "--reps", "3")
-    assert rc == 0
-    assert "us/pass" in out
-
-
 def test_errors_exit_one_with_diagnostic(capsys):
     rc, out, err = run_cli(capsys, "simulate", "eq-dfa:0", "¢$")
     assert rc == 1 and out == "" and err.startswith("error: ")
@@ -106,5 +100,3 @@ def test_errors_exit_one_with_diagnostic(capsys):
     assert rc == 1 and "missing.json" in err
     rc, _, err = run_cli(capsys, "compile", "shor:4", "--n", "4")
     assert rc == 1 and "shor" in err
-    rc, _, err = run_cli(capsys, "bench", "--reps", "0")
-    assert rc == 1 and "--reps" in err

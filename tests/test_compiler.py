@@ -40,6 +40,7 @@ from twoway.qquery import (
     grover_or,
     run_query_alg,
 )
+from twoway.serialize import algorithm_to_json
 
 
 def payload(x, y):
@@ -143,6 +144,7 @@ def test_each_decision_is_read_once_per_algorithm_object():
     for x, y in (("0110", "0111"), ("1111", "0000")):
         z = gadget_word(x, y, and_gadget(), 1)
         assert run_query_alg(alg, z) == run_compiled(rep, x, y).accept_probability
+    algorithm_to_json(alg)
     expected = {(s, label) for s, seg in enumerate(alg.segments)
                 for label in seg.measurement.labels()}
     assert set(calls) == expected
