@@ -68,6 +68,8 @@ from .qquery import (
     QueryAlgorithm,
     Segment,
     Decision,
+    DecisionRows,
+    per_outcome,
     RegisterLayout,
     DecisionTree,
     grover_or,

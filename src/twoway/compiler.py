@@ -26,6 +26,9 @@ from .errors import InputError, SpecError, UnsupportedStructureError
 from .kernels import segment_pass
 from .ops import CacheFlipOp, CompleteMeasurement, GadgetFlipOp, IdentityOp
 from .qquery import (
+    KIND_ACCEPT,
+    KIND_CONTINUE,
+    KIND_REJECT,
     QueryAlgorithm,
     apply_oracle,
     oracle_rows,
@@ -117,7 +120,7 @@ def compile_query_to_qcfa(alg: QueryAlgorithm, gadget: Gadget, n: int) -> Compil
     segments = segment_tables(alg, cache_dim)
 
     nseg = len(alg.segments)
-    continue_counts = [cs.kind.count("continue") for cs in segments]
+    continue_counts = [cs.kind.count(KIND_CONTINUE) for cs in segments]
 
     pass_states = 5 * n + 4 + p * (cache_dim - 1)
     reset_total = sum(continue_counts)
@@ -213,9 +216,9 @@ def compile_query_to_qcfa(alg: QueryAlgorithm, gadget: Gadget, n: int) -> Compil
         if j is None:
             return None
         kind = cs.kind[j]
-        if kind == "accept":
+        if kind == KIND_ACCEPT:
             return ACC, 0
-        if kind == "reject":
+        if kind == KIND_REJECT:
             return REJ, 0
         return ("rst", si, label), 0
 
@@ -431,7 +434,7 @@ def _canonical_continue(seg, cs, phi, psi, k, report):
     best = None
     for label, prob, collapsed in seg.measurement.branches(phi):
         j = cs.row(label)
-        if cs.kind[j] != "continue":
+        if cs.kind[j] != KIND_CONTINUE:
             continue
         if best is None or prob > best[1]:
             best = (label, prob, collapsed)
@@ -451,7 +454,7 @@ def _canonical_continue(seg, cs, phi, psi, k, report):
             "outcomes are not basis states"
         )
     for label in range(k):
-        if cs.kind[label] == "continue":
+        if cs.kind[label] == KIND_CONTINUE:
             phi2 = np.zeros(k, dtype=np.complex128)
             phi2[label] = 1.0
             psi2 = np.zeros(report.quantum_basis_count, dtype=np.complex128)

@@ -14,6 +14,8 @@ from fractions import Fraction
 from .automata import StateSpace, TwoWayDfa, TwoWayPfa
 from .errors import InputError
 
+_ONE = Fraction(1)      # the weight of every deterministic step, shared
+
 
 def sieve_primes(limit: int) -> list[int]:
     """Primes ≤ limit by Eratosthenes."""
@@ -121,7 +123,7 @@ def build_eq_pfa(n: int) -> TwoWayPfa:
     share = Fraction(1, table.count)
 
     def det(state, move):
-        return ((Fraction(1), state, move),)
+        return ((_ONE, state, move),)
 
     def step(s, sym):
         tag = s[0]

@@ -3,22 +3,22 @@
 The oracle for an input word z acts on (index, answer, workspace) basis
 states as |i, b, w> -> |i, b xor z_i, w>. An algorithm is a schedule of
 segments; each segment applies its unitaries with one oracle call between
-consecutive ones, then performs an orthogonal measurement. A per-outcome
-decision either halts (accept/reject) or continues into a later segment,
-optionally applying an outcome-dependent reset first. A reset must be a
-basis transposition (`BasisSwapOp`): the state at that point is a known
-basis vector, so a transposition suffices to re-enter the next segment from
-a canonical state, and the branch engine (`run_segments`, shared by
-`run_query_alg` and the compiled runner) relies on resets only moving
-amplitudes.
+consecutive ones, then performs an orthogonal measurement. Each segment
+states its decisions once, as a table with one row per label (`DecisionRows`,
+filled with array operations or read from a per-label rule by `per_outcome`):
+each outcome halts (accept/reject) or continues into a later segment,
+optionally through a reset. A reset must be a basis transposition: the
+state at that point is a known basis vector, so a transposition suffices to
+re-enter the next segment from a canonical state, and the branch engine
+(`run_segments`, shared by `run_query_alg` and the compiled runner) relies
+on resets only moving amplitudes.
 
 Plain algorithms are a single segment whose decision never continues.
 
 Validation (`validate_algorithm`) certifies every distinct operator object
-through its own `certify()` bound, at every register dimension, and reads
-every (segment, label) decision once into decision rows (kind, next
-segment, reset swap). The rows are cached on the algorithm object; the
-tables of `run_query_alg` and of the compiler take them from there.
+through its own `certify()` bound, at every register dimension, and asks
+each segment for its table once, checking it with array operations. The
+tables are cached on the algorithm object for the runners and serializer.
 
 Builders should reuse one operator (and measurement) instance wherever a
 schedule repeats it: validation certifies each distinct object once and
@@ -55,9 +55,13 @@ from .ops import (
     unminus_op,
 )
 
+KINDS = ("accept", "reject", "continue")
+KIND_ACCEPT, KIND_REJECT, KIND_CONTINUE = range(len(KINDS))
+
+
 @dataclass(frozen=True)
 class Decision:
-    kind: str                      # "accept" | "reject" | "continue"
+    kind: str                      # one of KINDS, for per_outcome rules
     next_segment: int = -1
     reset: Op | None = None
 
@@ -67,14 +71,50 @@ REJECT = Decision("reject")
 
 
 @dataclass(frozen=True)
+class DecisionRows:
+    """One segment's decisions, row j for label j of its measurement's
+    labels(): kind, next segment (-1 when the outcome halts) and the two
+    basis indices the reset swaps (-1, -1: none). Arrays may be shared."""
+
+    kind: np.ndarray               # int8 codes into KINDS
+    next_segment: np.ndarray       # int64
+    swap: np.ndarray               # (rows, 2) int64
+
+
+@dataclass(frozen=True)
 class Segment:
     unitaries: tuple[Op, ...]      # len(unitaries) = oracle calls + 1
     measurement: Measurement
-    decide: Callable[[object], Decision]
+    decide: Callable[[list], DecisionRows]   # measurement labels -> rows
 
     @property
     def calls(self) -> int:
         return len(self.unitaries) - 1
+
+
+def per_outcome(rule: Callable[[object], Decision]) -> Callable[[list], DecisionRows]:
+    """A Segment.decide that reads the per-label rule once per label, in
+    label order. It refuses an unknown kind and a continue reset that is
+    not a basis transposition; a halting row drops any target or reset."""
+
+    def decide(labels: list) -> DecisionRows:
+        kinds, nexts, swaps = [], [], []
+        for label in labels:
+            d = rule(label)
+            if d.kind not in KINDS:
+                raise SpecError(f"outcome {label!r}: unknown decision {d.kind!r}")
+            cont = d.kind == "continue"
+            rst = d.reset if cont else None
+            if rst is not None and not isinstance(rst, BasisSwapOp):
+                raise SpecError(f"outcome {label!r}: a reset must be a basis "
+                                f"transposition of the register, got {rst.describe()}")
+            kinds.append(KINDS.index(d.kind))
+            nexts.append(d.next_segment if cont else -1)
+            swaps.append((-1, -1) if rst is None else (rst.a, rst.b))
+        return DecisionRows(np.array(kinds, dtype=np.int8), np.array(nexts, dtype=np.int64),
+                            np.array(swaps, dtype=np.int64).reshape(-1, 2))
+
+    return decide
 
 
 @dataclass(frozen=True)
@@ -97,8 +137,8 @@ class QueryAlgorithm:
 
     @cached_property
     def decisions(self) -> list[DecisionRows]:
-        """Every segment's decision rows, read once when the algorithm is
-        first validated (see validate_algorithm)."""
+        """Every segment's decision rows, asked for once and checked when
+        the algorithm is first validated (see validate_algorithm)."""
         return _validated_decisions(self)
 
     @cached_property
@@ -106,18 +146,6 @@ class QueryAlgorithm:
         """The segments' decision tables on the algorithm's own register,
         built (after validation) on first use."""
         return segment_tables(self, 1)
-
-
-@dataclass(frozen=True)
-class DecisionRows:
-    """One segment's decisions, one row per label of its measurement's
-    labels(), in that order: kind[j] ("accept", "reject" or "continue"),
-    next_segment[j] (-1 when the outcome halts) and swap[j], the two basis
-    indices the reset transposes (-1, -1 without a reset)."""
-
-    kind: list[str]
-    next_segment: list[int]
-    swap: np.ndarray               # (rows, 2) int64
 
 
 def oracle_rows(z: Sequence[int]) -> np.ndarray:
@@ -140,11 +168,9 @@ def validate_algorithm(alg: QueryAlgorithm) -> list[DecisionRows]:
 
     Each distinct operator object must carry a unitarity certificate
     (check_unitary, at every register dimension); each measurement must
-    partition the basis; every outcome that can occur must halt or continue
-    into a strictly later segment, through no reset or a basis
-    transposition of the register. Each (segment, label) decision is read
-    once. The result is cached on the algorithm object (alg.decisions), so
-    a second call returns it without checking again.
+    partition the basis; each segment's decide is called once and its rows
+    must pass _check_rows. The result is cached on the algorithm object
+    (alg.decisions): a second call returns it without checking again.
     """
     return alg.decisions
 
@@ -152,8 +178,6 @@ def validate_algorithm(alg: QueryAlgorithm) -> list[DecisionRows]:
 def _validated_decisions(alg: QueryAlgorithm) -> list[DecisionRows]:
     if alg.arity < 1 or alg.layout.index_dim < alg.arity:
         raise SpecError("layout narrower than declared arity")
-    dim = alg.layout.dim
-    nseg = len(alg.segments)
     # keyed on identity, not describe(): some descriptions omit the matrix
     checked: set[int] = set()
     rows = []
@@ -170,37 +194,41 @@ def _validated_decisions(alg: QueryAlgorithm) -> list[DecisionRows]:
         if id(seg.measurement) not in checked:
             seg.measurement.validate()
             checked.add(id(seg.measurement))
-        kinds, nexts, swaps = [], [], []
-        for label in seg.measurement.labels():
-            d = seg.decide(label)
-            kind = d.kind
-            if kind == "continue":
-                rst = d.reset
-                if rst is None:
-                    swaps.append((-1, -1))
-                elif (isinstance(rst, BasisSwapOp) and rst.dim == dim
-                        and 0 <= rst.a < dim and 0 <= rst.b < dim):
-                    swaps.append((rst.a, rst.b))
-                else:
-                    raise SpecError(
-                        f"segment {s} outcome {label!r}: a reset must be a basis "
-                        f"transposition of the register, got {rst.describe()}"
-                    )
-                if not s < d.next_segment < nseg:
-                    raise SpecError(
-                        f"segment {s} outcome {label!r}: continue must target a "
-                        f"strictly later segment, got {d.next_segment}"
-                    )
-                nexts.append(d.next_segment)
-            elif kind == "accept" or kind == "reject":
-                swaps.append((-1, -1))
-                nexts.append(-1)
-            else:
-                raise SpecError(f"segment {s} outcome {label!r}: unknown decision {kind!r}")
-            kinds.append(kind)
-        rows.append(DecisionRows(
-            kinds, nexts, np.array(swaps, dtype=np.int64).reshape(-1, 2)))
+        labels = seg.measurement.labels()
+        try:
+            table = seg.decide(labels)
+        except SpecError as exc:
+            raise SpecError(f"segment {s} {exc}") from None
+        _check_rows(table, labels, s, len(alg.segments), alg.layout.dim)
+        rows.append(table)
     return rows
+
+
+def _check_rows(rows: DecisionRows, labels: list, s: int, nseg: int, dim: int):
+    """Refuse segment s's rows, naming the first offending label, unless
+    they are integer arrays with a row per label, every code is in KINDS,
+    every continue targets a later segment, every swap is (-1, -1) or inside
+    the register, and halting rows carry no swap or target."""
+    n = len(labels)
+    kind, nxt, swap = rows.kind, rows.next_segment, rows.swap
+    shapes = [getattr(a, "shape", None) for a in (kind, nxt, swap)]
+    if shapes != [(n,), (n,), (n, 2)] or any(a.dtype.kind not in "iu" for a in (kind, nxt, swap)):
+        short = [sh[0] for sh in shapes if sh and sh[0] < n]
+        where = f" outcome {labels[min(short)]!r}" if short else ""
+        raise SpecError(f"segment {s}{where}: decision rows must be integer arrays "
+                        f"of shapes ({n},), ({n},), ({n}, 2), got {shapes}")
+    cont, no_swap = kind == KIND_CONTINUE, (swap == -1).all(axis=1)
+    for bad, msg in (
+        ((kind < 0) | (kind >= len(KINDS)), "unknown decision code {k}"),
+        (cont & ((nxt <= s) | (nxt >= nseg)), "continue must target a strictly later segment, got {t}"),
+        (~no_swap & ((swap < 0) | (swap >= dim)).any(axis=1),
+         "a reset must be a basis transposition of the register, got swap {w}"),
+        (~cont & ((nxt != -1) | ~no_swap), "a halting outcome carries no reset or next segment"),
+    ):
+        if bad.any():
+            j = int(bad.argmax())
+            detail = msg.format(k=int(kind[j]), t=int(nxt[j]), w=swap[j].tolist())
+            raise SpecError(f"segment {s} outcome {labels[j]!r}: {detail}")
 
 
 class _LiftedOutcomes:
@@ -222,20 +250,14 @@ class _LiftedOutcomes:
             # one (labels x cache_dim) array: row a is basis index a per block
             self.groups = np.arange(k, dtype=np.int64)[:, None] + lift
         else:
-            self.groups = [
-                (lift[:, None] + meas.outcomes[label]).reshape(-1)
-                for label in self.labels
-            ]
-        self._lifted = None
+            self.groups = [(lift[:, None] + meas.outcomes[label]).reshape(-1)
+                           for label in self.labels]
 
-    @property
+    @cached_property
     def lifted(self) -> Measurement:
         """The lifted measurement itself, for the step-level runners."""
-        if self._lifted is None:
-            self._lifted = Measurement(
-                self.cache_dim * self.k, dict(zip(self.labels, self.groups)),
-                name=f"{self.meas.name}-lifted")
-        return self._lifted
+        return Measurement(self.cache_dim * self.k, dict(zip(self.labels, self.groups)),
+                           name=f"{self.meas.name}-lifted")
 
     def weights(self, psi: np.ndarray) -> list[float]:
         """Probability of every row's outcome, summed per group in the same
@@ -257,8 +279,8 @@ def _transposed(pos: np.ndarray, a, b, k: int) -> np.ndarray:
 class CompiledSegment:
     """One algorithm segment on the lifted register, fixed before any run.
 
-    ops are the lifted unitaries. kind, next_segment and swap are the
-    segment's DecisionRows, shared by every lift of the algorithm.
+    ops are the lifted unitaries; kind and next_segment are the segment's
+    decision rows as lists, and swap its swap array, shared by every lift.
     src[j] and dst[j] are the lifted positions of continuing outcome j's
     group before and after its reset, both ordered by dst; for a complete
     measurement they are (labels x cache_dim) arrays covering every row.
@@ -268,8 +290,8 @@ class CompiledSegment:
         self.ops = ops
         self.calls = len(ops) - 1
         self.outcomes = outcomes
-        self.kind = rows.kind
-        self.next_segment = rows.next_segment
+        self.kind = rows.kind.tolist()
+        self.next_segment = rows.next_segment.tolist()
         self.swap = rows.swap
         k = outcomes.k
         if outcomes.complete:
@@ -279,7 +301,7 @@ class CompiledSegment:
         else:
             self.src, self.dst = {}, {}           # only continuing rows collapse
             for j, (g, (a, b)) in enumerate(zip(outcomes.groups, self.swap.tolist())):
-                if self.kind[j] == "continue":
+                if self.kind[j] == KIND_CONTINUE:
                     dst = _transposed(g, a, b, k)
                     order = np.argsort(dst, kind="stable")
                     self.src[j], self.dst[j] = g[order], dst[order]
@@ -393,9 +415,7 @@ def run_segments(tables: list[CompiledSegment], psi: np.ndarray, oracle,
     # per segment: sparse state key -> [weight, psi, history]
     pending: list[dict] = [dict() for _ in tables]
     pending[0][b""] = [1.0, psi, frozenset({(0, 0)})]
-    accept_p = 0.0
-    reject_p = 0.0
-    halts = 0
+    accept_p, reject_p, halts = 0.0, 0.0, 0
     accepted, rejected = [], []
     continued: dict[int, set] = {}
     for si, cs in enumerate(tables):
@@ -408,8 +428,7 @@ def run_segments(tables: list[CompiledSegment], psi: np.ndarray, oracle,
             for op in ops[1:]:
                 psi = op.apply(oracle(psi))
             history = frozenset((c + cs.calls, r) for c, r in history)
-            cont, cont_p, cont_w = [], [], []
-            kinds = set()
+            cont, cont_p, cont_w, kinds = [], [], [], set()
             for j, prob in enumerate(cs.outcomes.weights(psi)):
                 if prob <= BRANCH_PRUNE:
                     continue   # pruned by the measurement itself
@@ -417,9 +436,9 @@ def run_segments(tables: list[CompiledSegment], psi: np.ndarray, oracle,
                 if wp < BRANCH_PRUNE:
                     continue   # below the branch pruning floor
                 kind = cs.kind[j]
-                if kind == "accept":
+                if kind == KIND_ACCEPT:
                     accept_p += wp
-                elif kind == "reject":
+                elif kind == KIND_REJECT:
                     reject_p += wp
                 else:
                     cont.append(j)
@@ -428,9 +447,9 @@ def run_segments(tables: list[CompiledSegment], psi: np.ndarray, oracle,
                     continue
                 halts += 1
                 kinds.add(kind)
-            if "accept" in kinds:
+            if KIND_ACCEPT in kinds:
                 accepted.append(history)
-            if "reject" in kinds:
+            if KIND_REJECT in kinds:
                 rejected.append(history)
             if not cont:
                 continue
@@ -480,16 +499,10 @@ def grover_schedule(n: int) -> list[int]:
     """Iteration counts for one pass: {0} then powers of two up to the first
     2^s >= pi*sqrt(n)/12, which guarantees some round in the pass succeeds
     with probability >= 1/4 whatever the number of marked items."""
-    target = math.pi * math.sqrt(n) / 12.0
     top = 1
-    while top < target:
+    while top < math.pi * math.sqrt(n) / 12.0:
         top *= 2
-    js = [0]
-    j = 1
-    while j <= top:
-        js.append(j)
-        j *= 2
-    return js
+    return [0] + [1 << e for e in range(top.bit_length())]
 
 
 GROVER_PASSES = 4          # member failure <= (3/4)^4 < 1/3
@@ -509,11 +522,8 @@ def grover_or(n: int) -> QueryAlgorithm:
         raise InputError("grover-or needs n >= 2")
     n_pad = 1 << (n - 1).bit_length()
     layout = RegisterLayout(n_pad, 1)
-    rounds: list[int] = []
-    for _ in range(GROVER_PASSES):
-        rounds.extend(grover_schedule(n_pad))
+    rounds = grover_schedule(n_pad) * GROVER_PASSES
 
-    canon = layout.flat(0, 0, 0)
     # every round reuses these instances
     prep = PrepReflectOp(layout, 0)
     idle = IdentityOp(layout.dim)
@@ -521,31 +531,24 @@ def grover_or(n: int) -> QueryAlgorithm:
     diffuse = DiffusionOp(layout)
     leave = ComposeOp([diffuse, unminus_op(layout)])
     measure = CompleteMeasurement(layout.dim)
-    resets: dict[int, Op] = {}      # outcome -> its reset, shared by the rounds
+
+    # rows over the outcomes 0..dim-1: accept on answer bit 1, else swap the
+    # outcome with the canonical index and continue (reject in the last round)
+    flat = np.arange(layout.dim, dtype=np.int64)
+    answer = (flat // layout.work_dim) % 2 == 1
+    kind_next = np.where(answer, KIND_ACCEPT, KIND_CONTINUE).astype(np.int8)
+    canon = np.full_like(flat, layout.flat(0, 0, 0))
+    swap_next = np.where(answer[:, None], -1, np.stack([flat, canon], axis=1))
+    last = DecisionRows(np.where(answer, KIND_ACCEPT, KIND_REJECT).astype(np.int8),
+                        np.full_like(flat, -1), np.full_like(swap_next, -1))
+    for shared in (kind_next, swap_next, last.kind, last.next_segment, last.swap):
+        shared.flags.writeable = False
     segments = []
     for r, j in enumerate(rounds):
-        last = r == len(rounds) - 1
-        if j == 0:
-            unitaries: list[Op] = [prep, idle]
-        else:
-            unitaries = [enter] + [diffuse] * (j - 1) + [leave, idle]
-
-        def make_decide(seg_id: int, is_last: bool):
-            def decide(outcome: object) -> Decision:
-                flat = int(outcome)
-                if layout.unpack(flat)[1] == 1:
-                    return ACCEPT
-                if is_last:
-                    return REJECT
-                reset = resets.get(flat)
-                if reset is None:
-                    reset = resets[flat] = BasisSwapOp(layout.dim, flat, canon)
-                return Decision("continue", seg_id + 1, reset)
-            return decide
-
-        segments.append(
-            Segment(tuple(unitaries), measure, make_decide(r, last))
-        )
+        unitaries = [prep, idle] if j == 0 else [enter] + [diffuse] * (j - 1) + [leave, idle]
+        rows = last if r == len(rounds) - 1 else DecisionRows(
+            kind_next, np.where(answer, -1, r + 1), swap_next)
+        segments.append(Segment(tuple(unitaries), measure, lambda labels, rows=rows: rows))
 
     alg = QueryAlgorithm(
         name=f"grover-or:{n}",
@@ -595,18 +598,15 @@ def exact_parity(n: int) -> QueryAlgorithm:
 
     odd = [layout.flat(n - 1, b, w) for b in (0, 1) for w in range(layout.work_dim)]
     rest = sorted(set(range(layout.dim)) - set(odd))
-    measurement = Measurement(
-        layout.dim, {"odd": np.array(odd), "even": np.array(rest)}, name="pair-position"
-    )
-
-    def decide(outcome: object) -> Decision:
-        return ACCEPT if outcome == "odd" else REJECT
+    measurement = Measurement(layout.dim, {"odd": np.array(odd), "even": np.array(rest)},
+                              name="pair-position")
 
     return QueryAlgorithm(
         name=f"exact-parity:{n}",
         arity=n,
         layout=layout,
-        segments=(Segment(tuple(unitaries), measurement, decide),),
+        segments=(Segment(tuple(unitaries), measurement, per_outcome(
+            lambda outcome: ACCEPT if outcome == "odd" else REJECT)),),
         declared_error=0.0,
         generator={"generator": "exact-parity", "n": n},
     )

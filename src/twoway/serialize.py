@@ -17,7 +17,7 @@ from .automata import TwoWayDfa, TwoWayPfa, TwoWayQcfa, dfa_from_table, pfa_from
 from .boolfn import PAYLOAD_ALPHABET, parse_gadget
 from .errors import InputError, UnsupportedStructureError
 from .ops import BasisSwapOp
-from .qquery import QueryAlgorithm, parse_query_algorithm
+from .qquery import KIND_CONTINUE, KINDS, QueryAlgorithm, parse_query_algorithm
 
 __all__ = [
     "machine_to_json",
@@ -142,16 +142,16 @@ def _build_generator(gen: dict):
 
 def algorithm_to_json(alg: QueryAlgorithm) -> dict:
     """The algorithm's document: its operators, and one decision row per
-    outcome its measurements can produce, from the decisions read once on
-    validation (alg.decisions)."""
+    outcome its measurements can produce, from the decision tables each
+    segment stated once on validation (alg.decisions)."""
     dim = alg.layout.dim
     segs = []
     for seg, rows in zip(alg.segments, alg.decisions):
         decisions = []
-        for label, kind, nxt, (a, b) in zip(seg.measurement.labels(), rows.kind,
-                                            rows.next_segment, rows.swap.tolist()):
-            row = {"label": label, "kind": kind}
-            if kind == "continue":
+        for label, code, nxt, (a, b) in zip(seg.measurement.labels(), rows.kind.tolist(),
+                                            rows.next_segment.tolist(), rows.swap.tolist()):
+            row = {"label": label, "kind": KINDS[code]}
+            if code == KIND_CONTINUE:
                 row["next_segment"] = nxt
                 if a >= 0:
                     row["reset"] = BasisSwapOp(dim, a, b).describe()

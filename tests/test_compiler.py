@@ -38,6 +38,7 @@ from twoway.qquery import (
     Segment,
     exact_parity,
     grover_or,
+    per_outcome,
     run_query_alg,
 )
 from twoway.serialize import algorithm_to_json
@@ -131,9 +132,9 @@ def test_each_decision_is_read_once_per_algorithm_object():
     calls = {}
 
     def counted(s, decide):
-        def wrapper(label):
-            calls[s, label] = calls.get((s, label), 0) + 1
-            return decide(label)
+        def wrapper(labels):
+            calls[s] = calls.get(s, 0) + 1
+            return decide(labels)
         return wrapper
 
     alg = grover_or(4)
@@ -145,10 +146,7 @@ def test_each_decision_is_read_once_per_algorithm_object():
         z = gadget_word(x, y, and_gadget(), 1)
         assert run_query_alg(alg, z) == run_compiled(rep, x, y).accept_probability
     algorithm_to_json(alg)
-    expected = {(s, label) for s, seg in enumerate(alg.segments)
-                for label in seg.measurement.labels()}
-    assert set(calls) == expected
-    assert set(calls.values()) == {1}
+    assert calls == {s: 1 for s in range(len(alg.segments))}
 
 
 def test_generic_runner_time_within_declared_budget():
@@ -203,9 +201,10 @@ def test_partition_measurement_with_reordering_reset():
         return ACCEPT if layout.unpack(int(outcome))[1] else REJECT
 
     alg = QueryAlgorithm("toy", 2, layout, (
-        Segment((PrepReflectOp(layout, 0), IdentityOp(layout.dim)), split, first),
+        Segment((PrepReflectOp(layout, 0), IdentityOp(layout.dim)), split,
+                per_outcome(first)),
         Segment((IndexPairHOp(layout, 0, 1), IdentityOp(layout.dim)),
-                CompleteMeasurement(layout.dim), second),
+                CompleteMeasurement(layout.dim), per_outcome(second)),
     ), 1 / 3)
     rep = compile_query_to_qcfa(alg, and_gadget(), 2)
     assert rep.phase_table[1]["continue_labels"] == 2
@@ -237,15 +236,15 @@ def test_paths_merged_from_different_schedules_keep_exact_times():
     split = Measurement(dim, {"lo": np.array([0, 1]), "hi": np.array([2, 3])})
 
     def to(seg):
-        return lambda o: Decision(
-            "continue", seg, BasisSwapOp(dim, int(o), 0) if int(o) else None)
+        return per_outcome(lambda o: Decision(
+            "continue", seg, BasisSwapOp(dim, int(o), 0) if int(o) else None))
 
-    def last(outcome):
-        return ACCEPT if layout.unpack(int(outcome))[1] else REJECT
+    last = per_outcome(
+        lambda outcome: ACCEPT if layout.unpack(int(outcome))[1] else REJECT)
 
     alg = QueryAlgorithm("fork", 2, layout, (
         Segment((mix, idle), split,
-                lambda label: Decision("continue", 1 if label == "lo" else 2)),
+                per_outcome(lambda label: Decision("continue", 1 if label == "lo" else 2))),
         Segment((idle,), basis, to(3)),
         Segment((idle, idle), basis, to(4)),
         Segment((idle,), basis, to(4)),

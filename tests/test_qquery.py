@@ -20,9 +20,13 @@ from twoway.ops import (
     RegisterLayout,
 )
 from twoway.qquery import (
+    ACCEPT,
     DT_ARITY_CAP,
+    KIND_CONTINUE,
+    KIND_REJECT,
     REJECT,
     Decision,
+    DecisionRows,
     DecisionTree,
     QueryAlgorithm,
     Segment,
@@ -32,6 +36,7 @@ from twoway.qquery import (
     grover_or,
     leaf,
     parse_query_algorithm,
+    per_outcome,
     run_query_alg,
     validate_algorithm,
 )
@@ -159,11 +164,10 @@ def toy_algorithm(*segments):
 
 
 def go_to(seg_id, reset=None):
-    return lambda label: Decision("continue", seg_id, reset)
+    return per_outcome(lambda label: Decision("continue", seg_id, reset))
 
 
-def halt(label):
-    return REJECT
+halt = per_outcome(lambda label: REJECT)
 
 
 @pytest.mark.parametrize("segments", [1, 2])
@@ -240,7 +244,7 @@ def test_continue_errors_name_the_segment_and_the_label():
                              Segment((idle,), meas, go_to(1)))
     with pytest.raises(SpecError, match="segment 1 outcome 0: continue must target"):
         validate_algorithm(backward)
-    odd = toy_algorithm(Segment((idle,), meas, lambda label: Decision("maybe")))
+    odd = toy_algorithm(Segment((idle,), meas, per_outcome(lambda label: Decision("maybe"))))
     with pytest.raises(SpecError, match="segment 0 outcome 0: unknown decision 'maybe'"):
         validate_algorithm(odd)
 
@@ -261,3 +265,86 @@ def test_validation_checks_each_distinct_operator_once(monkeypatch):
         distinct = {id(u) for seg in alg.segments for u in seg.unitaries}
         assert len(checked) <= 5
         assert {id(op) for op in checked} == distinct
+
+
+def fixed_rows(kind, next_segment=None, swap=None):
+    """A Segment.decide that returns the same hand-built table whatever
+    the labels."""
+    kind = np.array(kind, dtype=np.int8)
+    if next_segment is None:
+        next_segment = [-1] * len(kind)
+    if swap is None:
+        swap = [(-1, -1)] * len(kind)
+    rows = DecisionRows(kind, np.array(next_segment, dtype=np.int64),
+                        np.array(swap, dtype=np.int64).reshape(-1, 2))
+    return lambda labels: rows
+
+
+R, C = KIND_REJECT, KIND_CONTINUE
+
+
+@pytest.mark.parametrize("decide, match", [
+    (fixed_rows([R, R, R]), "segment 1 outcome 3: decision rows must be integer arrays"),
+    (fixed_rows([R, 3, R, R]), "segment 1 outcome 1: unknown decision code 3"),
+    (fixed_rows([R, -1, R, R]), "segment 1 outcome 1: unknown decision code -1"),
+    (fixed_rows([R, R, C, R], [-1, -1, 1, -1]),
+     "segment 1 outcome 2: continue must target a strictly later segment, got 1"),
+    (fixed_rows([R, C, R, R], [-1, 3, -1, -1]),
+     "segment 1 outcome 1: continue must target a strictly later segment, got 3"),
+    (fixed_rows([R, R, C, C], [-1, -1, 2, 2], [(-1, -1), (-1, -1), (0, 1), (2, 4)]),
+     "segment 1 outcome 3: a reset must be a basis transposition of the register, "
+     r"got swap \[2, 4\]"),
+    (fixed_rows([C, R, R, R], [2, -1, -1, -1], [(-1, 0), (-1, -1), (-1, -1), (-1, -1)]),
+     "segment 1 outcome 0: a reset must be a basis transposition"),
+    (fixed_rows([R, R, R, R], swap=[(-1, -1), (-1, -1), (0, 1), (-1, -1)]),
+     "segment 1 outcome 2: a halting outcome carries no reset or next segment"),
+    (fixed_rows([R, R, R, R], [-1, -1, -1, 2]),
+     "segment 1 outcome 3: a halting outcome carries no reset or next segment"),
+])
+def test_bad_decision_tables_name_the_segment_and_the_label(decide, match):
+    meas = CompleteMeasurement(TOY.dim)
+    idle = IdentityOp(TOY.dim)
+    alg = toy_algorithm(Segment((idle,), meas, go_to(1)),
+                        Segment((idle,), meas, decide),
+                        Segment((idle,), meas, halt))
+    with pytest.raises(SpecError, match=match):
+        validate_algorithm(alg)
+
+
+def test_a_table_with_float_rows_is_refused():
+    rows = DecisionRows(np.zeros(4, dtype=np.int8), np.full(4, -1.0),
+                        np.full((4, 2), -1, dtype=np.int64))
+    meas = CompleteMeasurement(TOY.dim)
+    alg = toy_algorithm(Segment((IdentityOp(TOY.dim),), meas, lambda labels: rows))
+    with pytest.raises(SpecError, match="segment 0: decision rows must be integer arrays"):
+        validate_algorithm(alg)
+
+
+def per_label_grover_rule(layout, seg_id, is_last):
+    """The per-label decision rule grover_or applied before it built its
+    rows in closed form: the reference for its tables."""
+    canon = layout.flat(0, 0, 0)
+
+    def decide(outcome):
+        flat = int(outcome)
+        if layout.unpack(flat)[1] == 1:
+            return ACCEPT
+        if is_last:
+            return REJECT
+        return Decision("continue", seg_id + 1, BasisSwapOp(layout.dim, flat, canon))
+
+    return decide
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 256, 1024])
+def test_grover_rows_equal_the_per_label_rule(n):
+    alg = grover_or(n)
+    last = len(alg.segments) - 1
+    for s, (seg, got) in enumerate(zip(alg.segments, validate_algorithm(alg))):
+        rule = per_label_grover_rule(alg.layout, s, s == last)
+        want = per_outcome(rule)(seg.measurement.labels())
+        for name in ("kind", "next_segment", "swap"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (s, name)
+        # the rows shared between rounds cannot be written through
+        assert not got.kind.flags.writeable and not got.swap.flags.writeable

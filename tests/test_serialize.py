@@ -127,6 +127,28 @@ def test_algorithm_round_trips_by_generator_reference():
         load_algorithm(doc)
 
 
+def test_grover_decision_rows_in_the_algorithm_document():
+    # grover_or(2): 4 basis outcomes (index, answer bit) over 8 rounds;
+    # answer bit 1 accepts, otherwise the outcome is swapped with the
+    # canonical index 0 and continues, or rejects in the last round
+    segs = algorithm_to_json(grover_or(2))["segments"]
+    assert len(segs) == 8
+    assert segs[0]["decisions"] == [
+        {"label": 0, "kind": "continue", "next_segment": 1,
+         "reset": {"op": "basis-swap", "a": 0, "b": 0}},
+        {"label": 1, "kind": "accept"},
+        {"label": 2, "kind": "continue", "next_segment": 1,
+         "reset": {"op": "basis-swap", "a": 2, "b": 0}},
+        {"label": 3, "kind": "accept"},
+    ]
+    assert segs[-1]["decisions"] == [
+        {"label": 0, "kind": "reject"},
+        {"label": 1, "kind": "accept"},
+        {"label": 2, "kind": "reject"},
+        {"label": 3, "kind": "accept"},
+    ]
+
+
 def test_report_and_transcript_exports():
     rep = compile_query_to_qcfa(grover_or(2), and_gadget(), 2)
     rdoc = report_to_json(rep)
