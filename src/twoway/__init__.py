@@ -49,7 +49,6 @@ from .automata import (
     run_pfa_sample,
     pfa_exact,
     pfa_exact_prob,
-    run_qcfa,
     qcfa_exact,
     qcfa_sample,
     cost_report,

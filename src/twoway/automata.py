@@ -595,22 +595,6 @@ def pfa_exact(
 # --- quantum-classical runners --------------------------------------------------
 
 
-def run_qcfa(
-    machine: TwoWayQcfa,
-    payload: str,
-    mode: str = "exact",
-    seed: int | random.Random = 0,
-    cutoff: int = DEFAULT_CUTOFF,
-) -> ExactRunResult | RunTrace:
-    """Exact acceptance probability by measurement-branch enumeration, or a
-    single sampled trajectory (mode="sample")."""
-    if mode == "exact":
-        return qcfa_exact(machine, payload, cutoff)
-    if mode == "sample":
-        return qcfa_sample(machine, payload, seed, cutoff)
-    raise InputError(f"unknown mode {mode!r}")
-
-
 class _QcfaRegister:
     """The quantum register of a 2QCFA run and the steps that drive it.
 

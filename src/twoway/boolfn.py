@@ -59,16 +59,6 @@ class BoolFunction:
             for v in range(size)
         )
 
-    def restrict(self, var: int, value: int) -> "BoolFunction":
-        """Fix input bit `var` (0-based) to `value`; arity drops by one."""
-        if not 0 <= var < self.arity:
-            raise InputError(f"variable {var} out of range")
-
-        def restricted(bits: Bits, _var=var, _val=value) -> int:
-            return self.fn(bits[:_var] + (_val,) + bits[_var:])
-
-        return BoolFunction(f"{self.name}|x{var + 1}={value}", self.arity - 1, restricted)
-
 
 def or_fn(p: int) -> BoolFunction:
     return BoolFunction(f"or:{p}", p, lambda bits: int(any(bits)))

@@ -17,6 +17,7 @@ oracle calls.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -102,20 +103,17 @@ def compile_query_to_qcfa(alg: QueryAlgorithm, gadget: Gadget, n: int) -> Compil
     gflip = np.array(gadget.table(), dtype=np.uint8)
     identity = IdentityOp(dim)
 
-    # one cache-flip per x position, one controlled flip per (block, y value)
-    xflip = [
-        CacheFlipOp(cache_dim, p_pad, d_w, idx // m, 1 << (m - 1 - idx % m))
-        for idx in range(n)
-    ]
-    flips_by_value = [
-        tuple(int(c) for c in range(cache_dim) if gflip[c, v])
-        for v in range(cache_dim)
-    ]
-    yflip = {
-        (i0, v): GadgetFlipOp(cache_dim, p_pad, d_w, i0, flips_by_value[v])
-        for i0 in range(p)
-        for v in range(cache_dim)
-    }
+    # the step-level runners' flip operators, built on first use (run_compiled
+    # sweeps with segment_pass and reads none): one cache-flip per x position,
+    # one controlled flip per (block, y value)
+    @cache
+    def xflip(idx):
+        return CacheFlipOp(cache_dim, p_pad, d_w, idx // m, 1 << (m - 1 - idx % m))
+
+    @cache
+    def yflip(block, v):
+        flips = tuple(int(c) for c in range(cache_dim) if gflip[c, v])
+        return GadgetFlipOp(cache_dim, p_pad, d_w, block, flips)
 
     segments = segment_tables(alg, cache_dim)
 
@@ -149,13 +147,12 @@ def compile_query_to_qcfa(alg: QueryAlgorithm, gadget: Gadget, n: int) -> Compil
         if tag == "u":
             return segments[state[1]].ops[state[2]]
         if tag == "x1" or tag == "x2":
-            if sym == "1":
-                return xflip[state[3] - 1] if tag == "x2" else xflip[state[3]]
-            return identity
+            idx = state[3] - (tag == "x2")       # x2 reads position idx - 1
+            return xflip(idx) if sym == "1" and idx >= 0 else identity
         if tag == "y":
             _, si, ui, idx, pref = state
             if idx % m == m - 1 and sym in "01":
-                return yflip[(idx // m, (pref << 1) | (sym == "1"))]
+                return yflip(idx // m, (pref << 1) | (sym == "1"))
             return identity
         if tag == "meas":
             return segments[state[1]].outcomes.lifted

@@ -165,6 +165,7 @@ class _Accum:
 
     lang: LanguageSpec
     space: float
+    qubits: float = 0.0            # the evaluated machine's register size
     t_max: int = 0
     visited_max: int = 0
     member_err: float = 0.0
@@ -395,7 +396,7 @@ def _eval_eq_pfa(n: int, samples: int, seed) -> _Accum:
 
 def _eval_compiled(alg_builder, n: int, samples: int, seed, lang) -> _Accum:
     rep = compile_query_to_qcfa(alg_builder(n), and_gadget(), n)
-    acc = _Accum(lang, machine_space(rep.machine))
+    acc = _Accum(lang, machine_space(rep.machine), rep.machine.qubits)
     for x, y in _pair_iter(lang, n, samples, seed):
         r = run_compiled(rep, x, y)
         acc.add(x, y, float(r.accept_probability), r.t_max, r.visited,
@@ -429,6 +430,8 @@ def sweep_ts(family: str, n_values, samples_per_n: int = 12, seed=0) -> list:
         raise InputError(
             f"unknown family {family!r}; known: {', '.join(sorted(FAMILIES))}"
         )
+    if samples_per_n < 1:
+        raise InputError(f"samples per n must be >= 1, got {samples_per_n}")
     rows = []
     for n in sorted(n_values):
         started = time.perf_counter()
@@ -437,8 +440,7 @@ def sweep_ts(family: str, n_values, samples_per_n: int = 12, seed=0) -> list:
         except Exception as exc:
             raise type(exc)(f"{family} at n={n}: {exc}") from exc
         machine_s = acc.space
-        qubits = _family_qubits(family, n)
-        s_visited = qubits + math.log2(max(1, acc.visited_max))
+        s_visited = acc.qubits + math.log2(max(1, acc.visited_max))
         row = SweepRow(
             family=family,
             n=n,
@@ -458,13 +460,6 @@ def sweep_ts(family: str, n_values, samples_per_n: int = 12, seed=0) -> list:
             )
         rows.append(row)
     return rows
-
-
-def _family_qubits(family: str, n: int) -> float:
-    if family in ("eq-dfa", "eq-pfa"):
-        return 0.0
-    alg = grover_or(n) if family == "grover-ints" else exact_parity(n)
-    return math.log2(2 * alg.layout.dim)    # one cache qubit + algorithm register
 
 
 def fit_scaling(rows, log_correction: str = "none") -> FitResult:

@@ -506,6 +506,9 @@ class Measurement:
         for label, idx in self.outcomes.items():
             if idx.size and (idx.min() < 0 or idx.max() >= self.dim):
                 raise SpecError(f"outcome {label!r} indexes outside the space")
+            ordered = np.sort(idx)        # np.unique would import numpy.ma
+            if (ordered[1:] == ordered[:-1]).any():
+                raise SpecError(f"outcome {label!r} repeats a basis index")
             if seen[idx].any():
                 raise SpecError(f"outcome {label!r} overlaps another projector")
             seen[idx] = True

@@ -243,7 +243,6 @@ class _LiftedOutcomes:
         self.cache_dim = cache_dim
         self.k = k
         self.labels = meas.labels()
-        self.rows = {label: j for j, label in enumerate(self.labels)}
         self.complete = isinstance(meas, CompleteMeasurement)
         lift = np.arange(cache_dim, dtype=np.int64) * k
         if self.complete:
@@ -252,6 +251,11 @@ class _LiftedOutcomes:
         else:
             self.groups = [(lift[:, None] + meas.outcomes[label]).reshape(-1)
                            for label in self.labels]
+
+    @cached_property
+    def rows(self) -> dict:
+        """label -> row, for the step-level runners."""
+        return {label: j for j, label in enumerate(self.labels)}
 
     @cached_property
     def lifted(self) -> Measurement:
@@ -276,6 +280,23 @@ def _transposed(pos: np.ndarray, a, b, k: int) -> np.ndarray:
     return pos - inner + np.where(inner == a, b, np.where(inner == b, a, inner))
 
 
+def _routes(outcomes: _LiftedOutcomes, rows: DecisionRows):
+    """The kind list and the src/dst positions (see CompiledSegment) of a
+    lifted measurement under one kind and swap array."""
+    kind, k = rows.kind.tolist(), outcomes.k
+    if outcomes.complete:
+        # one group position per block, so every row stays ascending
+        src = outcomes.groups
+        return kind, src, _transposed(src, rows.swap[:, :1], rows.swap[:, 1:], k)
+    src, dst = {}, {}                              # only continuing rows collapse
+    for j, (g, (a, b)) in enumerate(zip(outcomes.groups, rows.swap.tolist())):
+        if kind[j] == KIND_CONTINUE:
+            moved = _transposed(g, a, b, k)
+            order = np.argsort(moved, kind="stable")
+            src[j], dst[j] = g[order], moved[order]
+    return kind, src, dst
+
+
 class CompiledSegment:
     """One algorithm segment on the lifted register, fixed before any run.
 
@@ -284,27 +305,17 @@ class CompiledSegment:
     src[j] and dst[j] are the lifted positions of continuing outcome j's
     group before and after its reset, both ordered by dst; for a complete
     measurement they are (labels x cache_dim) arrays covering every row.
+    kind, src and dst come from _routes and are shared by every segment
+    with the same lifted measurement, kind array and swap array.
     """
 
-    def __init__(self, ops: list, outcomes: _LiftedOutcomes, rows: DecisionRows):
+    def __init__(self, ops: list, outcomes: _LiftedOutcomes, rows: DecisionRows, routes):
         self.ops = ops
         self.calls = len(ops) - 1
         self.outcomes = outcomes
-        self.kind = rows.kind.tolist()
+        self.kind, self.src, self.dst = routes
         self.next_segment = rows.next_segment.tolist()
         self.swap = rows.swap
-        k = outcomes.k
-        if outcomes.complete:
-            # one group position per block, so every row stays ascending
-            self.src = outcomes.groups
-            self.dst = _transposed(self.src, self.swap[:, :1], self.swap[:, 1:], k)
-        else:
-            self.src, self.dst = {}, {}           # only continuing rows collapse
-            for j, (g, (a, b)) in enumerate(zip(outcomes.groups, self.swap.tolist())):
-                if self.kind[j] == KIND_CONTINUE:
-                    dst = _transposed(g, a, b, k)
-                    order = np.argsort(dst, kind="stable")
-                    self.src[j], self.dst[j] = g[order], dst[order]
         self._resets: dict = {}
 
     def collapse(self, psi: np.ndarray, rows: list, probs: list):
@@ -344,15 +355,16 @@ def segment_tables(alg: QueryAlgorithm, cache_dim: int) -> list[CompiledSegment]
     """The decision table of every segment of an algorithm on its register
     lifted by cache_dim blocks (1: the register itself), from the decision
     rows validation cached on it (validating it first if it was not). Each
-    distinct operator and measurement object is lifted once."""
+    distinct operator and measurement object is lifted once, and each
+    distinct (lifted measurement, kind, swap) triple routed once."""
     k = alg.layout.dim
     identity = IdentityOp(cache_dim * k)
     lifted: dict = {}
 
-    def lift(obj, make):
-        hit = lifted.get(id(obj))
+    def lift(key, make, *args):
+        hit = lifted.get(key)
         if hit is None:
-            hit = lifted[id(obj)] = make(obj)
+            hit = lifted[key] = make(*args)
         return hit
 
     def lift_op(u: Op) -> Op:
@@ -360,14 +372,13 @@ def segment_tables(alg: QueryAlgorithm, cache_dim: int) -> list[CompiledSegment]
             return u
         return identity if isinstance(u, IdentityOp) else LiftedOp(u, cache_dim)
 
-    return [
-        CompiledSegment(
-            [lift(u, lift_op) for u in seg.unitaries],
-            lift(seg.measurement, lambda ms: _LiftedOutcomes(ms, cache_dim, k)),
-            rows,
-        )
-        for seg, rows in zip(alg.segments, alg.decisions)
-    ]
+    tables = []
+    for seg, rows in zip(alg.segments, alg.decisions):
+        outcomes = lift(id(seg.measurement), _LiftedOutcomes, seg.measurement, cache_dim, k)
+        routes = lift((id(outcomes), id(rows.kind), id(rows.swap)), _routes, outcomes, rows)
+        tables.append(CompiledSegment([lift(id(u), lift_op, u) for u in seg.unitaries],
+                                      outcomes, rows, routes))
+    return tables
 
 
 def _sparse_keys(pos: np.ndarray, vals: np.ndarray) -> list[bytes]:

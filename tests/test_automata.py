@@ -21,7 +21,6 @@ from twoway.automata import (
     qcfa_sample,
     run_dfa,
     run_pfa_sample,
-    run_qcfa,
 )
 from twoway.errors import InputError, NonHaltingError, SpecError
 from twoway.ops import CompleteMeasurement, DenseOp, IdentityOp, Measurement
@@ -355,12 +354,10 @@ def test_restarts_across_coin_flips_are_not_repeats():
     assert res.accept_probability == 1 and not res.time_bounded
 
 
-def test_run_qcfa_mode_dispatch():
+def test_qcfa_exact_and_sample_on_a_hadamard_coin():
     m = hadamard_qcfa()
-    assert abs(run_qcfa(m, "0").accept_probability - 0.5) < 1e-12
-    assert run_qcfa(m, "0", mode="sample", seed=1).outcome in ("accept", "reject")
-    with pytest.raises(InputError):
-        run_qcfa(m, "0", mode="average")
+    assert abs(qcfa_exact(m, "0").accept_probability - 0.5) < 1e-12
+    assert qcfa_sample(m, "0", seed=1).outcome in ("accept", "reject")
 
 
 def test_cost_report_census_and_bounds():

@@ -93,10 +93,14 @@ def test_sweep_then_fit(tmp_path, capsys):
     assert "(divide-by-log-n)" in out
 
 
-def test_errors_exit_one_with_diagnostic(capsys):
+def test_errors_exit_one_with_diagnostic(capsys, tmp_path):
     rc, out, err = run_cli(capsys, "simulate", "eq-dfa:0", "¢$")
     assert rc == 1 and out == "" and err.startswith("error: ")
     rc, _, err = run_cli(capsys, "simulate", "missing.json", "0")
     assert rc == 1 and "missing.json" in err
     rc, _, err = run_cli(capsys, "compile", "shor:4", "--n", "4")
     assert rc == 1 and "shor" in err
+    rc, out, err = run_cli(capsys, "sweep", "eq-dfa", "--n", "9", "--samples", "0",
+                           "--out", str(tmp_path / "rows.csv"))
+    assert rc == 1 and out == "" and "samples per n must be >= 1" in err
+    assert not (tmp_path / "rows.csv").exists()

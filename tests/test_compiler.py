@@ -13,7 +13,8 @@ import random
 import numpy as np
 import pytest
 
-from twoway.automata import qcfa_exact
+import twoway.qquery
+from twoway.automata import qcfa_exact, qcfa_sample
 from twoway.boolfn import HASH, and_gadget, ip_gadget
 from twoway.compiler import (
     compile_query_to_qcfa,
@@ -23,7 +24,9 @@ from twoway.compiler import (
 from twoway.errors import InputError
 from twoway.ops import (
     BasisSwapOp,
+    CacheFlipOp,
     CompleteMeasurement,
+    GadgetFlipOp,
     IdentityOp,
     IndexPairHOp,
     Measurement,
@@ -147,6 +150,60 @@ def test_each_decision_is_read_once_per_algorithm_object():
         assert run_query_alg(alg, z) == run_compiled(rep, x, y).accept_probability
     algorithm_to_json(alg)
     assert calls == {s: 1 for s in range(len(alg.segments))}
+
+
+def test_flip_operators_are_built_on_first_step_level_use(monkeypatch):
+    built = []
+    for cls in (CacheFlipOp, GadgetFlipOp):
+        def counting(self, *args, _init=cls.__init__):
+            built.append(type(self))
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counting)
+    n = 64
+    rep = compile_query_to_qcfa(grover_or(n), and_gadget(), n)
+    run_compiled(rep, "1" * n, "1" * n)
+    assert built == []                     # run_compiled sweeps with the kernel
+    qcfa_sample(rep.machine, payload("1" * n, "1" * n), seed=0)
+    assert CacheFlipOp in built and GadgetFlipOp in built
+    theta = rep.machine.theta
+    for state, sym in ((("x1", 0, 0, 5), "1"), (("x2", 0, 0, 6), "1"),
+                       (("y", 0, 0, 7, 0), "1")):
+        assert theta(state, sym) is theta(state, sym)
+    assert theta(("x1", 0, 0, 5), "1") is theta(("x2", 0, 0, 6), "1")
+
+
+def test_flip_operators_keep_their_parameters_on_a_wide_gadget():
+    n, m = 4, 2                            # blocks of 2 bits, cache_dim 4
+    rep = compile_query_to_qcfa(exact_parity(2), ip_gadget(2), n)
+    theta, p_pad, d_w = rep.machine.theta, 2, rep.d_w
+    for idx in range(n):
+        want = CacheFlipOp(4, p_pad, d_w, idx // m, 1 << (m - 1 - idx % m)).describe()
+        assert theta(("x1", 0, 1, idx), "1").describe() == want
+        assert theta(("x2", 0, 1, idx + 1), "1").describe() == want
+        assert theta(("x1", 0, 1, idx), "0") is theta(("x2", 0, 1, 0), "¢")
+    for pref, bit in itertools.product(range(2), "01"):
+        v = (pref << 1) | (bit == "1")
+        flips = tuple(c for c in range(4) if rep.gflip[c, v])
+        want = GadgetFlipOp(4, p_pad, d_w, 1, flips).describe()
+        assert theta(("y", 0, 1, 3, pref), bit).describe() == want
+
+
+def test_grover_rounds_share_their_routing(monkeypatch):
+    calls = []
+
+    def counting(*args, _orig=twoway.qquery._transposed):
+        calls.append(args)
+        return _orig(*args)
+
+    monkeypatch.setattr(twoway.qquery, "_transposed", counting)
+    n = 4096
+    rep = compile_query_to_qcfa(grover_or(n), and_gadget(), n)
+    assert len(calls) == 2                 # the non-last rounds and the last
+    first, second, last = rep.segments[1], rep.segments[2], rep.segments[-1]
+    assert second.dst is first.dst and second.src is first.src
+    assert second.kind is first.kind
+    assert last.dst is not first.dst
+    assert second.next_segment != first.next_segment
 
 
 def test_generic_runner_time_within_declared_budget():

@@ -236,3 +236,6 @@ def test_sweep_validates_family_and_size():
         sweep_ts("eq-qfa", [4])
     with pytest.raises(InputError):
         sweep_ts("exact-parity-lifted", [3])       # parity blocks come in pairs
+    for family, samples in (("eq-dfa", 0), ("grover-ints", -2)):
+        with pytest.raises(InputError, match="samples per n must be >= 1"):
+            sweep_ts(family, [9], samples_per_n=samples)

@@ -235,6 +235,8 @@ def test_measurement_requires_disjoint_cover():
         Measurement(3, {"a": (0, 1), "b": (1, 2)}, "overlap")
     with pytest.raises(SpecError):
         Measurement(3, {"a": (0,), "b": (2,)}, "gap")
+    with pytest.raises(SpecError, match="outcome 'a' repeats a basis index"):
+        Measurement(2, {"a": (0, 0), "b": (1,)}, "repeat")
 
 
 def test_measurement_branches_collapse_and_prune():
