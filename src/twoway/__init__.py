@@ -74,6 +74,7 @@ from .qquery import (
     grover_or,
     exact_parity,
     run_query_alg,
+    run_query_alg_lanes,
     parse_query_algorithm,
     build_optimal_dt,
     dt_optimal_depth,
@@ -82,6 +83,7 @@ from .compiler import (
     CompilationReport,
     compile_query_to_qcfa,
     run_compiled,
+    run_compiled_lanes,
     verify_segment_equivalence,
 )
 from .commlab import (

@@ -38,6 +38,11 @@ def as_bits(value: Sequence[int] | str, length: int | None = None) -> Bits:
     return bits
 
 
+def bit_string(bits) -> str:
+    """The 0/1 string of a numpy row of bits."""
+    return "".join("01"[b] for b in bits.tolist())
+
+
 @dataclass(frozen=True)
 class BoolFunction:
     """A total Boolean function on a fixed number of input bits."""

@@ -22,17 +22,15 @@ from functools import cache
 import numpy as np
 
 from .automata import ExactRunResult, StateSpace, TwoWayQcfa
-from .boolfn import Gadget
+from .boolfn import Gadget, bit_string
 from .errors import InputError, SpecError, UnsupportedStructureError
-from .kernels import segment_pass
+from .kernels import flip_masks, oracle_masks, segment_pass
 from .ops import CacheFlipOp, CompleteMeasurement, GadgetFlipOp, IdentityOp
 from .qquery import (
     KIND_ACCEPT,
     KIND_CONTINUE,
     KIND_REJECT,
     QueryAlgorithm,
-    apply_oracle,
-    oracle_rows,
     run_segments,
     segment_tables,
     validate_algorithm,
@@ -42,6 +40,7 @@ __all__ = [
     "CompilationReport",
     "compile_query_to_qcfa",
     "run_compiled",
+    "run_compiled_lanes",
     "verify_segment_equivalence",
 ]
 
@@ -70,12 +69,13 @@ class CompilationReport:
     time_bound: int                       # 8t(n+2) + 4(n+2)
     algorithm: QueryAlgorithm = field(repr=False, default=None)
     gadget: Gadget = field(repr=False, default=None)
-    # internals run_compiled and verify_segment_equivalence read
+    # internals run_compiled_lanes and verify_segment_equivalence read
     segments: list = field(repr=False, default=None)    # CompiledSegment per segment
     gflip: np.ndarray = field(repr=False, default=None)
     k_alg: int = field(repr=False, default=0)
     cache_dim: int = field(repr=False, default=0)
     d_w: int = field(repr=False, default=0)
+    p_pad: int = field(repr=False, default=0)
 
 
 def compile_query_to_qcfa(alg: QueryAlgorithm, gadget: Gadget, n: int) -> CompilationReport:
@@ -103,9 +103,9 @@ def compile_query_to_qcfa(alg: QueryAlgorithm, gadget: Gadget, n: int) -> Compil
     gflip = np.array(gadget.table(), dtype=np.uint8)
     identity = IdentityOp(dim)
 
-    # the step-level runners' flip operators, built on first use (run_compiled
-    # sweeps with segment_pass and reads none): one cache-flip per x position,
-    # one controlled flip per (block, y value)
+    # the step-level runners' flip operators, built on first use (the
+    # compiled runner sweeps with segment_pass and reads none): one
+    # cache-flip per x position, one controlled flip per (block, y value)
     @cache
     def xflip(idx):
         return CacheFlipOp(cache_dim, p_pad, d_w, idx // m, 1 << (m - 1 - idx % m))
@@ -118,7 +118,7 @@ def compile_query_to_qcfa(alg: QueryAlgorithm, gadget: Gadget, n: int) -> Compil
     segments = segment_tables(alg, cache_dim)
 
     nseg = len(alg.segments)
-    continue_counts = [cs.kind.count(KIND_CONTINUE) for cs in segments]
+    continue_counts = [int(np.count_nonzero(cs.kind == KIND_CONTINUE)) for cs in segments]
 
     pass_states = 5 * n + 4 + p * (cache_dim - 1)
     reset_total = sum(continue_counts)
@@ -264,6 +264,7 @@ def compile_query_to_qcfa(alg: QueryAlgorithm, gadget: Gadget, n: int) -> Compil
         k_alg=k,
         cache_dim=cache_dim,
         d_w=d_w,
+        p_pad=p_pad,
     )
 
 
@@ -298,60 +299,67 @@ def _form_step(state, sym, n):
 
 
 def _split_sides(report: CompilationReport, x: str, y: str):
+    """x and y as one-lane bit matrices, once they are binary strings of
+    the side length."""
     n = report.n
     if len(x) != n or len(y) != n:
         raise InputError(f"sides must have length {n}")
     if set(x) - {"0", "1"} or set(y) - {"0", "1"}:
         raise InputError("sides must be binary strings")
-    xb = np.frombuffer(x.encode(), dtype=np.uint8) - ord("0")
-    yv = np.array(
-        [int(y[i0 * report.m : (i0 + 1) * report.m], 2) for i0 in range(report.p)],
-        dtype=np.int64,
-    )
-    return xb, yv
+    return tuple(np.frombuffer(side.encode(), dtype=np.uint8)[None] - ord("0")
+                 for side in (x, y))
 
 
 def run_compiled(report: CompilationReport, x: str, y: str) -> ExactRunResult:
-    """Exact branch evaluation of the compiled machine on x #^n y.
+    """Exact branch evaluation of the compiled machine on x #^n y: the
+    one-lane case of run_compiled_lanes."""
+    return run_compiled_lanes(report, *_split_sides(report, x, y))[0]
+
+
+def run_compiled_lanes(report: CompilationReport, x: np.ndarray,
+                       y: np.ndarray) -> list[ExactRunResult]:
+    """Exact branch evaluation of the compiled machine on every x_i #^n y_i,
+    with x and y given as bit matrices (one row of n bits per lane): one
+    ExactRunResult per lane, each equal to a run on that pair alone.
 
     The segment schedule runs through qquery.run_segments on the machine's
-    quantum register alone, one segment_pass per oracle call; run_query_alg
-    is the same engine on the algorithm's own register. The classical walk
-    of a well-formed input is the same for every branch, so time, census,
-    and boundary crossings are reconstructed from closed forms over each
-    branch's oracle calls and resets that mirror the step-level runner
-    exactly (validated against it in tests). branch_count tallies halting
-    measurement outcomes, which may group finer or coarser than the
-    step-level runner's merged branch count.
+    quantum register alone, every lane at once, one segment_pass per oracle
+    call and stacked array; run_query_alg is the same engine on the
+    algorithm's own register. The classical walk of a well-formed input is
+    the same for every branch, so time, census, and boundary crossings are
+    reconstructed from closed forms over each branch's oracle calls and
+    resets that mirror the step-level runner exactly (validated against it
+    in tests). branch_count tallies halting measurement outcomes, which may
+    group finer or coarser than the step-level runner's merged branch count.
     """
-    n, m = report.n, report.m
-    xb, yv = _split_sides(report, x, y)
-    gflip, d_w = report.gflip, report.d_w
-
-    def oracle(psi):
-        segment_pass(psi, xb, yv, m, d_w, gflip)
-        return psi
-
+    lanes = len(x)
+    if x.shape != (lanes, report.n) or y.shape != x.shape or (x > 1).any() or (y > 1).any():
+        raise InputError(f"sides must be bit matrices of {report.n} columns")
+    masks = flip_masks(x, y, report.m, report.gflip, report.p_pad)
     psi0 = np.zeros(report.quantum_basis_count, dtype=np.complex128)
     psi0[0] = 1.0
-    run = run_segments(report.segments, psi0, oracle, report.machine.name)
+    runs = run_segments(report.segments, psi0, masks, report.d_w, report.machine.name,
+                        lambda i: f"{bit_string(x[i])}|{bit_string(y[i])}",
+                        oracle=segment_pass)
+    return [_exact_result(report, run) for run in runs]
 
+
+def _exact_result(report: CompilationReport, run) -> ExactRunResult:
+    n = report.n
     # 3n+2 steps reach the first unitary; a segment takes 6n+4 steps per
     # oracle call plus 2 (its last unitary and the measurement), a reset 1,
     # so a path of c calls and r resets halts after 3n+4 + c(6n+4) + 3r
     seg_steps = 6 * n + 4
 
-    def longest(histories) -> int:
-        return max((3 * n + 4 + c * seg_steps + 3 * r
-                    for h in histories for c, r in h), default=0)
+    def longest(paths) -> int:
+        return max((3 * n + 4 + c * seg_steps + 3 * r for c, r in paths), default=0)
 
     t_acc, t_rej = longest(run.accepted), longest(run.rejected)
-    cross_max = max((2 + 4 * c for h in run.accepted + run.rejected for c, _ in h),
-                    default=0)
+    cross_max = max((2 + 4 * c for c, _ in run.accepted | run.rejected), default=0)
     # census: the form check's 3n+1 states; per segment entered, its pass
     # states, last unitary and measurement, and one reset per row continued
     visited = 3 * n + 1 + sum(
-        report.segments[si].calls * seg_steps + 2 + len(rows)
+        report.segments[si].calls * seg_steps + 2 + rows
         for si, rows in run.continued.items()
     )
     return ExactRunResult(
@@ -377,15 +385,15 @@ def verify_segment_equivalence(
     """
     if j < 0 or j > alg.total_calls:
         raise InputError(f"segment index {j} outside [0, {alg.total_calls}]")
-    n = report.n
-    xb, yv = _split_sides(report, x, y)
+    xb, yb = _split_sides(report, x, y)
     z = [
         report.gadget(x[i * report.m : (i + 1) * report.m],
                       y[i * report.m : (i + 1) * report.m])
         for i in range(report.p)
     ]
     k = report.k_alg
-    marked = oracle_rows(z)
+    flip = np.nonzero(flip_masks(xb, yb, report.m, report.gflip, report.p_pad))
+    marked = np.nonzero(oracle_masks(np.array([z], dtype=np.uint8), alg.layout.index_dim))
 
     phi = alg.initial_state()
     psi = np.zeros(report.quantum_basis_count, dtype=np.complex128)
@@ -398,8 +406,8 @@ def verify_segment_equivalence(
         seg = alg.segments[si]
         for ui in range(len(cs.ops)):
             if ui > 0:
-                phi = apply_oracle(alg.layout, marked, phi)
-                segment_pass(psi, xb, yv, report.m, report.d_w, report.gflip)
+                segment_pass(phi[None], marked, alg.layout.work_dim)
+                segment_pass(psi[None], flip, report.d_w)
                 calls_done += 1
             phi = seg.unitaries[ui].apply(phi)
             psi = cs.ops[ui].apply(psi)

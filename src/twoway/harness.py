@@ -8,6 +8,10 @@ member/non-member samples beyond that.
 Every evaluated run is also checked against the protocol-extraction
 certificate: crossings * n <= T and transferred bits <= S * floor(T/n) + 1.
 
+A compiled family's row (grover-ints, exact-parity-lifted) runs every pair
+through one run_compiled_lanes call; certificates are screened as arrays,
+and the runs that may fail go through certificate_check in input order.
+
 The equality sweep machine's exhaustive rows walk every pair of the row in
 lockstep (lockstep.run_dfa_lanes): the machine's transitions are tabulated
 the first time a pair of the row needs them. A lane the walk hands back (a
@@ -46,9 +50,10 @@ from pathlib import Path
 import numpy as np
 
 from .automata import DEFAULT_CUTOFF, PAYLOAD_SYMBOLS, run_dfa
-from .boolfn import HASH, LanguageSpec, eq_language, ints_language, lifted_language, ComposedFunction, and_gadget, xor_fn
+from .boolfn import HASH, LanguageSpec, bit_string, eq_language, ints_language, lifted_language, ComposedFunction, and_gadget, xor_fn
 from .commlab import _owner_walk, _regions, machine_space
-from .compiler import compile_query_to_qcfa, run_compiled
+from .compiler import compile_query_to_qcfa, run_compiled_lanes
+from .compiler import run_compiled  # noqa: F401  (the benchmark's tracer hooks this name)
 from .errors import InputError, SpecError
 from .handcrafted import PrimeTable, build_eq_dfa, eq_pfa_time
 from .lockstep import LaneRuns, distinct_per_row, run_dfa_lanes
@@ -204,12 +209,12 @@ class _Accum:
         i = int(member_err.argmax())        # argmax: the first maximum
         if member_err[i] > self.member_err:
             self.member_err = float(member_err[i])
-            self.worst_member = f"{_word(x[i])}|{_word(y[i])}"
+            self.worst_member = f"{bit_string(x[i])}|{bit_string(y[i])}"
         nonmember_err = np.where(member, 0.0, prob)
         i = int(nonmember_err.argmax())
         if nonmember_err[i] > self.nonmember_err:
             self.nonmember_err = float(nonmember_err[i])
-            self.worst_nonmember = f"{_word(x[i])}|{_word(y[i])}"
+            self.worst_nonmember = f"{bit_string(x[i])}|{bit_string(y[i])}"
 
 
 # --- family evaluators ---------------------------------------------------------
@@ -257,7 +262,7 @@ def _add_dfa_pairs(acc: _Accum, machine, x: np.ndarray, y: np.ndarray, regions,
                | (bits > acc.space * (steps // n) + 1))
     for i in np.flatnonzero(suspect).tolist():
         if runs.replay[i]:
-            trace = run_dfa(machine, _word(x[i]) + HASH * n + _word(y[i]),
+            trace = run_dfa(machine, bit_string(x[i]) + HASH * n + bit_string(y[i]),
                             cutoff, record_positions=True)
             crossings[i] = len(_owner_walk(trace.positions, regions))
             runs.accepted[i], steps[i], runs.visited[i] = (
@@ -277,10 +282,6 @@ def _pair_bits(lang: LanguageSpec, n: int, samples: int, seed):
     sides = ["".join(side) for side in zip(*_pair_iter(lang, n, samples, seed))]
     return tuple(np.frombuffer(side.encode(), np.uint8).reshape(-1, n) - ord("0")
                  for side in sides or ("", ""))
-
-
-def _word(bits: np.ndarray) -> str:
-    return "".join("01"[b] for b in bits.tolist())
 
 
 class _EqPfaFast:
@@ -394,25 +395,37 @@ def _eval_eq_pfa(n: int, samples: int, seed) -> _Accum:
     return acc
 
 
-def _eval_compiled(alg_builder, n: int, samples: int, seed, lang) -> _Accum:
+def _eval_compiled(alg_builder, n: int, samples: int, seed, lang, member) -> _Accum:
+    """Every pair of the row through one run_compiled_lanes call. The runs
+    whose certificate may fail go through certificate_check in input order,
+    so the row raises the error the first failing pair raises on its own;
+    member(x, y) is the language value of every pair of the bit matrices."""
     rep = compile_query_to_qcfa(alg_builder(n), and_gadget(), n)
     acc = _Accum(lang, machine_space(rep.machine), rep.machine.qubits)
-    for x, y in _pair_iter(lang, n, samples, seed):
-        r = run_compiled(rep, x, y)
-        acc.add(x, y, float(r.accept_probability), r.t_max, r.visited,
-                r.crossings_max)
+    x, y = _pair_bits(lang, n, samples, seed)
+    runs = run_compiled_lanes(rep, x, y)
+    steps, visited, crossings = (np.array([getattr(r, f) for r in runs], dtype=np.int64)
+                                 for f in ("t_max", "visited", "crossings_max"))
+    bits = crossings * math.ceil(acc.space) + 1
+    suspect = (crossings * n > steps) | (bits > acc.space * (steps // n) + 1)
+    for i in np.flatnonzero(suspect).tolist():
+        certificate_check(acc.space, int(steps[i]), int(crossings[i]), n)
+    prob = np.array([float(r.accept_probability) for r in runs])
+    acc.add_lanes(x, y, member(x, y), prob, steps, visited)
     return acc
 
 
 def _eval_grover_ints(n: int, samples: int, seed) -> _Accum:
-    return _eval_compiled(grover_or, n, samples, seed, ints_language(n))
+    return _eval_compiled(grover_or, n, samples, seed, ints_language(n),
+                          lambda x, y: (x & y).any(axis=1))
 
 
 def _eval_parity_lifted(n: int, samples: int, seed) -> _Accum:
     if n % 2:
         raise InputError("exact-parity-lifted needs even n")
     lang = lifted_language(ComposedFunction(xor_fn(n), and_gadget()))
-    return _eval_compiled(exact_parity, n, samples, seed, lang)
+    return _eval_compiled(exact_parity, n, samples, seed, lang,
+                          lambda x, y: (x & y).sum(axis=1) % 2 == 1)
 
 
 FAMILIES = {

@@ -7,6 +7,12 @@ load and the unload cancel, so the whole pass swaps answer 0 and 1 on block
 i at cache value c exactly when g(c ^ x_i, y_i) = 1, where x_i is x's block
 i read MSB-first. Every operation is a coordinate permutation, so the result
 is bitwise-identical to stepping the sweep one bit at a time.
+
+An input pair fixes which (cache value, block) cells the pass flips, so
+flip_masks tabulates them once per pair (one lane) and the branch engine
+turns them into one flip index per stack of states. A plain oracle call on
+a query algorithm's own register is the same pass with one cache value: it
+flips the answer on every index i with z_i = 1.
 """
 
 from __future__ import annotations
@@ -14,20 +20,46 @@ from __future__ import annotations
 import numpy as np
 
 
-def segment_pass(psi, xb, yv, m, d_w, gflip) -> None:
-    """Apply one oracle-simulation pass to the machine vector, in place.
+def flip_masks(xb, yb, m, gflip, p_pad) -> np.ndarray:
+    """The cells each lane's pass flips, as a (lanes, cache_dim * p_pad)
+    bool array laid out as (cache, index).
 
-    psi: complex128 vector laid out as (cache, index, answer, work).
-    xb:  uint8 x bits (length p * m), block i is xb[i*m:(i+1)*m] MSB-first.
-    yv:  int64 y block values (length p); index blocks p..p_pad-1 are padding
-         and stay untouched.
-    gflip: uint8 gadget table, gflip[c][v] = g(c, v).
+    xb, yb: uint8 x and y bits, one row of p * m per lane; block i of a row
+            is bits i*m..(i+1)*m-1, MSB-first. Index blocks p..p_pad-1 are
+            padding and are never flipped.
+    gflip:  uint8 gadget table, gflip[c][v] = g(c, v).
     """
-    cache_dim = gflip.shape[0]
-    p = yv.shape[0]
-    view = psi.reshape(cache_dim, -1, 2, d_w)
+    lanes, n = xb.shape
+    p = n // m
     weights = 1 << np.arange(m - 1, -1, -1)
-    xval = xb[: p * m].reshape(p, m) @ weights
+    xval, yval = (bits.reshape(lanes, p, m) @ weights for bits in (xb, yb))
+    cache_dim = gflip.shape[0]
+    masks = np.zeros((lanes, cache_dim, p_pad), dtype=bool)
     cache = np.arange(cache_dim)[:, None]
-    c, i = np.nonzero(gflip[cache ^ xval, yv])
-    view[c, i] = view[c, i, ::-1]
+    masks[:, :, :p] = gflip[cache ^ xval[:, None, :], yval[:, None, :]]
+    return masks.reshape(lanes, -1)
+
+
+def oracle_masks(words, index_dim) -> np.ndarray:
+    """The cells a plain oracle call flips on a query algorithm's own
+    register, as a (lanes, index_dim) bool array: index value i of a lane
+    iff its input word (a row of uint8 bits) has z_i = 1. Index values past
+    the word are padding and query fixed 0s."""
+    masks = np.zeros((len(words), index_dim), dtype=bool)
+    masks[:, :words.shape[1]] = words
+    return masks
+
+
+def segment_pass(psi, flip, d_w) -> None:
+    """Apply one oracle-simulation pass to a stack of states, in place.
+
+    psi:  complex128 (rows, dim) array, each row laid out as (cell, answer,
+          work) with d_w work values per answer.
+    flip: (row, cell) index arrays, np.nonzero(masks[lane_of]) where
+          lane_of gives each row's lane: the answer bit of those cells is
+          swapped.
+    """
+    if not psi.flags.c_contiguous:
+        raise ValueError("segment_pass works in place on a C-contiguous stack")
+    view = psi.reshape(psi.shape[0], -1, 2, d_w)
+    view[flip] = view[flip][:, ::-1]

@@ -1,6 +1,9 @@
 """State-vector layouts, structured unitary operators, and measurements.
 
-Quantum states are numpy complex128 vectors. A query algorithm's register
+Quantum states are numpy complex128 vectors. Every operator acts on the
+last axis of a (..., dim) array, so a stack of states (one per row) goes
+through one call with the same float work per row as one state alone. A
+query algorithm's register
 layout is (index, answer, workspace) with the index axis outermost inside a
 flat vector; a machine built by the compiler prepends a cache register (the
 gadget work qubits) as the new outermost axis, so lifting an algorithm
@@ -58,7 +61,8 @@ class RegisterLayout:
 
 
 class Op:
-    """Base operator: unitary action on a flat state vector."""
+    """Base operator: unitary action on the last axis of a (..., dim)
+    array of flat state vectors."""
 
     dim: int
 
@@ -128,7 +132,8 @@ class DenseOp(Op):
         self.name = name
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        return self.matrix @ psi
+        # a column per state: each is the matrix-vector product of 1-D psi
+        return (self.matrix @ psi[..., None])[..., 0]
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.copy()
@@ -193,8 +198,8 @@ class OnIndexOp(Op):
         self.name = name
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        cols = psi.reshape(self.layout.index_dim, 2 * self.layout.work_dim)
-        return (self.matrix @ cols).reshape(-1)
+        cols = psi.reshape(*psi.shape[:-1], self.layout.index_dim, 2 * self.layout.work_dim)
+        return (self.matrix @ cols).reshape(psi.shape)
 
     def certify(self) -> float:
         return _gram_deviation(self.matrix)
@@ -219,9 +224,9 @@ class OnAnswerOp(Op):
         self.name = name
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        grid = psi.reshape(self.layout.index_dim, 2, self.layout.work_dim)
-        out = np.einsum("ab,ibw->iaw", self.matrix, grid)
-        return out.reshape(-1)
+        grid = psi.reshape(*psi.shape[:-1], self.layout.index_dim, 2, self.layout.work_dim)
+        out = np.einsum("ab,...ibw->...iaw", self.matrix, grid)
+        return out.reshape(psi.shape)
 
     def certify(self) -> float:
         return _gram_deviation(self.matrix)
@@ -238,9 +243,9 @@ class DiffusionOp(Op):
         self.dim = layout.dim
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        grid = psi.reshape(self.layout.index_dim, 2 * self.layout.work_dim)
-        mean = grid.mean(axis=0)
-        return (2.0 * mean - grid).reshape(-1)
+        grid = psi.reshape(*psi.shape[:-1], self.layout.index_dim, 2 * self.layout.work_dim)
+        mean = grid.mean(axis=-2, keepdims=True)
+        return (2.0 * mean - grid).reshape(psi.shape)
 
     def certify(self) -> float:
         return 0.0     # 2|u><u| - I with |u| = 1 by construction
@@ -270,9 +275,9 @@ class PrepReflectOp(Op):
     def apply(self, psi: np.ndarray) -> np.ndarray:
         if self.w is None:
             return psi
-        grid = psi.reshape(self.layout.index_dim, 2 * self.layout.work_dim)
+        grid = psi.reshape(*psi.shape[:-1], self.layout.index_dim, 2 * self.layout.work_dim)
         coeff = self.w @ grid
-        return (grid - 2.0 * np.outer(self.w, coeff)).reshape(-1)
+        return (grid - 2.0 * (self.w[:, None] * coeff[..., None, :])).reshape(psi.shape)
 
     def certify(self) -> float:
         # (I - 2ww^T)^2 = I + 4(|w|^2 - 1) ww^T, of norm 4 | |w|^2 - 1 | |w|^2
@@ -300,13 +305,13 @@ class IndexPairHOp(Op):
         self.a, self.b = a, b
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        grid = psi.reshape(self.layout.index_dim, 2 * self.layout.work_dim)
-        va = grid[self.a].copy()
-        vb = grid[self.b].copy()
+        grid = psi.reshape(-1, self.layout.index_dim, 2 * self.layout.work_dim)
+        va = grid[:, self.a].copy()
+        vb = grid[:, self.b].copy()
         r = 1.0 / np.sqrt(2.0)
-        grid[self.a] = r * (va + vb)
-        grid[self.b] = r * (va - vb)
-        return grid.reshape(-1)
+        grid[:, self.a] = r * (va + vb)
+        grid[:, self.b] = r * (va - vb)
+        return grid.reshape(psi.shape)
 
     def certify(self) -> float:
         _require_indices(self, self.layout.index_dim, self.a, self.b)
@@ -332,10 +337,12 @@ class IndexPermOp(Op):
         self.swaps = tuple(swaps)
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        grid = psi.reshape(self.layout.index_dim, 2 * self.layout.work_dim)
+        grid = psi.reshape(-1, self.layout.index_dim, 2 * self.layout.work_dim)
         for a, b in self.swaps:
-            grid[[a, b]] = grid[[b, a]]
-        return grid.reshape(-1)
+            va = grid[:, a].copy()
+            grid[:, a] = grid[:, b]
+            grid[:, b] = va
+        return grid.reshape(psi.shape)
 
     def certify(self) -> float:
         for a, b in self.swaps:
@@ -355,7 +362,9 @@ class BasisSwapOp(Op):
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         if self.a != self.b:
-            psi[self.a], psi[self.b] = psi[self.b], psi[self.a]
+            va = psi[..., self.a].copy()
+            psi[..., self.a] = psi[..., self.b]
+            psi[..., self.b] = va
         return psi
 
     def certify(self) -> float:
@@ -369,8 +378,9 @@ class BasisSwapOp(Op):
 class LiftedOp(Op):
     """op (x) I on a prepended outermost register: apply per contiguous block.
 
-    Block b of the lifted space is exactly the original space, so the float
-    work inside each block is identical to applying `op` directly.
+    Block b of the lifted space is exactly the original space, and the
+    blocks go through op as one more batch axis, so the float work inside
+    each block is identical to applying `op` directly.
     """
 
     def __init__(self, op: Op, blocks: int):
@@ -379,11 +389,8 @@ class LiftedOp(Op):
         self.dim = op.dim * blocks
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        d = self.op.dim
-        for blk in range(self.blocks):
-            seg = psi[blk * d : (blk + 1) * d]
-            psi[blk * d : (blk + 1) * d] = self.op.apply(seg)
-        return psi
+        blocks = psi.reshape(*psi.shape[:-1], self.blocks, self.op.dim)
+        return self.op.apply(blocks).reshape(psi.shape)
 
     def certify(self) -> float:
         return self.op.certify()     # op (x) I deviates exactly as op does
@@ -411,9 +418,9 @@ class CacheFlipOp(Op):
         self._perm = np.arange(cache_dim) ^ mask
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        view = psi.reshape(self.cache_dim, self.p_pad, 2, self.d_w)
-        view[:, self.block] = view[self._perm, self.block]
-        return psi
+        view = psi.reshape(*psi.shape[:-1], self.cache_dim, self.p_pad, 2, self.d_w)
+        view[..., self.block, :, :] = view[..., self._perm, self.block, :, :]
+        return view.reshape(psi.shape)
 
     def certify(self) -> float:
         _require_indices(self, self.p_pad, self.block)
@@ -447,12 +454,12 @@ class GadgetFlipOp(Op):
         self._sel = np.array(self.flips, dtype=np.intp)
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        if self.flips:
-            view = psi.reshape(self.cache_dim, self.p_pad, 2, self.d_w)
-            tmp = view[self._sel, self.block, 0].copy()
-            view[self._sel, self.block, 0] = view[self._sel, self.block, 1]
-            view[self._sel, self.block, 1] = tmp
-        return psi
+        if not self.flips:
+            return psi
+        view = psi.reshape(*psi.shape[:-1], self.cache_dim, self.p_pad, 2, self.d_w)
+        rows = view[..., self._sel, self.block, :, :]
+        view[..., self._sel, self.block, :, :] = rows[..., ::-1, :]
+        return view.reshape(psi.shape)
 
     def certify(self) -> float:
         _require_indices(self, self.p_pad, self.block)

@@ -10,8 +10,10 @@ each outcome halts (accept/reject) or continues into a later segment,
 optionally through a reset. A reset must be a basis transposition: the
 state at that point is a known basis vector, so a transposition suffices to
 re-enter the next segment from a canonical state, and the branch engine
-(`run_segments`, shared by `run_query_alg` and the compiled runner) relies
-on resets only moving amplitudes.
+(`run_segments`, shared by `run_query_alg_lanes` and the compiled runner)
+relies on resets only moving amplitudes. The engine evaluates many inputs
+(lanes) at once and stacks their states per segment; a lane's result is
+bitwise the one it gets alone.
 
 Plain algorithms are a single segment whose decision never continues.
 
@@ -30,12 +32,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .boolfn import BoolFunction, as_bits
+from .boolfn import BoolFunction, as_bits, bit_string
 from .errors import InputError, RefusalError, SpecError
+from .kernels import oracle_masks, segment_pass
 from .ops import (
     BRANCH_PRUNE,
     BasisSwapOp,
@@ -148,21 +151,6 @@ class QueryAlgorithm:
         return segment_tables(self, 1)
 
 
-def oracle_rows(z: Sequence[int]) -> np.ndarray:
-    """The index values an oracle call on input word z marks: every i with
-    z_i = 1. z is given on the declared indices; padded index values query
-    fixed 0s."""
-    return np.flatnonzero(np.asarray(z, dtype=np.int8))
-
-
-def apply_oracle(layout: RegisterLayout, marked: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """One oracle call: flip the answer bit on every marked index value
-    (oracle_rows of the input word), as one row swap."""
-    grid = psi.reshape(layout.index_dim, 2, layout.work_dim)
-    grid[marked] = grid[marked, ::-1]
-    return grid.reshape(-1)
-
-
 def validate_algorithm(alg: QueryAlgorithm) -> list[DecisionRows]:
     """Structural checks, returning every segment's decision rows.
 
@@ -263,14 +251,17 @@ class _LiftedOutcomes:
         return Measurement(self.cache_dim * self.k, dict(zip(self.labels, self.groups)),
                            name=f"{self.meas.name}-lifted")
 
-    def weights(self, psi: np.ndarray) -> list[float]:
-        """Probability of every row's outcome, summed per group in the same
-        order as the lifted measurement sums it."""
+    def weights(self, psi: np.ndarray) -> np.ndarray:
+        """(states, rows): the probability of every row's outcome in every
+        state of a stack, summed per group in the same order as the lifted
+        measurement sums it."""
         w2 = np.abs(psi) ** 2
         if self.complete:
-            rows = np.ascontiguousarray(w2.reshape(self.cache_dim, self.k).T)
-            return rows.sum(axis=1).tolist()
-        return [float(w2[g].sum()) for g in self.groups]
+            if self.cache_dim == 1:
+                return w2                  # one term per group
+            grid = w2.reshape(len(w2), self.cache_dim, self.k)
+            return np.ascontiguousarray(grid.transpose(0, 2, 1)).sum(axis=2)
+        return np.stack([w2[:, g].sum(axis=1) for g in self.groups], axis=1)
 
 
 def _transposed(pos: np.ndarray, a, b, k: int) -> np.ndarray:
@@ -281,55 +272,59 @@ def _transposed(pos: np.ndarray, a, b, k: int) -> np.ndarray:
 
 
 def _routes(outcomes: _LiftedOutcomes, rows: DecisionRows):
-    """The kind list and the src/dst positions (see CompiledSegment) of a
-    lifted measurement under one kind and swap array."""
-    kind, k = rows.kind.tolist(), outcomes.k
+    """The src/dst positions (see CompiledSegment) of a lifted measurement
+    under one kind and swap array."""
+    k = outcomes.k
     if outcomes.complete:
         # one group position per block, so every row stays ascending
         src = outcomes.groups
-        return kind, src, _transposed(src, rows.swap[:, :1], rows.swap[:, 1:], k)
+        return src, _transposed(src, rows.swap[:, :1], rows.swap[:, 1:], k)
     src, dst = {}, {}                              # only continuing rows collapse
+    kind = rows.kind.tolist()
     for j, (g, (a, b)) in enumerate(zip(outcomes.groups, rows.swap.tolist())):
         if kind[j] == KIND_CONTINUE:
             moved = _transposed(g, a, b, k)
             order = np.argsort(moved, kind="stable")
             src[j], dst[j] = g[order], moved[order]
-    return kind, src, dst
+    return src, dst
 
 
 class CompiledSegment:
     """One algorithm segment on the lifted register, fixed before any run.
 
-    ops are the lifted unitaries; kind and next_segment are the segment's
-    decision rows as lists, and swap its swap array, shared by every lift.
+    ops are the lifted unitaries; kind, next_segment and swap are the
+    segment's decision rows (next_segment as a list), shared by every lift.
     src[j] and dst[j] are the lifted positions of continuing outcome j's
     group before and after its reset, both ordered by dst; for a complete
     measurement they are (labels x cache_dim) arrays covering every row.
-    kind, src and dst come from _routes and are shared by every segment
-    with the same lifted measurement, kind array and swap array.
+    src and dst come from _routes and are shared by every segment with the
+    same lifted measurement, kind array and swap array.
     """
 
     def __init__(self, ops: list, outcomes: _LiftedOutcomes, rows: DecisionRows, routes):
         self.ops = ops
         self.calls = len(ops) - 1
         self.outcomes = outcomes
-        self.kind, self.src, self.dst = routes
+        self.kind = rows.kind
+        self.continues = rows.kind == KIND_CONTINUE
+        self.src, self.dst = routes
         self.next_segment = rows.next_segment.tolist()
         self.swap = rows.swap
         self._resets: dict = {}
 
-    def collapse(self, psi: np.ndarray, rows: list, probs: list):
-        """(key, positions, values) of the collapsed, reset state of each
-        continuing row; only positions in the row's group can be non-zero."""
+    def collapse(self, psi: np.ndarray, r: np.ndarray, j: np.ndarray, probs: np.ndarray):
+        """(key, positions, values) of the collapsed, reset state of row j's
+        outcome in state r of a stack, for every (r, j) pair; only positions
+        in the row's group can be non-zero."""
         if self.outcomes.complete:
-            vals = psi[self.src[rows]] / np.sqrt(probs)[:, None]
-            pos = self.dst[rows]
+            vals = psi[r[:, None], self.src[j]] / np.sqrt(probs)[:, None]
+            pos = self.dst[j]
             return zip(_sparse_keys(pos, vals), pos, vals)
         out = []
-        for j, prob in zip(rows, probs):
-            vals = psi[self.src[j]] / np.sqrt(prob)
-            out.append((_sparse_keys(self.dst[j][None], vals[None])[0],
-                        self.dst[j], vals))
+        for ri, ji, prob in zip(r.tolist(), j.tolist(), probs.tolist()):
+            vals = psi[ri, self.src[ji]] / np.sqrt(prob)
+            out.append((_sparse_keys(self.dst[ji][None], vals[None])[0],
+                        self.dst[ji], vals))
         return out
 
     def row(self, label) -> int:
@@ -399,108 +394,152 @@ def _sparse_keys(pos: np.ndarray, vals: np.ndarray) -> list[bytes]:
 
 @dataclass
 class FrontierRun:
-    """What run_segments saw. A branch's history is the set of (oracle
-    calls, resets) pairs of the paths merged into it; accepted and rejected
-    hold the history of every branch with an outcome of that kind."""
+    """What run_segments saw on one lane. A branch's history is the set of
+    (oracle calls, resets) pairs of the paths merged into it; accepted and
+    rejected hold the union of the histories of every branch with an
+    outcome of that kind."""
 
     accept_probability: float
     halts: int                    # halting outcomes above the pruning floor
-    accepted: list[frozenset]
-    rejected: list[frozenset]
-    continued: dict[int, set]     # per segment some branch ran: rows that continued
+    accepted: set[tuple[int, int]]
+    rejected: set[tuple[int, int]]
+    continued: dict[int, int]     # per segment some branch ran: rows that continued
 
 
-def run_segments(tables: list[CompiledSegment], psi: np.ndarray, oracle,
-                 name: str) -> FrontierRun:
-    """Exact branch evaluation of a segment schedule from state psi, with
-    oracle(psi) -> psi making one oracle call.
+# A block of lanes holds at most this many register entries (lanes x
+# dimension), and at least one lane: 32 lanes at dimension 16, one lane at
+# dimension 512 and above. Only one block's branches are pending at a time.
+LANE_CELLS = 1 << 9
+
+
+def run_segments(tables: list[CompiledSegment], psi: np.ndarray, masks: np.ndarray,
+                 d_w: int, name: str, lane_name: Callable[[int], str],
+                 oracle=segment_pass) -> Iterator[FrontierRun]:
+    """Exact branch evaluation of a segment schedule from state psi, on
+    every lane (one input word or pair) of masks: yields one FrontierRun
+    per lane, in lane order.
+
+    masks[lane] holds the cells an oracle call on that lane's input flips
+    (kernels.flip_masks or kernels.oracle_masks) on a register of d_w work
+    values per answer, and oracle(stack, flip, d_w) makes that call in place
+    on a stack of states (kernels.segment_pass). The lanes run in blocks of
+    at most LANE_CELLS register entries. Per segment, the pending states of
+    every lane of a block are stacked in lane order, each lane's in the
+    order its branches were created; each operator is applied once per
+    stack, and the flip index of a stack is built once for all its oracle
+    calls.
 
     Outcomes are routed through each segment's decision table. An outcome
     of probability at most BRANCH_PRUNE, or of branch weight below it, is
     dropped; a halting outcome only adds its weight; a continuing outcome
-    becomes a dense state only when its post-reset state is new to the next
-    segment, and otherwise merges into the branch with the same sparse key,
-    in the order the branches were created. Halting mass that misses 1 by
-    more than 1e-6 raises SpecError, labelled with name.
+    becomes a new state of its lane only when its post-reset state is new
+    to the next segment there, and otherwise merges into the lane's branch
+    with the same sparse key. Every lane's sums and merges are made in the
+    order a run on that lane alone makes them, so its result does not
+    depend on the other lanes or on the blocks. A lane whose halting mass
+    misses 1 by more than 1e-6 raises SpecError where it would be yielded,
+    labelled with name and lane_name(lane): the first such lane raises.
     """
-    # per segment: sparse state key -> [weight, psi, history]
-    pending: list[dict] = [dict() for _ in tables]
-    pending[0][b""] = [1.0, psi, frozenset({(0, 0)})]
-    accept_p, reject_p, halts = 0.0, 0.0, 0
-    accepted, rejected = [], []
-    continued: dict[int, set] = {}
-    for si, cs in enumerate(tables):
-        if not pending[si]:
-            continue
-        continued[si] = set()
-        ops = cs.ops
-        for w, psi, history in pending[si].values():
-            psi = ops[0].apply(psi)
-            for op in ops[1:]:
-                psi = op.apply(oracle(psi))
-            history = frozenset((c + cs.calls, r) for c, r in history)
-            cont, cont_p, cont_w, kinds = [], [], [], set()
-            for j, prob in enumerate(cs.outcomes.weights(psi)):
-                if prob <= BRANCH_PRUNE:
-                    continue   # pruned by the measurement itself
-                wp = w * prob
-                if wp < BRANCH_PRUNE:
-                    continue   # below the branch pruning floor
-                kind = cs.kind[j]
-                if kind == KIND_ACCEPT:
-                    accept_p += wp
-                elif kind == KIND_REJECT:
-                    reject_p += wp
-                else:
-                    cont.append(j)
-                    cont_p.append(prob)
-                    cont_w.append(wp)
-                    continue
-                halts += 1
-                kinds.add(kind)
-            if KIND_ACCEPT in kinds:
-                accepted.append(history)
-            if KIND_REJECT in kinds:
-                rejected.append(history)
-            if not cont:
-                continue
-            continued[si].update(cont)
-            history = frozenset((c, r + 1) for c, r in history)
-            collapsed = cs.collapse(psi, cont, cont_p)
-            for j, wp, (key, pos, vals) in zip(cont, cont_w, collapsed):
-                bucket = pending[cs.next_segment[j]]
-                slot = bucket.get(key)
-                if slot is None:
-                    child = np.zeros_like(psi)
-                    child[pos] = vals
-                    bucket[key] = [wp, child, history]
-                else:
-                    slot[0] += wp
-                    slot[2] = slot[2] | history
+    block = max(1, LANE_CELLS // psi.shape[-1])
+    for lo in range(0, len(masks), block):
+        for lane, (total, run) in enumerate(
+                _run_block(tables, psi, masks[lo:lo + block], d_w, oracle), lo):
+            if abs(total - 1.0) > 1e-6:
+                raise SpecError(
+                    f"{name} on {lane_name(lane)}: terminal branch weights sum to "
+                    f"{total}, lost probability mass exceeds the pruning budget")
+            yield run
 
-    total = accept_p + reject_p
-    if abs(total - 1.0) > 1e-6:
-        raise SpecError(
-            f"{name}: terminal branch weights sum to {total}, "
-            "lost probability mass exceeds the pruning budget"
-        )
-    return FrontierRun(min(accept_p, 1.0), halts, accepted, rejected, continued)
+
+def _run_block(tables, psi, masks, d_w, oracle) -> list[tuple[float, FrontierRun]]:
+    """run_segments on one block of lanes: (halting mass, run) per lane."""
+    lanes, dim = len(masks), psi.shape[-1]
+    # per segment: lane -> {sparse state key -> [weight, positions, values, history]}
+    pending: list[dict] = [{} for _ in tables]
+    everywhere = np.arange(dim)
+    for lane in range(lanes):
+        pending[0][lane] = {b"": [1.0, everywhere, psi, frozenset({(0, 0)})]}
+    sums = [[0.0] * lanes for _ in (KIND_ACCEPT, KIND_REJECT)]   # indexed by kind code
+    kept = [[set() for _ in range(lanes)] for _ in (KIND_ACCEPT, KIND_REJECT)]
+    halts = [0] * lanes
+    continued: list[dict] = [{} for _ in range(lanes)]
+    for si, cs in enumerate(tables):
+        stack, lane_of = [], []
+        for lane in sorted(pending[si]):
+            stack += pending[si][lane].values()
+            lane_of += [lane] * len(pending[si][lane])
+        pending[si] = None
+        if not stack:
+            continue
+        pos = [s[1] for s in stack]
+        psi = np.zeros((len(stack), dim), dtype=np.complex128)
+        psi[np.arange(len(stack)).repeat([len(p) for p in pos]),
+            np.concatenate(pos)] = np.concatenate([s[2] for s in stack])
+        psi = cs.ops[0].apply(psi)
+        if cs.calls:
+            flip = np.nonzero(masks[lane_of])
+            for op in cs.ops[1:]:
+                oracle(psi, flip, d_w)
+                psi = op.apply(psi)
+        prob = cs.outcomes.weights(psi)
+        wp = np.array([s[0] for s in stack])[:, None] * prob
+        # kept: above the measurement's own pruning and the branch weight floor
+        r_k, j_k = np.nonzero((prob > BRANCH_PRUNE) & (wp >= BRANCH_PRUNE))
+        cont = cs.continues[j_k]
+        if cont.any():
+            r_c, j_c = r_k[cont], j_k[cont]
+            collapsed = iter(cs.collapse(psi, r_c, j_c, prob[r_c, j_c]))
+        history = [frozenset((c + cs.calls, r) for c, r in s[3]) for s in stack]
+        reset = {}                     # per state: its history after a reset
+        rows = {}                      # per lane: the rows its branches continued
+        for r, j, kind, w in zip(r_k.tolist(), j_k.tolist(), cs.kind[j_k].tolist(),
+                                 wp[r_k, j_k].tolist()):
+            lane = lane_of[r]
+            if kind != KIND_CONTINUE:
+                sums[kind][lane] += w
+                halts[lane] += 1
+                kept[kind][lane].update(history[r])
+                continue
+            rows.setdefault(lane, set()).add(j)
+            key, p, v = next(collapsed)
+            if r not in reset:
+                reset[r] = frozenset((c, k + 1) for c, k in history[r])
+            bucket = pending[cs.next_segment[j]].setdefault(lane, {})
+            slot = bucket.get(key)
+            if slot is None:
+                bucket[key] = [w, p, v, reset[r]]
+            else:
+                slot[0] += w
+                slot[3] = slot[3] | reset[r]
+        for lane in set(lane_of):
+            continued[lane][si] = len(rows.get(lane, ()))
+    return [(sums[KIND_ACCEPT][lane] + sums[KIND_REJECT][lane],
+             FrontierRun(min(sums[KIND_ACCEPT][lane], 1.0), halts[lane],
+                         kept[KIND_ACCEPT][lane], kept[KIND_REJECT][lane], continued[lane]))
+            for lane in range(lanes)]
 
 
 def run_query_alg(alg: QueryAlgorithm, z: Sequence[int]) -> float:
-    """Exact acceptance probability on input word z.
+    """Exact acceptance probability on input word z: the one-lane case of
+    run_query_alg_lanes."""
+    return run_query_alg_lanes(alg, np.array([as_bits(z, alg.arity)], dtype=np.uint8))[0]
+
+
+def run_query_alg_lanes(alg: QueryAlgorithm, words: np.ndarray) -> list[float]:
+    """Exact acceptance probability on every input word, given as a bit
+    matrix (one row of alg.arity bits per lane).
 
     The schedule runs through run_segments on the algorithm's own register
-    (the lift-factor-1 case of the compiled runner), with apply_oracle as
-    the oracle; the algorithm is validated and its tables are built on its
-    first run.
+    (the lift-factor-1 case of the compiled runner), with a plain oracle
+    call as the oracle; the algorithm is validated and its tables are built
+    on its first run.
     """
-    marked = oracle_rows(as_bits(z, alg.arity))
-    layout = alg.layout
-    return run_segments(
-        alg.tables, alg.initial_state(),
-        lambda psi: apply_oracle(layout, marked, psi), alg.name,
-    ).accept_probability
+    if words.ndim != 2 or words.shape[1] != alg.arity or (words > 1).any():
+        raise InputError(f"input words must be a bit matrix of {alg.arity} columns")
+    masks = oracle_masks(words, alg.layout.index_dim)
+    runs = run_segments(alg.tables, alg.initial_state(), masks, alg.layout.work_dim,
+                        alg.name, lambda lane: bit_string(words[lane]))
+    return [run.accept_probability for run in runs]
 
 
 # --- Grover-style bounded-error OR -------------------------------------------

@@ -10,6 +10,7 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 
 from twoway.automata import pfa_exact, qcfa_sample, run_dfa, run_pfa_sample
@@ -20,11 +21,12 @@ from twoway.commlab import bruteforce_dcc, eq_matrix, extract_protocol, machine_
 from twoway.compiler import (
     compile_query_to_qcfa,
     run_compiled,
+    run_compiled_lanes,
     verify_segment_equivalence,
 )
 from twoway.handcrafted import build_eq_dfa, build_eq_pfa
 from twoway.harness import _EqPfaFast, fit_scaling, sweep_ts
-from twoway.qquery import exact_parity, grover_or, run_query_alg
+from twoway.qquery import exact_parity, grover_or, run_query_alg_lanes
 
 
 def payload(x: str, y: str) -> str:
@@ -81,14 +83,14 @@ def test_criterion_02_equality_protocol_cost():
 
 
 def _compare_compiled(alg_builder, n: int, pairs) -> float:
+    # each side evaluates the whole row of pairs in one call
     rep = compile_query_to_qcfa(alg_builder(n), and_gadget(), n)
     alg = alg_builder(n)
-    worst = 0.0
-    for x, y in pairs:
-        got = run_compiled(rep, x, y).accept_probability
-        want = run_query_alg(alg, and_word(x, y))
-        worst = max(worst, abs(got - want))
-    return worst
+    x, y = (np.array([[int(b) for b in w] for w in side], dtype=np.uint8)
+            for side in zip(*pairs))
+    got = [r.accept_probability for r in run_compiled_lanes(rep, x, y)]
+    want = run_query_alg_lanes(alg, x & y)
+    return max(abs(g - w) for g, w in zip(got, want))
 
 
 def test_criterion_03_compiled_probabilities_match_query_algorithms():

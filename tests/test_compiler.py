@@ -19,9 +19,10 @@ from twoway.boolfn import HASH, and_gadget, ip_gadget
 from twoway.compiler import (
     compile_query_to_qcfa,
     run_compiled,
+    run_compiled_lanes,
     verify_segment_equivalence,
 )
-from twoway.errors import InputError
+from twoway.errors import InputError, SpecError
 from twoway.ops import (
     BasisSwapOp,
     CacheFlipOp,
@@ -129,6 +130,59 @@ def test_algorithm_runner_equals_compiled_runner_at_n16():
         y = "".join(rng.choice("01") for _ in range(16))
         z = gadget_word(x, y, and_gadget(), 1)
         assert run_query_alg(alg, z) == run_compiled(rep, x, y).accept_probability
+
+
+def bit_rows(n):
+    """Every (x, y) pair of side n in sweep order, as two bit matrices."""
+    words = np.array([[int(b) for b in w] for w in bitstrings(n)], dtype=np.uint8)
+    return np.repeat(words, len(words), axis=0), np.tile(words, (len(words), 1))
+
+
+ROW_CASES = [(grover_or(n), and_gadget(), n) for n in range(2, 7)] + \
+    [(exact_parity(n), and_gadget(), n) for n in (2, 4, 6)] + [(grover_or(2), ip_gadget(2), 4)]
+
+
+@pytest.mark.parametrize("alg,gadget,n", ROW_CASES,
+                         ids=[f"{a.name}%{g.name}@{n}" for a, g, n in ROW_CASES])
+def test_row_runner_equals_per_pair_runs(monkeypatch, alg, gadget, n):
+    # every lane of a row must get exactly the result it gets alone, however
+    # the row is cut into lane blocks: one lane, three lanes, the whole row
+    rep = compile_query_to_qcfa(alg, gadget, n)
+    x, y = bit_rows(n)
+    want = [run_compiled(rep, "".join(map(str, a)), "".join(map(str, b)))
+            for a, b in zip(x.tolist(), y.tolist())]
+    dim = rep.quantum_basis_count
+    for cells in (1, 3 * dim, len(x) * dim):
+        monkeypatch.setattr(twoway.qquery, "LANE_CELLS", cells)
+        assert run_compiled_lanes(rep, x, y) == want
+
+
+def test_lost_mass_names_the_first_failing_pair(monkeypatch):
+    # a pruning floor this high drops real outcomes, so some runs lose mass;
+    # a row raises for its first such pair in input order, as that pair does
+    # alone, and names it
+    monkeypatch.setattr(twoway.qquery, "BRANCH_PRUNE", 0.2)
+    n = 4
+    rep = compile_query_to_qcfa(grover_or(n), and_gadget(), n)
+    x, y = bit_rows(n)
+    failed = []
+    for a, b in zip(x.tolist(), y.tolist()):
+        pair = ("".join(map(str, a)), "".join(map(str, b)))
+        try:
+            run_compiled(rep, *pair)
+        except SpecError as exc:
+            failed.append((pair, str(exc)))
+    assert 0 < len(failed) < len(x)
+    (fx, fy), message = failed[0]
+    assert (fx, fy) != ("0" * n, "0" * n)
+    assert f"{rep.machine.name} on {fx}|{fy}: terminal branch weights sum to" in message
+    monkeypatch.setattr(twoway.qquery, "LANE_CELLS", len(x) * rep.quantum_basis_count)
+    with pytest.raises(SpecError) as row:
+        run_compiled_lanes(rep, x, y)
+    assert str(row.value) == message
+    z = gadget_word(fx, fy, and_gadget(), 1)
+    with pytest.raises(SpecError, match=f"grover-or:{n} on {z}: terminal branch weights"):
+        run_query_alg(grover_or(n), z)
 
 
 def test_each_decision_is_read_once_per_algorithm_object():

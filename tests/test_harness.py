@@ -1,5 +1,6 @@
 """Sweep machinery: fast equality evaluator, samplers, CSV io, fits."""
 
+import dataclasses
 import json
 import math
 import random
@@ -17,8 +18,13 @@ from twoway.boolfn import (
     xor_fn,
 )
 from twoway.errors import InputError, SpecError
+from twoway.qquery import exact_parity, grover_or
+from twoway.commlab import machine_space
+from twoway.compiler import compile_query_to_qcfa, run_compiled
 from twoway.handcrafted import PrimeTable, build_eq_pfa
 from twoway.harness import (
+    FAMILIES,
+    _Accum,
     _EqPfaFast,
     _pair_iter,
     _sample_pair,
@@ -124,6 +130,26 @@ def test_sweep_exhausts_small_sides_and_matches_membership():
     for row in (dfa_row, pfa_row, ints_row, par_row):
         assert row.s_visited <= row.s_declared + 1e-9
         assert row.ts == row.t_max * row.s_declared
+
+
+@pytest.mark.parametrize("family,n", [("grover-ints", 4), ("exact-parity-lifted", 4),
+                                      ("grover-ints", 16), ("exact-parity-lifted", 16)])
+def test_compiled_row_equals_one_built_pair_by_pair(family, n):
+    # the row runs through one run_compiled_lanes call and array operations;
+    # pair by pair, _Accum.add must reach the same accumulator, worst inputs
+    # and input count included
+    builder, lang = {
+        "grover-ints": (grover_or, ints_language(n)),
+        "exact-parity-lifted": (exact_parity,
+                                lifted_language(ComposedFunction(xor_fn(n), and_gadget()))),
+    }[family]
+    rep = compile_query_to_qcfa(builder(n), and_gadget(), n)
+    want = _Accum(lang, machine_space(rep.machine), rep.machine.qubits)
+    for x, y in _pair_iter(lang, n, 12, 0):
+        r = run_compiled(rep, x, y)
+        want.add(x, y, float(r.accept_probability), r.t_max, r.visited, r.crossings_max)
+    got = FAMILIES[family](n, 12, 0)
+    assert dataclasses.replace(got, lang=lang) == want
 
 
 @pytest.mark.parametrize("family", ["eq-pfa", "eq-dfa"])

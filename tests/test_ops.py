@@ -183,6 +183,64 @@ def test_lifted_op_is_blockwise_and_bit_identical():
         assert np.array_equal(out[b], ref)     # identical floats, not approx
 
 
+L8W2 = RegisterLayout(8, 2)
+_U8 = np.linalg.qr(np.random.default_rng(8).standard_normal((8, 8))
+                   + 1j * np.random.default_rng(9).standard_normal((8, 8)))[0]
+
+# one instance of every operator class, on registers wide enough that the
+# matrix products go through the same library calls a compiled run makes
+EVERY_OP = [
+    DenseOp(_U8, "random"),
+    IdentityOp(L8W2.dim),
+    ComposeOp([DiffusionOp(L8W2), IndexPairHOp(L8W2, 2, 5), unminus_op(L8W2)]),
+    OnIndexOp(L8W2, _U8, "random"),
+    OnAnswerOp(L8W2, MINUS_PREP, "minus-prep"),
+    DiffusionOp(L8W2),
+    PrepReflectOp(L8W2, 3),
+    IndexPairHOp(L8W2, 1, 6),
+    IndexPermOp(L8W2, [(0, 7), (2, 3)]),
+    BasisSwapOp(L8W2.dim, 4, 29),
+    LiftedOp(PrepReflectOp(RegisterLayout(4, 1), 1), 4),
+    CacheFlipOp(cache_dim=4, p_pad=3, d_w=2, block=1, mask=3),
+    GadgetFlipOp(cache_dim=4, p_pad=2, d_w=1, block=1, flips=(0, 3)),
+]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (3,), (2, 3)])
+@pytest.mark.parametrize("op", EVERY_OP, ids=[type(op).__name__ for op in EVERY_OP])
+def test_batched_apply_is_bitwise_the_one_vector_apply(op, batch):
+    # a stack of states goes through one call, and every row must carry
+    # exactly the bits the row gets on its own: the branch engine stacks
+    # its branches while the step-level runners apply one vector at a time
+    rows = int(np.prod(batch))
+    stack = np.stack([rand_state(op.dim, 40 + r) for r in range(rows)])
+    got = op.apply(stack.reshape(*batch, op.dim).copy())
+    assert got.shape == (*batch, op.dim)
+    got = got.reshape(rows, op.dim)
+    for r in range(rows):
+        assert np.array_equal(_bits(got[r]), _bits(op.apply(stack[r].copy())))
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 4, 16])
+@pytest.mark.parametrize("inner", EVERY_OP[:10], ids=[type(op).__name__ for op in EVERY_OP[:10]])
+def test_lifted_apply_is_bitwise_a_block_loop(inner, blocks):
+    lifted = LiftedOp(inner, blocks)
+    for batch in ((), (3,)):
+        rows = int(np.prod(batch))
+        stack = np.stack([rand_state(lifted.dim, 60 + r) for r in range(rows)])
+        want = stack.copy()
+        for r in range(rows):
+            for b in range(blocks):
+                cut = slice(b * inner.dim, (b + 1) * inner.dim)
+                want[r, cut] = inner.apply(stack[r, cut].copy())
+        got = lifted.apply(stack.reshape(*batch, lifted.dim).copy())
+        assert np.array_equal(_bits(got.reshape(rows, -1)), _bits(want))
+
+
 def test_cache_flip_is_self_inverse_permutation():
     op = CacheFlipOp(cache_dim=4, p_pad=3, d_w=2, block=1, mask=2)
     check_unitary(op)
