@@ -374,6 +374,18 @@ def test_paths_merged_from_different_schedules_keep_exact_times():
             assert fast.visited == len(slow.origin_states)
 
 
+@pytest.mark.parametrize("x,y", [
+    (np.zeros((1, 3), np.uint8), np.zeros((1, 4), np.uint8)),
+    (np.zeros((2, 4), np.uint8), np.zeros((1, 4), np.uint8)),
+    (np.array([[0, 2, 0, 0]], np.uint8), np.zeros((1, 4), np.uint8)),
+    (np.zeros((1, 4), np.uint8), np.array([[0, 0, 3, 0]], np.uint8)),
+])
+def test_row_runner_refuses_anything_but_bit_matrices(x, y):
+    rep = compile_query_to_qcfa(grover_or(4), and_gadget(), 4)
+    with pytest.raises(InputError):
+        run_compiled_lanes(rep, x, y)
+
+
 def test_side_length_must_factor():
     with pytest.raises(InputError):
         compile_query_to_qcfa(grover_or(2), ip_gadget(2), 5)

@@ -38,6 +38,7 @@ from twoway.qquery import (
     parse_query_algorithm,
     per_outcome,
     run_query_alg,
+    run_query_alg_lanes,
     validate_algorithm,
 )
 
@@ -102,6 +103,13 @@ def test_exact_parity_odd_arity_rejected():
 def test_run_query_alg_validates_input_length():
     with pytest.raises(InputError):
         run_query_alg(grover_or(4), "001")
+
+
+@pytest.mark.parametrize("words", [np.zeros((2, 3), dtype=np.uint8), np.zeros(4, dtype=np.uint8),
+                                   np.array([[0, 1, 2, 0]], dtype=np.uint8)])
+def test_run_query_alg_lanes_refuses_anything_but_a_bit_matrix(words):
+    with pytest.raises(InputError):
+        run_query_alg_lanes(grover_or(4), words)
 
 
 def test_parse_query_algorithm():
