@@ -43,6 +43,13 @@ def bit_string(bits) -> str:
     return "".join("01"[b] for b in bits.tolist())
 
 
+def is_bit_matrix(bits, columns: int) -> bool:
+    """Whether a numpy array is a matrix of `columns` columns whose entries
+    are integers 0 and 1."""
+    return (bits.ndim == 2 and bits.shape[1] == columns and bits.dtype.kind in "biu"
+            and not ((bits < 0) | (bits > 1)).any())
+
+
 @dataclass(frozen=True)
 class BoolFunction:
     """A total Boolean function on a fixed number of input bits."""

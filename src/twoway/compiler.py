@@ -22,7 +22,7 @@ from functools import cache
 import numpy as np
 
 from .automata import ExactRunResult, StateSpace, TwoWayQcfa
-from .boolfn import Gadget, bit_string
+from .boolfn import Gadget, bit_string, is_bit_matrix
 from .errors import InputError, SpecError, UnsupportedStructureError
 from .kernels import flip_masks, oracle_masks, segment_pass
 from .ops import CacheFlipOp, CompleteMeasurement, GadgetFlipOp, IdentityOp
@@ -332,8 +332,7 @@ def run_compiled_lanes(report: CompilationReport, x: np.ndarray,
     in tests). branch_count tallies halting measurement outcomes, which may
     group finer or coarser than the step-level runner's merged branch count.
     """
-    lanes = len(x)
-    if x.shape != (lanes, report.n) or y.shape != x.shape or (x > 1).any() or (y > 1).any():
+    if not (is_bit_matrix(x, report.n) and is_bit_matrix(y, report.n)) or y.shape != x.shape:
         raise InputError(f"sides must be bit matrices of {report.n} columns")
     masks = flip_masks(x, y, report.m, report.gflip, report.p_pad)
     psi0 = np.zeros(report.quantum_basis_count, dtype=np.complex128)

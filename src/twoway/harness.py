@@ -5,22 +5,25 @@ worst-case error of one machine family at one side length n. Families run
 exhaustively over all (x, y) pairs while 2^(2n) <= 2^16 and over seeded
 member/non-member samples beyond that.
 
-Every evaluated run is also checked against the protocol-extraction
-certificate: crossings * n <= T and transferred bits <= S * floor(T/n) + 1.
+Every family's row reaches one accumulator, _Accum.add_lanes, as bit
+matrices of pairs in input order with each run's probability, time, census
+and crossings. It checks every run against the protocol-extraction
+certificate (crossings * n <= T and transferred bits <= S * floor(T/n) + 1)
+with array operations; a failing run goes through certificate_check, so the
+first failing pair raises its own error. The worst input of a class is the
+first pair whose error exceeds the running maximum, so a row added in
+chunks equals the row added at once.
 
 A compiled family's row (grover-ints, exact-parity-lifted) runs every pair
-through one run_compiled_lanes call; certificates are screened as arrays,
-and the runs that may fail go through certificate_check in input order.
+through one run_compiled_lanes call.
 
 The equality sweep machine's exhaustive rows walk every pair of the row in
 lockstep (lockstep.run_dfa_lanes): the machine's transitions are tabulated
 the first time a pair of the row needs them. A lane the walk hands back (a
-failing transition, a bad head position, a long run) or whose certificate
-fails is replayed through run_dfa and the owner walk in input order, so the
-row raises the error the first failing pair raises on its own. Its sampled
+failing transition, a bad head position, a long run) is replayed through
+run_dfa and the owner walk before the lanes after it are added, so the row
+raises the error the first failing pair raises on its own. Its sampled
 rows, whose states seldom repeat, take that per-run path for every pair.
-Either way, language values and worst inputs are array operations over the
-row's pairs.
 
 The equality fingerprint family uses a vectorized evaluator (residues and
 per-prime branch walks computed with numpy) that reproduces the machine's
@@ -168,7 +171,6 @@ def _sample_pair(lang: LanguageSpec, n: int, rng, want: int):
 class _Accum:
     """Worst-case accumulators shared by every family evaluator."""
 
-    lang: LanguageSpec
     space: float
     qubits: float = 0.0            # the evaluated machine's register size
     t_max: int = 0
@@ -179,30 +181,23 @@ class _Accum:
     worst_nonmember: str = ""
     evaluated: int = 0
 
-    def add(self, x: str, y: str, prob: float, t_run: int, visited: int,
-            crossings: int) -> None:
-        certificate_check(self.space, t_run, crossings, len(x))
-        self.evaluated += 1
-        self.t_max = max(self.t_max, t_run)
-        self.visited_max = max(self.visited_max, visited)
-        if self.lang.value(x, y):
-            err = 1.0 - prob
-            if err > self.member_err:
-                self.member_err = err
-                self.worst_member = f"{x}|{y}"
-        else:
-            if prob > self.nonmember_err:
-                self.nonmember_err = prob
-                self.worst_nonmember = f"{x}|{y}"
-
     def add_lanes(self, x: np.ndarray, y: np.ndarray, member: np.ndarray,
-                  prob: np.ndarray, t_run: np.ndarray, visited: np.ndarray) -> None:
-        """add() over pairs given as bit-matrix rows in _pair_iter order,
-        once every pair's certificate has passed: the worst input of a class
-        is its first pair whose error exceeds the running maximum."""
-        self.evaluated += len(prob)
+                  prob: np.ndarray, t_run: np.ndarray, visited: np.ndarray,
+                  crossings: np.ndarray) -> None:
+        """Add the runs on pairs given as bit-matrix rows in _pair_iter order.
+
+        Certificates are screened as arrays, and the failing runs go through
+        certificate_check in input order, so the first raises its own error.
+        The worst input of a class is its first pair whose error exceeds the
+        running maximum, across calls as within one."""
         if not len(prob):
             return
+        n = x.shape[1]
+        bits = crossings * math.ceil(self.space) + 1
+        failing = (crossings * n > t_run) | (bits > self.space * (t_run // n) + 1)
+        for i in np.flatnonzero(failing).tolist():
+            certificate_check(self.space, int(t_run[i]), int(crossings[i]), n)
+        self.evaluated += len(prob)
         self.t_max = max(self.t_max, int(t_run.max()))
         self.visited_max = max(self.visited_max, int(visited.max()))
         member_err = np.where(member, 1.0 - prob, 0.0)
@@ -222,9 +217,8 @@ class _Accum:
 
 def _eval_eq_dfa(n: int, samples: int, seed) -> _Accum:
     machine = build_eq_dfa(n)
-    lang = eq_language(n)
-    acc = _Accum(lang, machine_space(machine))
-    x, y = _pair_bits(lang, n, samples, seed)
+    acc = _Accum(machine_space(machine))
+    x, y = _pair_bits(eq_language(n), n, samples, seed)
     # An exhaustive row's pairs share their prefixes, so its lanes pass
     # through the same states and each table entry serves many of them. A
     # sampled row's states carry its random x and almost never repeat: its
@@ -238,13 +232,14 @@ def _eval_eq_dfa(n: int, samples: int, seed) -> _Accum:
 def _add_dfa_pairs(acc: _Accum, machine, x: np.ndarray, y: np.ndarray, regions,
                    cutoff: int = DEFAULT_CUTOFF, lockstep: bool = True) -> None:
     """Add the runs of a 2DFA on the equality pairs x_i #^n y_i (bit-matrix
-    rows in _pair_iter order) to acc.
+    rows in _pair_iter order) to acc, through acc.add_lanes like every
+    family's runs.
 
     With `lockstep`, every pair walks in lockstep (run_dfa_lanes); without
-    it, every pair is handed back. The lanes handed back, and those whose
-    certificate fails, go through the per-run path (run_dfa, _owner_walk,
-    certificate_check) in input order, so the first pair that path fails on
-    raises its error, with its message."""
+    it, every pair is handed back. A lane handed back goes through the
+    per-run path (run_dfa, _owner_walk) before the lanes from it on are
+    added, so the first pair that the per-run path or its certificate fails
+    on raises its error, with its message."""
     n = x.shape[1]
     if lockstep:
         payloads = np.empty((x.shape[0], 3 * n), dtype=np.uint8)
@@ -256,20 +251,22 @@ def _add_dfa_pairs(acc: _Accum, machine, x: np.ndarray, y: np.ndarray, regions,
     else:
         runs = LaneRuns.zeros(x.shape[0])
         runs.replay[:] = True
-    steps, crossings = runs.steps, runs.crossings
-    bits = crossings * math.ceil(acc.space) + 1
-    suspect = (runs.replay | (crossings * n > steps)
-               | (bits > acc.space * (steps // n) + 1))
-    for i in np.flatnonzero(suspect).tolist():
-        if runs.replay[i]:
-            trace = run_dfa(machine, bit_string(x[i]) + HASH * n + bit_string(y[i]),
-                            cutoff, record_positions=True)
-            crossings[i] = len(_owner_walk(trace.positions, regions))
-            runs.accepted[i], steps[i], runs.visited[i] = (
-                trace.accepted_bit, trace.steps, trace.visited)
-        certificate_check(acc.space, int(steps[i]), int(crossings[i]), n)
-    acc.add_lanes(x, y, (x == y).all(axis=1), runs.accepted.astype(float),
-                  steps, runs.visited)
+    member = (x == y).all(axis=1)
+
+    def add(lanes: slice) -> None:
+        acc.add_lanes(x[lanes], y[lanes], member[lanes], runs.accepted[lanes],
+                      runs.steps[lanes], runs.visited[lanes], runs.crossings[lanes])
+
+    start = 0
+    for i in np.flatnonzero(runs.replay).tolist():
+        add(slice(start, i))
+        trace = run_dfa(machine, bit_string(x[i]) + HASH * n + bit_string(y[i]),
+                        cutoff, record_positions=True)
+        runs.crossings[i] = len(_owner_walk(trace.positions, regions))
+        runs.accepted[i], runs.steps[i], runs.visited[i] = (
+            trace.accepted_bit, trace.steps, trace.visited)
+        start = i
+    add(slice(start, None))
 
 
 def _pair_bits(lang: LanguageSpec, n: int, samples: int, seed):
@@ -366,52 +363,38 @@ class _EqPfaFast:
 
 def _eval_eq_pfa(n: int, samples: int, seed) -> _Accum:
     from .handcrafted import build_eq_pfa
-    machine = build_eq_pfa(n)
-    lang = eq_language(n)
-    acc = _Accum(lang, machine_space(machine))
+    acc = _Accum(machine_space(build_eq_pfa(n)))
     fast = _EqPfaFast(n)
+    x, y = _pair_bits(eq_language(n), n, samples, seed)
     if 1 << (2 * n) <= EXHAUSTIVE_LIMIT:
-        # fully vectorized over all pairs: the census splits into an x part
-        # and a y part, so the worst case is (max over x) + (max over y)
-        res = np.stack([fast.residues(format(v, f"0{n}b")) for v in range(1 << n)])
-        eqs = (res[:, None, :] == res[None, :, :]).sum(axis=2)
-        probs = eqs / fast.count
-        b_parts = [fast.b_census(format(v, f"0{n}b")) for v in range(1 << n)]
-        r_parts = [fast.r_census(format(v, f"0{n}b")) for v in range(1 << n)]
-        acc.t_max = fast.t_run
-        acc.visited_max = fast.shared + max(b_parts) + max(r_parts)
-        certificate_check(acc.space, fast.t_run, 3, n)
-        off = ~np.eye(1 << n, dtype=bool)
-        worst = probs[off].max() if off.any() else 0.0
-        acc.nonmember_err = float(worst)
-        if worst > 0:           # as in _Accum.add, a zero error names no input
-            xv, yv = (int(v) for v in np.argwhere((probs == worst) & off)[0])
-            acc.worst_nonmember = f"{format(xv, f'0{n}b')}|{format(yv, f'0{n}b')}"
-        acc.member_err = float(1.0 - probs.diagonal().min())
-        acc.evaluated = 1 << (2 * n)
-        return acc
-    for x, y in _pair_iter(lang, n, samples, seed):
-        acc.add(x, y, fast.prob(x, y), fast.t_run, fast.census(x, y), 3)
+        # every pair of values: residues and census parts once per value,
+        # broadcast over the pairs (the census splits into an x and a y part)
+        words = [format(v, f"0{n}b") for v in range(1 << n)]
+        res = np.stack([fast.residues(w) for w in words])
+        prob = ((res[:, None, :] == res[None, :, :]).sum(axis=2) / fast.count).ravel()
+        b_parts = np.array([fast.b_census(w) for w in words])
+        r_parts = np.array([fast.r_census(w) for w in words])
+        visited = (fast.shared + b_parts[:, None] + r_parts[None, :]).ravel()
+    else:
+        pairs = [(bit_string(u), bit_string(v)) for u, v in zip(x, y)]
+        prob = np.array([fast.prob(u, v) for u, v in pairs])
+        visited = np.array([fast.census(u, v) for u, v in pairs])
+    acc.add_lanes(x, y, (x == y).all(axis=1), prob, np.broadcast_to(fast.t_run, prob.shape),
+                  visited, np.broadcast_to(3, prob.shape))
     return acc
 
 
 def _eval_compiled(alg_builder, n: int, samples: int, seed, lang, member) -> _Accum:
-    """Every pair of the row through one run_compiled_lanes call. The runs
-    whose certificate may fail go through certificate_check in input order,
-    so the row raises the error the first failing pair raises on its own;
-    member(x, y) is the language value of every pair of the bit matrices."""
+    """Every pair of the row through one run_compiled_lanes call; member(x, y)
+    is the language value of every pair of the bit matrices."""
     rep = compile_query_to_qcfa(alg_builder(n), and_gadget(), n)
-    acc = _Accum(lang, machine_space(rep.machine), rep.machine.qubits)
+    acc = _Accum(machine_space(rep.machine), rep.machine.qubits)
     x, y = _pair_bits(lang, n, samples, seed)
     runs = run_compiled_lanes(rep, x, y)
     steps, visited, crossings = (np.array([getattr(r, f) for r in runs], dtype=np.int64)
                                  for f in ("t_max", "visited", "crossings_max"))
-    bits = crossings * math.ceil(acc.space) + 1
-    suspect = (crossings * n > steps) | (bits > acc.space * (steps // n) + 1)
-    for i in np.flatnonzero(suspect).tolist():
-        certificate_check(acc.space, int(steps[i]), int(crossings[i]), n)
     prob = np.array([float(r.accept_probability) for r in runs])
-    acc.add_lanes(x, y, member(x, y), prob, steps, visited)
+    acc.add_lanes(x, y, member(x, y), prob, steps, visited, crossings)
     return acc
 
 

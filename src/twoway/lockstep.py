@@ -104,7 +104,10 @@ class _TransitionTable:
         self.halt[len(self.states) - len(halts):len(self.states)] = halts
 
     def fill(self, keys: np.ndarray) -> None:
-        keys = np.unique(keys)
+        keys = np.sort(keys)            # np.unique would import numpy.ma
+        first = np.ones(keys.size, dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        keys = keys[first]
         targets, moves, halts = [], [], []
         for key in keys.tolist():
             sid, code = divmod(key, len(_TAPE_CODES))

@@ -36,7 +36,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .boolfn import BoolFunction, as_bits, bit_string
+from .boolfn import BoolFunction, as_bits, bit_string, is_bit_matrix
 from .errors import InputError, RefusalError, SpecError
 from .kernels import oracle_masks, segment_pass
 from .ops import (
@@ -534,7 +534,7 @@ def run_query_alg_lanes(alg: QueryAlgorithm, words: np.ndarray) -> list[float]:
     call as the oracle; the algorithm is validated and its tables are built
     on its first run.
     """
-    if words.ndim != 2 or words.shape[1] != alg.arity or (words > 1).any():
+    if not is_bit_matrix(words, alg.arity):
         raise InputError(f"input words must be a bit matrix of {alg.arity} columns")
     masks = oracle_masks(words, alg.layout.index_dim)
     runs = run_segments(alg.tables, alg.initial_state(), masks, alg.layout.work_dim,

@@ -379,6 +379,11 @@ def test_paths_merged_from_different_schedules_keep_exact_times():
     (np.zeros((2, 4), np.uint8), np.zeros((1, 4), np.uint8)),
     (np.array([[0, 2, 0, 0]], np.uint8), np.zeros((1, 4), np.uint8)),
     (np.zeros((1, 4), np.uint8), np.array([[0, 0, 3, 0]], np.uint8)),
+    (np.array([[0, -1, 0, 0]]), np.array([[0, 1, 0, 0]])),
+    (np.zeros((1, 4), np.uint8), np.array([[0, 0, -1, 0]], np.int8)),
+    (np.array([[0, 0.5, 0, 0]]), np.zeros((1, 4))),
+    (np.zeros((1, 4)), np.zeros((1, 4))),
+    (np.zeros(4, np.uint8), np.zeros(4, np.uint8)),
 ])
 def test_row_runner_refuses_anything_but_bit_matrices(x, y):
     rep = compile_query_to_qcfa(grover_or(4), and_gadget(), 4)

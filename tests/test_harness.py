@@ -1,6 +1,5 @@
 """Sweep machinery: fast equality evaluator, samplers, CSV io, fits."""
 
-import dataclasses
 import json
 import math
 import random
@@ -35,6 +34,7 @@ from twoway.harness import (
     sweep_ts,
     write_rows,
 )
+from per_pair import add_pair
 
 
 def payload(x: str, y: str) -> str:
@@ -133,23 +133,32 @@ def test_sweep_exhausts_small_sides_and_matches_membership():
 
 
 @pytest.mark.parametrize("family,n", [("grover-ints", 4), ("exact-parity-lifted", 4),
-                                      ("grover-ints", 16), ("exact-parity-lifted", 16)])
+                                      ("grover-ints", 16), ("exact-parity-lifted", 16),
+                                      ("eq-pfa", 4), ("eq-pfa", 12)])
 def test_compiled_row_equals_one_built_pair_by_pair(family, n):
-    # the row runs through one run_compiled_lanes call and array operations;
-    # pair by pair, _Accum.add must reach the same accumulator, worst inputs
-    # and input count included
-    builder, lang = {
-        "grover-ints": (grover_or, ints_language(n)),
-        "exact-parity-lifted": (exact_parity,
-                                lifted_language(ComposedFunction(xor_fn(n), and_gadget()))),
-    }[family]
-    rep = compile_query_to_qcfa(builder(n), and_gadget(), n)
-    want = _Accum(lang, machine_space(rep.machine), rep.machine.qubits)
-    for x, y in _pair_iter(lang, n, 12, 0):
-        r = run_compiled(rep, x, y)
-        want.add(x, y, float(r.accept_probability), r.t_max, r.visited, r.crossings_max)
-    got = FAMILIES[family](n, 12, 0)
-    assert dataclasses.replace(got, lang=lang) == want
+    # a row reaches the accumulator in one add_lanes call (the exhaustive
+    # eq-pfa row from per-value parts broadcast over the pairs); pair by
+    # pair, it must reach the same accumulator, worst inputs and input
+    # count included
+    if family == "eq-pfa":
+        lang, fast = eq_language(n), _EqPfaFast(n)
+        want = _Accum(machine_space(build_eq_pfa(n)))
+        for x, y in _pair_iter(lang, n, 12, 0):
+            add_pair(want, lang, x, y, fast.prob(x, y), fast.t_run, fast.census(x, y), 3)
+    else:
+        builder, lang = {
+            "grover-ints": (grover_or, ints_language(n)),
+            "exact-parity-lifted": (exact_parity,
+                                    lifted_language(ComposedFunction(xor_fn(n), and_gadget()))),
+        }[family]
+        rep = compile_query_to_qcfa(builder(n), and_gadget(), n)
+        want = _Accum(machine_space(rep.machine), rep.machine.qubits)
+        for x, y in _pair_iter(lang, n, 12, 0):
+            r = run_compiled(rep, x, y)
+            add_pair(want, lang, x, y, float(r.accept_probability), r.t_max, r.visited,
+                     r.crossings_max)
+    assert want.evaluated == (4 ** n if n <= 8 else 24)
+    assert FAMILIES[family](n, 12, 0) == want
 
 
 @pytest.mark.parametrize("family", ["eq-pfa", "eq-dfa"])

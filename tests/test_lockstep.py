@@ -2,13 +2,18 @@
 against the per-run path: run_dfa, the owner walk and the accumulator."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twoway
 from twoway import lockstep
 from twoway.automata import DEFAULT_CUTOFF, dfa_from_table, run_dfa
 from twoway.boolfn import eq_language
@@ -25,6 +30,7 @@ from twoway.harness import (
     sweep_ts,
     write_rows,
 )
+from per_pair import add_pair
 
 RUN_ERRORS = (SpecError, NonHaltingError, InputError)
 
@@ -140,6 +146,19 @@ def test_walker_fills_each_transition_and_halting_code_once():
     assert len(steps) < sum(3 * n + 2 for _ in words) // 10
 
 
+def test_an_exhaustive_eq_dfa_sweep_leaves_numpy_ma_unimported():
+    # np.unique would import numpy.ma on its first call, which costs a fresh
+    # process milliseconds and about half a megabyte
+    src = str(Path(twoway.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys; from twoway.harness import sweep_ts; sweep_ts('eq-dfa', [4]); "
+            "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_walker_blocks_do_not_change_results(monkeypatch):
     n = 3
     machine = random_table_dfa(5, False)
@@ -178,11 +197,12 @@ def reference_row_acc(n):
     """The eq-dfa row as the per-run path builds it, pair by pair."""
     machine = build_eq_dfa(n)
     lang = eq_language(n)
-    acc = _Accum(lang, machine_space(machine))
+    acc = _Accum(machine_space(machine))
     for x, y in _pair_iter(lang, n, 12, 0):
         trace = run_dfa(machine, x + "#" * n + y, record_positions=True)
         crossings = len(_owner_walk(trace.positions, _regions(n)))
-        acc.add(x, y, float(trace.accepted_bit), trace.steps, trace.visited, crossings)
+        add_pair(acc, lang, x, y, float(trace.accepted_bit), trace.steps, trace.visited,
+                 crossings)
     return acc
 
 
@@ -287,19 +307,20 @@ def mode_pair(mode: int, y: str = "000"):
 
 
 def per_pair_error(machine, pairs):
-    acc = _Accum(eq_language(N), machine_space(machine))
+    acc = _Accum(machine_space(machine))
     for x, y in pairs:
         try:
             trace = run_dfa(machine, x + "#" * N + y, CUTOFF, record_positions=True)
             crossings = len(_owner_walk(trace.positions, REGIONS))
-            acc.add(x, y, float(trace.accepted_bit), trace.steps, trace.visited, crossings)
+            add_pair(acc, eq_language(N), x, y, float(trace.accepted_bit), trace.steps,
+                     trace.visited, crossings)
         except RUN_ERRORS as exc:
             return exc
     return acc
 
 
 def batch_error(machine, pairs, lockstep=True):
-    acc = _Accum(eq_language(N), machine_space(machine))
+    acc = _Accum(machine_space(machine))
     x = np.array([[int(b) for b in x] for x, _ in pairs], dtype=np.uint8)
     y = np.array([[int(b) for b in y] for _, y in pairs], dtype=np.uint8)
     try:

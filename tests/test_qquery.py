@@ -106,7 +106,9 @@ def test_run_query_alg_validates_input_length():
 
 
 @pytest.mark.parametrize("words", [np.zeros((2, 3), dtype=np.uint8), np.zeros(4, dtype=np.uint8),
-                                   np.array([[0, 1, 2, 0]], dtype=np.uint8)])
+                                   np.array([[0, 1, 2, 0]], dtype=np.uint8),
+                                   np.array([[0, -1, 0, 0]]), np.array([[0, 0.5, 0, 0]]),
+                                   np.ones((1, 4))])
 def test_run_query_alg_lanes_refuses_anything_but_a_bit_matrix(words):
     with pytest.raises(InputError):
         run_query_alg_lanes(grover_or(4), words)
