@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import InputError, NonHaltingError, SpecError, UnsupportedStructureError
-from .ops import BRANCH_PRUNE, IdentityOp, Measurement, Op, check_norm
+from .ops import BRANCH_PRUNE, IdentityOp, Measurement, Op, check_lost_mass, check_norm
 
 LEFT_MARKER = "¢"
 RIGHT_MARKER = "$"
@@ -635,11 +635,17 @@ def qcfa_exact(
 ) -> ExactRunResult:
     """Enumerate all measurement branches exactly.
 
-    Branches with identical (classical state, head position, quantum state)
-    evolve identically from that point on, so they are merged after every
-    step; this keeps restart-style machines (measure, reset, retry) linear
-    instead of exponential in the number of rounds. Weights below
-    BRANCH_PRUNE are pruned.
+    Branches with the same classical state and head position and a
+    bitwise-equal quantum register evolve identically from that point on,
+    so they are merged after every step (the branch engine's rule); this
+    keeps restart-style machines (measure, reset, retry) linear instead of
+    exponential in the number of rounds. Weights below BRANCH_PRUNE are
+    pruned.
+
+    Each branch carries the (state, position) configurations it passed
+    since its last measurement (a merged branch keeps the first one's): a
+    configuration that repeats there repeats forever, as in the step
+    walker, and raises at once instead of running to the cutoff.
     """
     tape = Tape(payload, machine.circular)
     symbols = tape.symbols
@@ -650,23 +656,23 @@ def qcfa_exact(
     # globally merged frontier, one step per iteration
     pending: dict = {}
 
-    def insert(w, state, pos, psi, steps):
+    def insert(w, state, pos, psi, steps, passed):
         if w < BRANCH_PRUNE:
             return
-        key = (state, pos, psi.round(12).tobytes())
+        key = (state, pos, psi.tobytes())
         prev = pending.get(key)
         if prev is None:
-            pending[key] = (w, psi, steps)
+            pending[key] = (w, psi, steps, passed)
         else:
-            w0, psi_0, st0 = prev
-            pending[key] = (w0 + w, psi_0, max(st0, steps))
+            w0, psi_0, st0, passed_0 = prev
+            pending[key] = (w0 + w, psi_0, max(st0, steps), passed_0)
 
     register = _QcfaRegister(machine, None)
-    insert(1.0, machine.states.initial, 0, machine.initial_vector(), 0)
+    insert(1.0, machine.states.initial, 0, machine.initial_vector(), 0, set())
     while pending:
         key = next(iter(pending))
         state, pos, _ = key
-        weight, psi, steps = pending.pop(key)
+        weight, psi, steps, passed = pending.pop(key)
         halt = machine.states.halting(state)
         if halt is not None:
             branch_count += 1
@@ -677,10 +683,16 @@ def qcfa_exact(
             else:
                 t_rej = max(t_rej, steps)
             continue
+        config = (state, pos)
+        if config in passed:
+            raise NonHaltingError(
+                f"{machine.name}: configuration repeats, machine cannot halt",
+                configuration=config,
+            )
+        passed.add(config)          # a set moves on with its branch: one owner
         if steps >= cutoff:
             raise NonHaltingError(
-                f"{machine.name}: step cutoff {cutoff} exceeded",
-                configuration=(state, pos),
+                f"{machine.name}: step cutoff {cutoff} exceeded", configuration=config
             )
         sym = symbols[pos]
         register.psi = psi
@@ -691,18 +703,14 @@ def qcfa_exact(
         nxt_state, mv = nxt
         if nxt_state is not _CHOICE:
             insert(weight, nxt_state, tape.move(pos, mv, machine.name, steps),
-                   register.psi, steps + 1)
+                   register.psi, steps + 1, passed)
             continue
         for label, p, collapsed in mv.branches(psi):
             nxt_state, mv = register.route(state, sym, label)
             insert(weight * p, nxt_state, tape.move(pos, mv, machine.name, steps),
-                   collapsed, steps + 1)
+                   collapsed, steps + 1, set())
 
-    if abs(total - 1.0) > 1e-6:
-        raise SpecError(
-            f"{machine.name}: terminal branch weights sum to {total}, "
-            "lost probability mass exceeds the pruning budget"
-        )
+    check_lost_mass(total, lambda: machine.name)
     return ExactRunResult(
         min(accept, 1.0), max(t_acc, t_rej), t_acc, t_rej, len(origins),
         branch_count, origins,

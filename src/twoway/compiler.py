@@ -25,7 +25,7 @@ from .automata import ExactRunResult, StateSpace, TwoWayQcfa
 from .boolfn import Gadget, bit_string, is_bit_matrix
 from .errors import InputError, SpecError, UnsupportedStructureError
 from .kernels import flip_masks, oracle_masks, segment_pass
-from .ops import CacheFlipOp, CompleteMeasurement, GadgetFlipOp, IdentityOp
+from .ops import BRANCH_PRUNE, CacheFlipOp, GadgetFlipOp, IdentityOp
 from .qquery import (
     KIND_ACCEPT,
     KIND_CONTINUE,
@@ -378,9 +378,13 @@ def verify_segment_equivalence(
     algorithm register after j simulated oracle calls.
 
     Both sides are advanced along the canonical continue path: at every
-    intermediate measurement the run follows a continuing outcome and its
-    reset. The machine state is compared against (algorithm state) in the
-    zero-cache block, zero everywhere else.
+    intermediate measurement both registers take the first continuing row
+    of largest probability in the algorithm's own table (alg.tables) and
+    collapse and reset through their segment tables. When no continuing
+    row carries probability (possible for one-sided runs that already
+    succeeded with certainty), both take the basis state of the lowest
+    continuing row. The machine state is compared against (algorithm
+    state) in the zero-cache block, zero everywhere else.
     """
     if j < 0 or j > alg.total_calls:
         raise InputError(f"segment index {j} outside [0, {alg.total_calls}]")
@@ -401,19 +405,49 @@ def verify_segment_equivalence(
     calls_done = 0
     si = 0
     while True:
-        cs = report.segments[si]
-        seg = alg.segments[si]
-        for ui in range(len(cs.ops)):
+        ta, tm = alg.tables[si], report.segments[si]
+        for ui in range(len(tm.ops)):
             if ui > 0:
                 segment_pass(phi[None], marked, alg.layout.work_dim)
                 segment_pass(psi[None], flip, report.d_w)
                 calls_done += 1
-            phi = seg.unitaries[ui].apply(phi)
-            psi = cs.ops[ui].apply(psi)
+            phi = ta.ops[ui].apply(phi)
+            psi = tm.ops[ui].apply(psi)
             if calls_done == j:
                 return _deviation(psi, phi, k)
         # j lies beyond this segment: cross its measurement canonically
-        phi, psi, si = _canonical_continue(seg, cs, phi, psi, k, report)
+        prob = ta.outcomes.weights(phi[None])[0]
+        prob_m = tm.outcomes.weights(psi[None])[0]
+        live = np.flatnonzero(ta.continues & (prob > BRANCH_PRUNE))
+        if live.size:
+            row = int(live[prob[live].argmax()])          # argmax: the first maximum
+            if prob_m[row] <= BRANCH_PRUNE:
+                raise SpecError("continuing outcome lost on the machine side")
+            p_alg, p_machine = prob[row], prob_m[row]
+        else:
+            if not ta.outcomes.complete:
+                raise UnsupportedStructureError(
+                    "no continuing branch has probability mass and the measurement "
+                    "outcomes are not basis states"
+                )
+            rows = np.flatnonzero(ta.continues)
+            if not rows.size:
+                raise UnsupportedStructureError("no continuing outcome at this measurement")
+            row = int(rows[0])
+            phi, psi = np.zeros_like(phi), np.zeros_like(psi)
+            phi[row] = psi[row] = 1.0
+            p_alg = p_machine = 1.0
+        phi, psi = _collapse(ta, phi, row, p_alg), _collapse(tm, psi, row, p_machine)
+        si = ta.next_segment[row]
+
+
+def _collapse(cs, state: np.ndarray, row: int, prob: float) -> np.ndarray:
+    """state collapsed to continuing row `row`'s outcome of probability prob
+    and reset, through segment table cs."""
+    (_, pos, vals), = cs.collapse(state[None], np.array([0]), np.array([row]), np.array([prob]))
+    out = np.zeros_like(state)
+    out[pos] = vals
+    return out
 
 
 def _deviation(psi, phi, k) -> float:
@@ -421,47 +455,3 @@ def _deviation(psi, phi, k) -> float:
     if psi.shape[0] > k:
         dev = max(dev, float(np.abs(psi[k:]).max()))
     return dev
-
-
-def _canonical_continue(seg, cs, phi, psi, k, report):
-    """Pick the continuing outcome of largest probability and collapse both
-    sides through it; fall back to the lowest continuing basis outcome when
-    no continuing branch carries probability (possible for one-sided runs
-    that already succeeded with certainty)."""
-
-    def reset_both(j, phi2, psi2):
-        inner = cs.reset(j)
-        if inner is not None:
-            phi2 = inner.apply(phi2)
-        return phi2, cs.reset_op(j).apply(psi2), cs.next_segment[j]
-
-    best = None
-    for label, prob, collapsed in seg.measurement.branches(phi):
-        j = cs.row(label)
-        if cs.kind[j] != KIND_CONTINUE:
-            continue
-        if best is None or prob > best[1]:
-            best = (label, prob, collapsed)
-    if best is not None:
-        label, _, phi2 = best
-        # machine side: same outcome of the lifted measurement
-        for lb, _, collapsed_m in cs.outcomes.lifted.branches(psi):
-            if lb == label:
-                psi2 = collapsed_m
-                break
-        else:
-            raise SpecError("continuing outcome lost on the machine side")
-        return reset_both(cs.row(label), phi2, psi2)
-    if not isinstance(seg.measurement, CompleteMeasurement):
-        raise UnsupportedStructureError(
-            "no continuing branch has probability mass and the measurement "
-            "outcomes are not basis states"
-        )
-    for label in range(k):
-        if cs.kind[label] == KIND_CONTINUE:
-            phi2 = np.zeros(k, dtype=np.complex128)
-            phi2[label] = 1.0
-            psi2 = np.zeros(report.quantum_basis_count, dtype=np.complex128)
-            psi2[label] = 1.0
-            return reset_both(label, phi2, psi2)
-    raise UnsupportedStructureError("no continuing outcome at this measurement")

@@ -119,35 +119,41 @@ def certificate_check(space: float, t_run: int, crossings: int, n: int) -> int:
     return bits
 
 
-def _pair_iter(lang: LanguageSpec, n: int, samples: int, seed):
-    """Exhaustive (x, y) enumeration when small enough, else seeded samples
-    split evenly between members and non-members.
+def _pair_bits(lang: LanguageSpec, n: int, samples: int, seed):
+    """A row's pairs as (xs, ys, xi, yi): each side's words once, as bit
+    matrices, and pair i is (xs[xi[i]], ys[yi[i]]).
 
+    An exhaustive row (2^(2n) <= EXHAUSTIVE_LIMIT) pairs every n-bit word
+    with every one, x major. Beyond that the row is seeded samples split
+    evenly between members and non-members, pair i being sample i.
     Sampling is constructive, not rejection based: a random pair is almost
     never an equality member (or an intersection non-member) once n is
     large, so each class is built directly and then checked."""
     if 1 << (2 * n) <= EXHAUSTIVE_LIMIT:
-        for xv in range(1 << n):
-            x = format(xv, f"0{n}b")
-            for yv in range(1 << n):
-                yield x, format(yv, f"0{n}b")
-        return
+        # narrow indices: a row's 4^n pair indices live as long as its run
+        values = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
+        words = ((values[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
+        return words, words, values.repeat(1 << n), np.tile(values, 1 << n)
     rng = random.Random(f"{seed}:{lang.name}:{n}")
+    pairs = []
     for want in (1, 0):
         for _ in range(samples):
             x, y = _sample_pair(lang, n, rng, want)
             if lang.value(x, y) != want:
                 raise SpecError(f"sampler produced the wrong class for {lang.name}")
-            yield x, y
+            pairs.append((x, y))
+    sides = np.array(pairs, dtype=np.uint8).reshape(-1, 2, n)
+    index = np.arange(len(pairs))
+    return sides[:, 0], sides[:, 1], index, index
 
 
 def _sample_pair(lang: LanguageSpec, n: int, rng, want: int):
-    """One seeded (x, y) pair with lang.value(x, y) == want."""
+    """One seeded (x, y) pair of bit lists with lang.value(x, y) == want."""
     xb = [rng.randrange(2) for _ in range(n)]
     yb = [rng.randrange(2) for _ in range(n)]
     if lang.kind == "eq":
         if want:
-            return "".join(map(str, xb)), "".join(map(str, xb))
+            return xb, xb
         if xb == yb:
             yb[rng.randrange(n)] ^= 1
     elif lang.kind == "ints":
@@ -160,11 +166,10 @@ def _sample_pair(lang: LanguageSpec, n: int, rng, want: int):
         # lifted f∘gadget: adjust one coordinate until the target value holds
         if not any(xb):
             xb[rng.randrange(n)] = 1
-        x = "".join(map(str, xb))
-        if lang.value(x, "".join(map(str, yb))) != want:
+        if lang.value(xb, yb) != want:
             i = next(i for i, b in enumerate(xb) if b)
             yb[i] ^= 1
-    return "".join(map(str, xb)), "".join(map(str, yb))
+    return xb, yb
 
 
 @dataclass
@@ -184,7 +189,7 @@ class _Accum:
     def add_lanes(self, x: np.ndarray, y: np.ndarray, member: np.ndarray,
                   prob: np.ndarray, t_run: np.ndarray, visited: np.ndarray,
                   crossings: np.ndarray) -> None:
-        """Add the runs on pairs given as bit-matrix rows in _pair_iter order.
+        """Add the runs on pairs given as bit-matrix rows in row order.
 
         Certificates are screened as arrays, and the failing runs go through
         certificate_check in input order, so the first raises its own error.
@@ -218,21 +223,21 @@ class _Accum:
 def _eval_eq_dfa(n: int, samples: int, seed) -> _Accum:
     machine = build_eq_dfa(n)
     acc = _Accum(machine_space(machine))
-    x, y = _pair_bits(eq_language(n), n, samples, seed)
-    # An exhaustive row's pairs share their prefixes, so its lanes pass
-    # through the same states and each table entry serves many of them. A
-    # sampled row's states carry its random x and almost never repeat: its
-    # pairs run faster one by one (the n=64 and 256 rows, 24 pairs each:
-    # 0.09 s pair by pair, 0.16 s in lockstep, on a 2-vCPU x86 VM).
-    _add_dfa_pairs(acc, machine, x, y, _regions(n),
-                   lockstep=1 << (2 * n) <= EXHAUSTIVE_LIMIT)
+    xs, ys, xi, yi = _pair_bits(eq_language(n), n, samples, seed)
+    # A row whose side words are fewer than its pairs (an exhaustive row)
+    # shares prefixes between pairs, so its lanes pass through the same
+    # states and each table entry serves many of them. A sampled row's
+    # states carry its random x and almost never repeat: its pairs run
+    # faster one by one (the n=64 and 256 rows, 24 pairs each: 0.09 s pair
+    # by pair, 0.16 s in lockstep, on a 2-vCPU x86 VM).
+    _add_dfa_pairs(acc, machine, xs[xi], ys[yi], _regions(n), lockstep=len(xs) < len(xi))
     return acc
 
 
 def _add_dfa_pairs(acc: _Accum, machine, x: np.ndarray, y: np.ndarray, regions,
                    cutoff: int = DEFAULT_CUTOFF, lockstep: bool = True) -> None:
     """Add the runs of a 2DFA on the equality pairs x_i #^n y_i (bit-matrix
-    rows in _pair_iter order) to acc, through acc.add_lanes like every
+    rows in row order) to acc, through acc.add_lanes like every
     family's runs.
 
     With `lockstep`, every pair walks in lockstep (run_dfa_lanes); without
@@ -267,18 +272,6 @@ def _add_dfa_pairs(acc: _Accum, machine, x: np.ndarray, y: np.ndarray, regions,
             trace.accepted_bit, trace.steps, trace.visited)
         start = i
     add(slice(start, None))
-
-
-def _pair_bits(lang: LanguageSpec, n: int, samples: int, seed):
-    """The pairs of _pair_iter, in its order, as x and y bit matrices (one
-    row per pair); exhaustive rows are built from the integers directly."""
-    if 1 << (2 * n) <= EXHAUSTIVE_LIMIT:
-        values = np.arange(1 << n)
-        bits = ((values[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
-        return np.repeat(bits, 1 << n, axis=0), np.tile(bits, (1 << n, 1))
-    sides = ["".join(side) for side in zip(*_pair_iter(lang, n, samples, seed))]
-    return tuple(np.frombuffer(side.encode(), np.uint8).reshape(-1, n) - ord("0")
-                 for side in sides or ("", ""))
 
 
 class _EqPfaFast:
@@ -365,20 +358,17 @@ def _eval_eq_pfa(n: int, samples: int, seed) -> _Accum:
     from .handcrafted import build_eq_pfa
     acc = _Accum(machine_space(build_eq_pfa(n)))
     fast = _EqPfaFast(n)
-    x, y = _pair_bits(eq_language(n), n, samples, seed)
-    if 1 << (2 * n) <= EXHAUSTIVE_LIMIT:
-        # every pair of values: residues and census parts once per value,
-        # broadcast over the pairs (the census splits into an x and a y part)
-        words = [format(v, f"0{n}b") for v in range(1 << n)]
-        res = np.stack([fast.residues(w) for w in words])
-        prob = ((res[:, None, :] == res[None, :, :]).sum(axis=2) / fast.count).ravel()
-        b_parts = np.array([fast.b_census(w) for w in words])
-        r_parts = np.array([fast.r_census(w) for w in words])
-        visited = (fast.shared + b_parts[:, None] + r_parts[None, :]).ravel()
-    else:
-        pairs = [(bit_string(u), bit_string(v)) for u, v in zip(x, y)]
-        prob = np.array([fast.prob(u, v) for u, v in pairs])
-        visited = np.array([fast.census(u, v) for u, v in pairs])
+    xs, ys, xi, yi = _pair_bits(eq_language(n), n, samples, seed)
+    # census parts and residues once per side word, gathered per pair (the
+    # census splits into an x and a y part); the residues are made after the
+    # census, so that they are not held through its large temporaries
+    x_words, y_words = [bit_string(w) for w in xs], [bit_string(w) for w in ys]
+    visited = (fast.shared + np.array([fast.b_census(w) for w in x_words])[xi]
+               + np.array([fast.r_census(w) for w in y_words])[yi])
+    rx, ry = (np.array([fast.residues(w) for w in words], dtype=fast.residue_dtype)
+              for words in (x_words, y_words))
+    prob = (rx[xi] == ry[yi]).sum(axis=1) / fast.count
+    x, y = xs[xi], ys[yi]
     acc.add_lanes(x, y, (x == y).all(axis=1), prob, np.broadcast_to(fast.t_run, prob.shape),
                   visited, np.broadcast_to(3, prob.shape))
     return acc
@@ -389,7 +379,8 @@ def _eval_compiled(alg_builder, n: int, samples: int, seed, lang, member) -> _Ac
     is the language value of every pair of the bit matrices."""
     rep = compile_query_to_qcfa(alg_builder(n), and_gadget(), n)
     acc = _Accum(machine_space(rep.machine), rep.machine.qubits)
-    x, y = _pair_bits(lang, n, samples, seed)
+    xs, ys, xi, yi = _pair_bits(lang, n, samples, seed)
+    x, y = xs[xi], ys[yi]
     runs = run_compiled_lanes(rep, x, y)
     steps, visited, crossings = (np.array([getattr(r, f) for r in runs], dtype=np.int64)
                                  for f in ("t_max", "visited", "crossings_max"))

@@ -23,6 +23,7 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -570,6 +571,15 @@ class CompleteMeasurement(Measurement):
 
     def describe(self) -> dict:
         return {"measure": "complete", "dim": self.dim}
+
+
+def check_lost_mass(total: float, where: Callable[[], str]) -> None:
+    """Raise when a run's terminal branch weights miss 1 by more than the
+    1e-6 budget that pruning at BRANCH_PRUNE may spend; where() names the
+    run, and is called only then."""
+    if abs(total - 1.0) > 1e-6:
+        raise SpecError(f"{where()}: terminal branch weights sum to {total}, "
+                        "lost probability mass exceeds the pruning budget")
 
 
 def check_norm(psi: np.ndarray, where: str = "") -> None:

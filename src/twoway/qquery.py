@@ -53,6 +53,7 @@ from .ops import (
     Op,
     PrepReflectOp,
     RegisterLayout,
+    check_lost_mass,
     check_unitary,
     minus_prep_op,
     unminus_op,
@@ -330,18 +331,13 @@ class CompiledSegment:
     def row(self, label) -> int:
         return self.outcomes.rows[label]
 
-    def reset(self, j: int) -> BasisSwapOp | None:
-        """Row j's reset on the algorithm register."""
-        a, b = self.swap[j].tolist()
-        return None if a < 0 else BasisSwapOp(self.outcomes.k, a, b)
-
     def reset_op(self, j: int) -> Op:
         """Row j's lifted reset, for the step-level runners (built on use)."""
         op = self._resets.get(j)
         if op is None:
-            inner, blocks = self.reset(j), self.outcomes.cache_dim
-            op = (IdentityOp(self.outcomes.k * blocks) if inner is None
-                  else LiftedOp(inner, blocks))
+            (a, b), k, blocks = self.swap[j].tolist(), self.outcomes.k, self.outcomes.cache_dim
+            op = (IdentityOp(k * blocks) if a < 0
+                  else LiftedOp(BasisSwapOp(k, a, b), blocks))
             self._resets[j] = op
         return op
 
@@ -444,10 +440,7 @@ def run_segments(tables: list[CompiledSegment], psi: np.ndarray, masks: np.ndarr
     for lo in range(0, len(masks), block):
         for lane, (total, run) in enumerate(
                 _run_block(tables, psi, masks[lo:lo + block], d_w, oracle), lo):
-            if abs(total - 1.0) > 1e-6:
-                raise SpecError(
-                    f"{name} on {lane_name(lane)}: terminal branch weights sum to "
-                    f"{total}, lost probability mass exceeds the pruning budget")
+            check_lost_mass(total, lambda: f"{name} on {lane_name(lane)}")
             yield run
 
 

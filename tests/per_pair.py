@@ -3,6 +3,15 @@ one run at a time, through the accumulator every row uses."""
 
 import numpy as np
 
+from twoway.boolfn import bit_string
+from twoway.harness import _pair_bits
+
+
+def row_pairs(lang, n: int, samples: int, seed=0) -> list:
+    """A sweep row's (x, y) pairs as strings, in row order."""
+    xs, ys, xi, yi = _pair_bits(lang, n, samples, seed)
+    return [(bit_string(xs[i]), bit_string(ys[j])) for i, j in zip(xi.tolist(), yi.tolist())]
+
 
 def add_pair(acc, lang, x: str, y: str, prob: float, t_run: int, visited: int,
              crossings: int) -> None:

@@ -328,16 +328,35 @@ def test_pfa_sample_raises_on_a_repeat_after_the_last_coin():
             run_pfa_sample(m, "0", seed=seed)
 
 
-def test_qcfa_sample_raises_on_a_control_cycle_of_identity_ops():
+def test_qcfa_runners_raise_on_a_control_cycle_of_identity_ops():
     identity = IdentityOp(2)
     cycle = {("a", "¢"): ("b", 1), ("b", "0"): ("a", -1)}
     space = StateSpace("a", lambda s: None, 2, "2")
     m = TwoWayQcfa("spin", space, 2, lambda state, sym: identity,
                    lambda state, sym: cycle.get((state, sym)),
                    lambda state, sym, label: None)
-    with pytest.raises(NonHaltingError,
-                       match="spin: configuration repeats, machine cannot halt"):
-        qcfa_sample(m, "0")
+    # a runner without the rule spins to the cutoff and names that instead
+    for run in (qcfa_exact, qcfa_sample):
+        with pytest.raises(NonHaltingError,
+                           match="spin: configuration repeats, machine cannot halt"):
+            run(m, "0", cutoff=100_000)
+
+
+def test_qcfa_exact_restarts_across_measurements_are_not_repeats():
+    # a Hadamard coin at ¢, measured: "zero" accepts, "one" walks right and
+    # back to (go, 0), the configuration the run began in, until the
+    # remaining weight 2^-40 falls below the pruning floor
+    h = DenseOp(np.array([[1, 1], [1, -1]]) / np.sqrt(2), "H")
+    meas = Measurement(2, {"zero": (0,), "one": (1,)}, "read")
+    identity = IdentityOp(2)
+    m = TwoWayQcfa(
+        "restart", StateSpace("go", lambda s: "accept" if s == "acc" else None, 4, "4"), 2,
+        lambda state, sym: {"go": h, "read": meas}.get(state, identity),
+        lambda state, sym: {"go": ("read", 0), "back": ("go", -1)}.get(state),
+        lambda state, sym, label: ("acc", 0) if label == "zero" else ("back", 1))
+    res = qcfa_exact(m, "0")
+    assert (res.accept_probability, res.t_max, res.branch_count) == \
+        (0.9999999999981806, 116, 39)
 
 
 def test_restarts_across_coin_flips_are_not_repeats():

@@ -104,17 +104,25 @@ def test_compiled_probability_matches_algorithm_exhaustively():
 
 
 def test_fast_path_equals_generic_runner():
-    cases = [(3, ("000", "000")), (3, ("001", "001")), (3, ("111", "101")),
-             (3, ("010", "110"))]
+    cases = [(grover_or, 3, pair) for pair in (("000", "000"), ("001", "001"),
+                                               ("111", "101"), ("010", "110"))]
     # every n=2 pair: the register is small enough (dim 8) for any
     # small-machine special case of the step-level runner to show
-    cases += [(2, (x, y)) for x in bitstrings(2) for y in bitstrings(2)]
-    reports = {n: compile_query_to_qcfa(grover_or(n), and_gadget(), n) for n in (2, 3)}
-    for n, (x, y) in cases:
-        rep = reports[n]
+    cases += [(builder, 2, (x, y)) for builder in (grover_or, exact_parity)
+              for x in bitstrings(2) for y in bitstrings(2)]
+    # 24 seeded pairs on each n=4 machine the benchmark's walkers run exactly
+    rng = random.Random(4)
+    seeded = [(format(rng.getrandbits(4), "04b"), format(rng.getrandbits(4), "04b"))
+              for _ in range(24)]
+    cases += [(builder, 4, pair) for builder in (grover_or, exact_parity) for pair in seeded]
+    reports = {}
+    for builder, n, (x, y) in cases:
+        rep = reports.get((builder, n))
+        if rep is None:
+            rep = reports[builder, n] = compile_query_to_qcfa(builder(n), and_gadget(), n)
         fast = run_compiled(rep, x, y)
         slow = qcfa_exact(rep.machine, payload(x, y))
-        assert fast.accept_probability == slow.accept_probability, (x, y)
+        assert fast.accept_probability == slow.accept_probability, (rep.machine.name, x, y)
         assert fast.t_max == slow.t_max
         assert fast.visited == len(slow.origin_states)
 

@@ -25,7 +25,7 @@ from twoway.harness import (
     FAMILIES,
     _Accum,
     _EqPfaFast,
-    _pair_iter,
+    _pair_bits,
     _sample_pair,
     SweepRow,
     certificate_check,
@@ -34,7 +34,7 @@ from twoway.harness import (
     sweep_ts,
     write_rows,
 )
-from per_pair import add_pair
+from per_pair import add_pair, row_pairs
 
 
 def payload(x: str, y: str) -> str:
@@ -143,7 +143,7 @@ def test_compiled_row_equals_one_built_pair_by_pair(family, n):
     if family == "eq-pfa":
         lang, fast = eq_language(n), _EqPfaFast(n)
         want = _Accum(machine_space(build_eq_pfa(n)))
-        for x, y in _pair_iter(lang, n, 12, 0):
+        for x, y in row_pairs(lang, n, 12):
             add_pair(want, lang, x, y, fast.prob(x, y), fast.t_run, fast.census(x, y), 3)
     else:
         builder, lang = {
@@ -153,7 +153,7 @@ def test_compiled_row_equals_one_built_pair_by_pair(family, n):
         }[family]
         rep = compile_query_to_qcfa(builder(n), and_gadget(), n)
         want = _Accum(machine_space(rep.machine), rep.machine.qubits)
-        for x, y in _pair_iter(lang, n, 12, 0):
+        for x, y in row_pairs(lang, n, 12):
             r = run_compiled(rep, x, y)
             add_pair(want, lang, x, y, float(r.accept_probability), r.t_max, r.visited,
                      r.crossings_max)
@@ -175,11 +175,37 @@ def test_a_zero_error_names_no_worst_input(family):
         assert (two.nonmember_err, two.worst_nonmember) == (0.0, "")
 
 
-def test_pair_iter_switches_to_sampling():
-    lang = eq_language(2)
-    assert len(list(_pair_iter(lang, 2, 99, 0))) == 16    # exhaustive
-    big = list(_pair_iter(eq_language(9), 9, 3, 0))
-    assert len(big) == 6                                   # 3 per class
+def test_pair_bits_switches_to_sampling():
+    xs, ys, xi, yi = _pair_bits(eq_language(2), 2, 99, 0)
+    assert xs.shape == ys.shape == (4, 2)                 # exhaustive: each word once
+    assert len(xi) == len(yi) == 16                       # and every pair of them
+    assert xi[:5].tolist() == [0, 0, 0, 0, 1] and yi[:5].tolist() == [0, 1, 2, 3, 0]
+    xs, ys, xi, yi = _pair_bits(eq_language(9), 9, 3, 0)
+    assert xs.shape == ys.shape == (6, 9)                 # 3 per class
+    assert xi.tolist() == yi.tolist() == list(range(6))   # pair i is sample i
+
+
+def test_sampled_rows_keep_their_draw_order():
+    # the sampled rows' CSV bytes and worst inputs rest on the order of the
+    # seeded draws; these are the values the string-joined sampler produced
+    n = 9
+    first = {
+        "eq": (eq_language(n), ("110001100", "110001100")),
+        "ints": (ints_language(n), ("110011001", "111111100")),
+        "lifted-xor": (lifted_language(ComposedFunction(xor_fn(n), and_gadget())),
+                       ("100111111", "000110010")),
+    }
+    for lang, pair in first.values():
+        assert row_pairs(lang, n, 12)[0] == pair
+    # exact-parity-lifted needs even n: its row is the sampled n=10 one
+    worst = {
+        ("eq-pfa", 9): ("", "101000100|111101001"),
+        ("grover-ints", 9): ("010010000|111101101", ""),
+        ("exact-parity-lifted", 10): ("0101110000|0110110101", ""),
+    }
+    for (family, size), want in worst.items():
+        row, = sweep_ts(family, [size])
+        assert (row.worst_member, row.worst_nonmember) == want, family
 
 
 @pytest.mark.parametrize("lang_builder", [

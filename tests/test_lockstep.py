@@ -25,12 +25,11 @@ from twoway import harness
 from twoway.harness import (
     _Accum,
     _add_dfa_pairs,
-    _pair_iter,
     _regions,
     sweep_ts,
     write_rows,
 )
-from per_pair import add_pair
+from per_pair import add_pair, row_pairs
 
 RUN_ERRORS = (SpecError, NonHaltingError, InputError)
 
@@ -58,7 +57,7 @@ def lane(runs, i):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_walker_equals_run_dfa_on_every_eq_dfa_pair(n):
     machine = build_eq_dfa(n)
-    words = [x + "#" * n + y for x, y in _pair_iter(eq_language(n), n, 0, 0)]
+    words = [x + "#" * n + y for x, y in row_pairs(eq_language(n), n, 0)]
     runs = run_dfa_lanes(machine, np.array([codes(w) for w in words]), _regions(n))
     assert not runs.replay.any()
     for i, w in enumerate(words):
@@ -140,7 +139,7 @@ def test_walker_fills_each_transition_and_halting_code_once():
         return base.states.halting(s)
 
     machine = replace(base, step=step, states=replace(base.states, halting=halting))
-    words = [x + "#" * n + y for x, y in _pair_iter(eq_language(n), n, 0, 0)]
+    words = [x + "#" * n + y for x, y in row_pairs(eq_language(n), n, 0)]
     run_dfa_lanes(machine, np.array([codes(w) for w in words]), _regions(n))
     assert max(steps.values()) == 1 and max(halts.values()) == 1
     assert len(steps) < sum(3 * n + 2 for _ in words) // 10
@@ -198,7 +197,7 @@ def reference_row_acc(n):
     machine = build_eq_dfa(n)
     lang = eq_language(n)
     acc = _Accum(machine_space(machine))
-    for x, y in _pair_iter(lang, n, 12, 0):
+    for x, y in row_pairs(lang, n, 12):
         trace = run_dfa(machine, x + "#" * n + y, record_positions=True)
         crossings = len(_owner_walk(trace.positions, _regions(n)))
         add_pair(acc, lang, x, y, float(trace.accepted_bit), trace.steps, trace.visited,
