@@ -18,7 +18,9 @@ distribution with more than one outcome, or a measurement. A sampler draws
 once at a choice and walks on. Between two choices the run is deterministic
 (for a 2QCFA too: its classical control reads only the state and the
 symbol), so a configuration that repeats since the last choice repeats
-forever, and the walker raises at once instead of running to the cutoff.
+forever, and the walker raises at once instead of running to the cutoff;
+and the samplers replay such a stretch from a small per-tape table after
+walking it once.
 """
 
 from __future__ import annotations
@@ -235,29 +237,27 @@ def _undefined(machine, state: State, sym: str) -> SpecError:
     return SpecError(f"{machine.name}: undefined transition at {(state, sym)}")
 
 
-def _walk(machine, symbols, transition, cutoff, origins, positions,
-          state, pos, steps, choose=None):
+def _walk(machine, symbols, transition, cutoff, origins, positions, state, pos, steps):
     """Follow `machine` on the tape `symbols` from `state` at head position
-    `pos`, `steps` transitions in, until it halts.
+    `pos`, `steps` transitions in, until it halts or meets a choice.
 
     `transition(state, symbol)` is a certain step (state, move), None where
     the machine defines none, or (_CHOICE, choice) for a random choice or a
-    measurement. `choose(state, symbol, choice)` resolves a choice to
-    (state, move); without `choose` the walk stops at the first choice.
-    Returns (state, pos, steps, choice), choice None when `state` halts.
+    measurement. Returns (state, pos, steps, choice), choice None when
+    `state` halts; at a choice, `state` and `pos` are where it is made and
+    `steps` does not count it.
 
-    Between two choices a run is deterministic, so a configuration that
-    repeats in that stretch repeats forever: the walk raises on it at once,
-    before the step cutoff. Every state a transition is taken from joins
-    `origins`; every head position after a step joins `positions`, unless
-    that is None.
+    The stretch walked is deterministic, so a configuration that repeats in
+    it repeats forever: the walk raises on it at once, before the step
+    cutoff. Every state a transition is taken from joins `origins`; every
+    head position after a step joins `positions`, unless that is None.
     """
     last = len(symbols) - 1
     circular = machine.circular
     halting = machine.states.halting
     seen: set = set()
     seen_add = seen.add
-    first = steps                  # where the current deterministic stretch began
+    first = steps                  # where the stretch began
     while True:
         if halting(state) is not None:
             return state, pos, steps, None
@@ -279,11 +279,7 @@ def _walk(machine, symbols, transition, cutoff, origins, positions,
             raise _undefined(machine, state, sym)
         nxt_state, mv = nxt
         if nxt_state is _CHOICE:
-            if choose is None:
-                return state, pos, steps, mv
-            nxt_state, mv = choose(state, sym, mv)
-            seen.clear()
-            first = steps + 1
+            return state, pos, steps, mv
         state = nxt_state
         # Tape.move, inlined
         if mv == 1:
@@ -304,20 +300,67 @@ def _walk(machine, symbols, transition, cutoff, origins, positions,
             positions.append(pos)
 
 
-def _run(machine, payload: str, transition, choose, cutoff: int,
-         record_positions: bool) -> RunTrace:
-    """One trajectory of `machine` on `payload`, walked to its halt."""
-    origins: set = set()
-    positions = [0] if record_positions else None
-    state, _, steps, _ = _walk(
-        machine, Tape(payload, machine.circular).symbols, transition, cutoff,
-        origins, positions, machine.states.initial, 0, 0, choose,
-    )
+def _trace(machine, state, steps: int, origins, positions) -> RunTrace:
     halt = machine.states.halting(state)
     return RunTrace(
         halt, steps, len(origins), state, positions,
         1 if halt == "accept" else 0, frozenset(origins),
     )
+
+
+# --- stretch tables ----------------------------------------------------------------
+
+_STRETCH_TAPES = 4     # tapes whose stretch tables are kept; the oldest goes first
+_stretches: dict = {}  # (id(machine), payload) -> (machine, tape, table)
+# a table maps a stretch's first (state, pos) to (state, pos, steps, origins,
+# choice, operators): where it ends, its length, the states it steps from,
+# the choice it ends in (None at a halt), and a 2QCFA's (op, where) pairs
+
+
+def _sample(machine, payload: str, transition, choose, cutoff: int,
+            record_positions: bool, register=None) -> RunTrace:
+    """One sampled trajectory of `machine` on `payload`, stretch by stretch:
+    from the start or a draw (`choose(state, symbol, choice)`) to the halt
+    or the next choice. A stretch is deterministic, so it is stepped once
+    per machine, tape and first (state, pos), then replayed from the table,
+    a 2QCFA `register` applying its operators one by one with their norm
+    checks. A stretch that could pass `cutoff`, or that records positions,
+    is stepped. An entry holds its machine, so no other can take its id."""
+    key = (id(machine), payload)
+    cached = _stretches.get(key)
+    if cached is None:
+        cached = (machine, Tape(payload, machine.circular), {})
+        if len(_stretches) >= _STRETCH_TAPES:
+            del _stretches[next(iter(_stretches))]
+        _stretches[key] = cached
+    _, tape, table = cached
+    symbols = tape.symbols
+    positions = [0] if record_positions else None
+    origins: set = set()
+    state, pos, steps = machine.states.initial, 0, 0
+    while True:
+        stretch = None if record_positions else table.get((state, pos))
+        if stretch is None or steps + stretch[2] >= cutoff:
+            part: set = set()
+            if register is not None:
+                register.log = []
+            end, end_pos, end_steps, choice = _walk(
+                machine, symbols, transition, cutoff, part, positions, state, pos, steps)
+            stretch = table[state, pos] = (
+                end, end_pos, end_steps - steps, frozenset(part), choice,
+                None if register is None else tuple(register.log))
+        elif register is not None:
+            register.replay(stretch[5])
+        state, pos, k, part, choice, _ = stretch
+        origins |= part
+        steps += k
+        if choice is None:
+            return _trace(machine, state, steps, origins, positions)
+        state, mv = choose(state, symbols[pos], choice)
+        pos = tape.move(pos, mv, machine.name, steps)
+        steps += 1
+        if positions is not None:
+            positions.append(pos)
 
 
 # --- deterministic runner -----------------------------------------------------
@@ -331,7 +374,11 @@ def run_dfa(
 ) -> RunTrace:
     """Run to halt. A revisited (state, position) configuration means the
     deterministic machine loops forever and raises immediately."""
-    return _run(machine, payload, machine.step, None, cutoff, record_positions)
+    origins: set = set()
+    positions = [0] if record_positions else None
+    state, _, steps, _ = _walk(machine, Tape(payload, machine.circular).symbols, machine.step,
+                               cutoff, origins, positions, machine.states.initial, 0, 0)
+    return _trace(machine, state, steps, origins, positions)
 
 
 # --- probabilistic runners ------------------------------------------------------
@@ -388,8 +435,8 @@ def run_pfa_sample(
                 break
         return nxt_state, mv
 
-    return _run(machine, payload, _pfa_transition(machine), choose, cutoff,
-                record_positions)
+    return _sample(machine, payload, _pfa_transition(machine), choose, cutoff,
+                   record_positions)
 
 
 def _pfa_exact_one_shot(machine: TwoWayPfa, tape: Tape, cutoff: int) -> ExactRunResult:
@@ -599,15 +646,17 @@ class _QcfaRegister:
     """The quantum register of a 2QCFA run and the steps that drive it.
 
     transition() is the walker's: a unitary action is applied to `psi` (its
-    norm checked unless it is the identity) and the classical step is
-    machine.step's (None where undefined); a measurement is a choice and
-    leaves `psi` alone. route() is where a measurement outcome goes."""
+    norm checked and, if `log` is a list, logged unless it is the identity)
+    and the classical step is machine.step's (None where undefined); a
+    measurement is a choice and leaves `psi` alone. replay() applies a log
+    again; route() is where a measurement outcome goes."""
 
-    __slots__ = ("machine", "psi")
+    __slots__ = ("machine", "psi", "log")
 
     def __init__(self, machine: TwoWayQcfa, psi: np.ndarray):
         self.machine = machine
         self.psi = psi
+        self.log = None
 
     def transition(self, state: State, sym: str):
         machine = self.machine
@@ -616,11 +665,21 @@ class _QcfaRegister:
             raise SpecError(f"{machine.name}: no quantum action at {(state, sym)}")
         if isinstance(action, Measurement):
             return _CHOICE, action
-        psi = action.apply(self.psi)
         if not isinstance(action, IdentityOp):
-            check_norm(psi, f"at {(state, sym)}")
-        self.psi = psi
+            where = f"at {(state, sym)}"
+            psi = action.apply(self.psi)
+            check_norm(psi, where)
+            self.psi = psi
+            if self.log is not None:
+                self.log.append((action, where))
         return machine.step(state, sym)
+
+    def replay(self, ops) -> None:
+        psi = self.psi
+        for action, where in ops:
+            psi = action.apply(psi)
+            check_norm(psi, where)
+        self.psi = psi
 
     def route(self, state: State, sym: str, label) -> tuple[State, int]:
         nxt = self.machine.step_measure(state, sym, label)
@@ -739,8 +798,8 @@ def qcfa_sample(
         register.psi = collapsed
         return register.route(state, sym, label)
 
-    return _run(machine, payload, register.transition, choose, cutoff,
-                record_positions)
+    return _sample(machine, payload, register.transition, choose, cutoff,
+                   record_positions, register)
 
 
 # --- aggregate accounting --------------------------------------------------------

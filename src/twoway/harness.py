@@ -335,17 +335,25 @@ class _EqPfaFast:
 
     def r_census(self, y: str) -> int:
         """Distinct ("r", p, a, b) states over the left-to-right y read; a is
-        fixed per branch so only the running residue b varies."""
+        fixed per branch so only the running residue b varies. Blocks of 32
+        steps are written into a (primes x n) array, which is sorted in place."""
         p = self.reduce_primes
         b = np.zeros_like(p)
-        codes = np.empty((self.n, p.shape[0]), dtype=self.residue_dtype)
-        for i, ch in enumerate(y):
-            b <<= 1
-            if ch == "1":
-                b += 1
-            b -= p * (b >= p)           # 2b + bit < 2p: one subtraction reduces
-            codes[i] = b                # state after consuming bit i
-        return int(distinct_per_row(codes.T).sum())
+        wrapped = np.empty_like(p)
+        codes = np.empty((p.shape[0], self.n), dtype=self.residue_dtype)
+        block = np.empty((32, p.shape[0]), dtype=self.residue_dtype)
+        for start in range(0, self.n, 32):
+            bits = y[start:start + 32]
+            for i, ch in enumerate(bits):
+                b <<= 1
+                if ch == "1":
+                    b += 1
+                # 2b + bit < 2p: one subtraction reduces; below p it wraps past b
+                np.subtract(b, p, out=wrapped)
+                np.minimum(b, wrapped, out=b)
+                block[i] = b            # state after consuming bit start + i
+            codes[:, start:start + len(bits)] = block[:len(bits)].T
+        return int(distinct_per_row(codes).sum())
 
     def census(self, x: str, y: str) -> int:
         return self.shared + self.b_census(x) + self.r_census(y)

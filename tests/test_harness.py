@@ -82,9 +82,8 @@ def test_census_shortcut_matches_the_step_runner():
 def _direct_census(primes, x, y):
     """Distinct ("b", p, pow, a) and ("r", p, a, b) states summed over the
     primes, counted one prime at a time from the machine's update rules."""
-    b_states = r_states = 0
+    b_states = 0
     x_bits = [ch == "1" for ch in reversed(x)]
-    y_bits = [ch == "1" for ch in y]
     for p in primes:
         pw, a = 1, 0
         seen = {(pw, a)}
@@ -94,12 +93,20 @@ def _direct_census(primes, x, y):
             pw = 2 * pw % p
             seen.add((pw, a))
         b_states += len(seen)
+    return b_states, _direct_r_census(primes, y)
+
+
+def _direct_r_census(primes, y):
+    """Distinct running residues of the y read, summed over the primes."""
+    y_bits = [ch == "1" for ch in y]
+    r_states = 0
+    for p in primes:
         b, residues = 0, set()
         for bit in y_bits:
             b = (2 * b + bit) % p
             residues.add(b)
         r_states += len(residues)
-    return b_states, r_states
+    return r_states
 
 
 def test_census_shortcut_matches_a_direct_count_past_16_bit_primes():
@@ -112,6 +119,20 @@ def test_census_shortcut_matches_a_direct_count_past_16_bit_primes():
         assert fast.b_census(x) == b_states
         assert fast.r_census(y) == r_states
         assert fast.census(x, y) == fast.shared + b_states + r_states
+
+
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 64, 256])
+def test_r_census_matches_a_direct_count(n):
+    # the y read is written 32 steps at a time: below, at and past one
+    # block, and with a tail; its reduction wraps unsigned values, which
+    # the RuntimeWarning filter would turn into a failure if numpy warned
+    fast = _EqPfaFast(n)
+    primes = PrimeTable.for_side_length(n).primes
+    rng = random.Random(f"r-census:{n}")
+    words = ["0" * n, "1" * n] + [format(rng.getrandbits(n), f"0{n}b")
+                                  for _ in range(1 if n == 256 else 3)]
+    for y in words:
+        assert fast.r_census(y) == _direct_r_census(primes, y), y
 
 
 def test_sweep_exhausts_small_sides_and_matches_membership():
