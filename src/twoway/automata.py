@@ -324,36 +324,42 @@ def _sample(machine, payload: str, transition, choose, cutoff: int,
     or the next choice. A stretch is deterministic, so it is stepped once
     per machine, tape and first (state, pos), then replayed from the table,
     a 2QCFA `register` applying its operators one by one with their norm
-    checks. A stretch that could pass `cutoff`, or that records positions,
-    is stepped. An entry holds its machine, so no other can take its id."""
+    checks. A stretch that could pass `cutoff` is stepped. A run that
+    records positions steps every stretch and neither reads nor fills the
+    tables. An entry holds its machine, so no other can take its id."""
     key = (id(machine), payload)
     cached = _stretches.get(key)
     if cached is None:
         cached = (machine, Tape(payload, machine.circular), {})
-        if len(_stretches) >= _STRETCH_TAPES:
-            del _stretches[next(iter(_stretches))]
-        _stretches[key] = cached
+        if not record_positions:
+            if len(_stretches) >= _STRETCH_TAPES:
+                del _stretches[next(iter(_stretches))]
+            _stretches[key] = cached
     _, tape, table = cached
     symbols = tape.symbols
     positions = [0] if record_positions else None
     origins: set = set()
     state, pos, steps = machine.states.initial, 0, 0
     while True:
-        stretch = None if record_positions else table.get((state, pos))
-        if stretch is None or steps + stretch[2] >= cutoff:
-            part: set = set()
-            if register is not None:
-                register.log = []
-            end, end_pos, end_steps, choice = _walk(
-                machine, symbols, transition, cutoff, part, positions, state, pos, steps)
-            stretch = table[state, pos] = (
-                end, end_pos, end_steps - steps, frozenset(part), choice,
-                None if register is None else tuple(register.log))
-        elif register is not None:
-            register.replay(stretch[5])
-        state, pos, k, part, choice, _ = stretch
-        origins |= part
-        steps += k
+        if record_positions:
+            state, pos, steps, choice = _walk(
+                machine, symbols, transition, cutoff, origins, positions, state, pos, steps)
+        else:
+            stretch = table.get((state, pos))
+            if stretch is None or steps + stretch[2] >= cutoff:
+                part: set = set()
+                if register is not None:
+                    register.log = []
+                end, end_pos, end_steps, choice = _walk(
+                    machine, symbols, transition, cutoff, part, None, state, pos, steps)
+                stretch = table[state, pos] = (
+                    end, end_pos, end_steps - steps, frozenset(part), choice,
+                    None if register is None else tuple(register.log))
+            elif register is not None:
+                register.replay(stretch[5])
+            state, pos, k, part, choice, _ = stretch
+            origins |= part
+            steps += k
         if choice is None:
             return _trace(machine, state, steps, origins, positions)
         state, mv = choose(state, symbols[pos], choice)

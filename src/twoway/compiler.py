@@ -350,11 +350,13 @@ def _exact_result(report: CompilationReport, run) -> ExactRunResult:
     # so a path of c calls and r resets halts after 3n+4 + c(6n+4) + 3r
     seg_steps = 6 * n + 4
 
-    def longest(paths) -> int:
-        return max((3 * n + 4 + c * seg_steps + 3 * r for c, r in paths), default=0)
+    accepted, rejected = run.accepted.tolist(), run.rejected.tolist()
 
-    t_acc, t_rej = longest(run.accepted), longest(run.rejected)
-    cross_max = max((2 + 4 * c for c, _ in run.accepted | run.rejected), default=0)
+    def longest(pairs) -> int:
+        return max((3 * n + 4 + c * seg_steps + 3 * r for c, r in pairs), default=0)
+
+    t_acc, t_rej = longest(accepted), longest(rejected)
+    cross_max = max((2 + 4 * c for c, _ in accepted + rejected), default=0)
     # census: the form check's 3n+1 states; per segment entered, its pass
     # states, last unitary and measurement, and one reset per row continued
     visited = 3 * n + 1 + sum(
@@ -444,9 +446,9 @@ def verify_segment_equivalence(
 def _collapse(cs, state: np.ndarray, row: int, prob: float) -> np.ndarray:
     """state collapsed to continuing row `row`'s outcome of probability prob
     and reset, through segment table cs."""
-    (_, pos, vals), = cs.collapse(state[None], np.array([0]), np.array([row]), np.array([prob]))
+    (pos,), (vals,) = cs.collapse(state[None], np.array([0]), np.array([row]), np.array([prob]))
     out = np.zeros_like(state)
-    out[pos] = vals
+    out[pos[pos >= 0]] = vals[pos >= 0]
     return out
 
 

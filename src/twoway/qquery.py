@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -280,26 +281,30 @@ def _routes(outcomes: _LiftedOutcomes, rows: DecisionRows):
         # one group position per block, so every row stays ascending
         src = outcomes.groups
         return src, _transposed(src, rows.swap[:, :1], rows.swap[:, 1:], k)
-    src, dst = {}, {}                              # only continuing rows collapse
-    kind = rows.kind.tolist()
-    for j, (g, (a, b)) in enumerate(zip(outcomes.groups, rows.swap.tolist())):
-        if kind[j] == KIND_CONTINUE:
-            moved = _transposed(g, a, b, k)
-            order = np.argsort(moved, kind="stable")
-            src[j], dst[j] = g[order], moved[order]
+    # one row per label, padded with -1 to the widest group; only continuing
+    # rows collapse, so only they are filled
+    src = np.full((len(outcomes.groups), max(map(len, outcomes.groups))), -1, dtype=np.int64)
+    dst = src.copy()
+    for j in np.flatnonzero(rows.kind == KIND_CONTINUE).tolist():
+        g = outcomes.groups[j]
+        moved = _transposed(g, *rows.swap[j].tolist(), k)
+        order = np.argsort(moved, kind="stable")
+        src[j, :len(g)], dst[j, :len(g)] = g[order], moved[order]
     return src, dst
 
 
 class CompiledSegment:
     """One algorithm segment on the lifted register, fixed before any run.
 
-    ops are the lifted unitaries; kind, next_segment and swap are the
-    segment's decision rows (next_segment as a list), shared by every lift.
+    ops are the lifted unitaries; kind, next_array and swap are the
+    segment's decision rows, shared by every lift; next_segment is
+    next_array as a list and targets its distinct continue targets.
     src[j] and dst[j] are the lifted positions of continuing outcome j's
-    group before and after its reset, both ordered by dst; for a complete
-    measurement they are (labels x cache_dim) arrays covering every row.
-    src and dst come from _routes and are shared by every segment with the
-    same lifted measurement, kind array and swap array.
+    group before and after its reset, both ordered by dst: rows of one
+    (labels x width) array each, cache_dim wide for a complete measurement
+    and padded with -1 past a partition group. src and dst come from
+    _routes and are shared by every segment with the same lifted
+    measurement, kind array and swap array.
     """
 
     def __init__(self, ops: list, outcomes: _LiftedOutcomes, rows: DecisionRows, routes):
@@ -309,24 +314,22 @@ class CompiledSegment:
         self.kind = rows.kind
         self.continues = rows.kind == KIND_CONTINUE
         self.src, self.dst = routes
+        self.next_array = rows.next_segment
         self.next_segment = rows.next_segment.tolist()
+        self.targets = sorted(set(self.next_segment) - {-1})
         self.swap = rows.swap
         self._resets: dict = {}
 
     def collapse(self, psi: np.ndarray, r: np.ndarray, j: np.ndarray, probs: np.ndarray):
-        """(key, positions, values) of the collapsed, reset state of row j's
-        outcome in state r of a stack, for every (r, j) pair; only positions
-        in the row's group can be non-zero."""
-        if self.outcomes.complete:
-            vals = psi[r[:, None], self.src[j]] / np.sqrt(probs)[:, None]
-            pos = self.dst[j]
-            return zip(_sparse_keys(pos, vals), pos, vals)
-        out = []
-        for ri, ji, prob in zip(r.tolist(), j.tolist(), probs.tolist()):
-            vals = psi[ri, self.src[ji]] / np.sqrt(prob)
-            out.append((_sparse_keys(self.dst[ji][None], vals[None])[0],
-                        self.dst[ji], vals))
-        return out
+        """(positions, values) of the collapsed, reset state of row j's
+        outcome in state r of a stack, for every (r, j) pair: one row each,
+        as wide as dst, positions ascending and padded with (-1, 0). Only
+        positions in the row's group can be non-zero."""
+        pos = self.dst[j]
+        vals = psi[r[:, None], self.src[j]] / np.sqrt(probs)[:, None]
+        if not self.outcomes.complete:
+            vals[pos < 0] = 0
+        return pos, vals
 
     def row(self, label) -> int:
         return self.outcomes.rows[label]
@@ -372,33 +375,18 @@ def segment_tables(alg: QueryAlgorithm, cache_dim: int) -> list[CompiledSegment]
     return tables
 
 
-def _sparse_keys(pos: np.ndarray, vals: np.ndarray) -> list[bytes]:
-    """One key per row: the dense vector holding the row's vals at its pos
-    (ascending) and +0.0 elsewhere, keyed by the (position, bit pattern)
-    pairs whose bits are non-zero. Equal keys mean bitwise-equal vectors,
-    so -0.0 stays distinct from 0.0."""
-    nz = vals.view(np.uint64).reshape(*vals.shape, 2).any(axis=2)
-    pos_b = pos[nz].tobytes()
-    val_b = vals[nz].tobytes()
-    keys = []
-    start = 0
-    for end in np.cumsum(nz.sum(axis=1)).tolist():
-        keys.append(pos_b[8 * start : 8 * end] + val_b[16 * start : 16 * end])
-        start = end
-    return keys
-
-
 @dataclass
 class FrontierRun:
-    """What run_segments saw on one lane. A branch's history is the set of
-    (oracle calls, resets) pairs of the paths merged into it; accepted and
-    rejected hold the union of the histories of every branch with an
-    outcome of that kind."""
+    """What run_segments saw on one lane. A path's history is its (oracle
+    calls, resets) pair; accepted and rejected hold the Pareto-maximal
+    histories of the paths that end in an outcome of that kind, as
+    (pairs, 2) int arrays. Any maximum over those paths of a function that
+    grows with both calls and resets is attained on them."""
 
     accept_probability: float
     halts: int                    # halting outcomes above the pruning floor
-    accepted: set[tuple[int, int]]
-    rejected: set[tuple[int, int]]
+    accepted: np.ndarray
+    rejected: np.ndarray
     continued: dict[int, int]     # per segment some branch ran: rows that continued
 
 
@@ -425,16 +413,21 @@ def run_segments(tables: list[CompiledSegment], psi: np.ndarray, masks: np.ndarr
     stack, and the flip index of a stack is built once for all its oracle
     calls.
 
-    Outcomes are routed through each segment's decision table. An outcome
-    of probability at most BRANCH_PRUNE, or of branch weight below it, is
-    dropped; a halting outcome only adds its weight; a continuing outcome
-    becomes a new state of its lane only when its post-reset state is new
-    to the next segment there, and otherwise merges into the lane's branch
-    with the same sparse key. Every lane's sums and merges are made in the
-    order a run on that lane alone makes them, so its result does not
-    depend on the other lanes or on the blocks. A lane whose halting mass
-    misses 1 by more than 1e-6 raises SpecError where it would be yielded,
-    labelled with name and lane_name(lane): the first such lane raises.
+    Outcomes are routed through each segment's decision table, as arrays.
+    An outcome of probability at most BRANCH_PRUNE, or of branch weight
+    below it, is dropped; a halting outcome adds its weight to its lane's
+    mass of that kind; a continuing outcome is collapsed, reset and sent to
+    its next segment with its lane, weight and history. A continue only
+    targets a later segment, so a segment has every branch it will get when
+    it starts: it groups them by lane and collapsed state (equal keys are
+    bitwise-equal vectors, so -0.0 stays distinct from 0.0), one branch per
+    group in first-arrival order, and keeps the Pareto-maximal histories of
+    each group. Weights and halting masses are summed with np.add.at in
+    arrival order, the order a run on the lane alone makes them, so a
+    lane's result does not depend on the other lanes or on the blocks. A
+    lane whose halting mass misses 1 by more than 1e-6 raises SpecError
+    where it would be yielded, labelled with name and lane_name(lane): the
+    first such lane raises.
     """
     block = max(1, LANE_CELLS // psi.shape[-1])
     for lo in range(0, len(masks), block):
@@ -444,30 +437,136 @@ def run_segments(tables: list[CompiledSegment], psi: np.ndarray, masks: np.ndarr
             yield run
 
 
+# A history table gives each row of a stack the Pareto-maximal (calls,
+# resets) pairs of the paths merged into it: (bounds, calls, resets), row
+# i's pairs at bounds[i]:bounds[i + 1].
+
+
+def _take(table, rows: np.ndarray):
+    """The history table of the given rows of table, in that order."""
+    bounds, calls, resets = table
+    if bounds[-1] == len(bounds) - 1:            # one pair per row
+        return np.arange(len(rows) + 1), calls[rows], resets[rows]
+    count = bounds[rows + 1] - bounds[rows]
+    out = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(count, out=out[1:])
+    idx = np.repeat(bounds[rows] - out[:-1], count) + np.arange(out[-1])
+    return out, calls[idx], resets[idx]
+
+
+def _joined(tables: list):
+    """One history table of the rows of every table in turn, and the first
+    row of each in it."""
+    sizes = [len(t[0]) - 1 for t in tables]
+    first = list(accumulate(sizes[:-1], initial=0))
+    if len(tables) == 1:
+        return tables[0], first
+    pairs = list(accumulate((int(t[0][-1]) for t in tables), initial=0))
+    bounds = np.concatenate([t[0][:-1] for t in tables] + [pairs[-1:]])
+    bounds[:-1] += np.repeat(pairs[:-1], sizes)
+    return (bounds, *(np.concatenate([t[i] for t in tables]) for i in (1, 2))), first
+
+
+def _merged(owners: int, owner: np.ndarray, src: np.ndarray, table):
+    """The history table of owners 0..owners-1, each holding the Pareto-
+    maximal pairs of the rows of table it gets outcomes from (an owner and
+    a source row per outcome)."""
+    rows = len(table[0]) - 1
+    owner, source = np.divmod(np.unique(owner * rows + src), rows)
+    bounds, calls, resets = _take(table, source)
+    if len(calls) > len(source):
+        owner = np.repeat(owner, np.diff(bounds))
+    if (owner[1:] == owner[:-1]).any():
+        order = np.lexsort((-resets, -calls, owner))
+        owner, calls, resets = owner[order], calls[order], resets[order]
+        # by calls descending, a pair is maximal iff it has more resets
+        # than every earlier pair of its owner
+        level = owner * (int(resets.max()) + 1) + resets
+        keep = np.ones(len(level), dtype=bool)
+        keep[1:] = level[1:] > np.maximum.accumulate(level)[:-1]
+        owner, calls, resets = owner[keep], calls[keep], resets[keep]
+    return np.searchsorted(owner, np.arange(owners + 1)), calls, resets
+
+
+def _enter(batches: list, dim: int):
+    """(lane, weight, states, history table) of the stack entering a
+    segment, from the continuing outcomes sent to it: one batch per sending
+    segment, in sending order, each (lane, weight, source row, source
+    history table, positions, values) per outcome.
+
+    A branch is a (lane, collapsed state) group, keyed on the state's
+    non-zero (position, bit pattern) entries in position order."""
+    if len(batches) == 1:
+        lane, w, src, table, pos, vals = batches[0]
+    else:
+        table, first_row = _joined([b[3] for b in batches])
+        width = max(b[4].shape[1] for b in batches)
+        lane, w, src, pos, vals = (np.concatenate(col) for col in (
+            [b[0] for b in batches], [b[1] for b in batches],
+            [b[2] + r for b, r in zip(batches, first_row)],
+            [np.pad(b[4], ((0, 0), (0, width - b[4].shape[1])), constant_values=-1)
+             for b in batches],
+            [np.pad(b[5], ((0, 0), (0, width - b[5].shape[1]))) for b in batches]))
+        # lane-major; each lane's outcomes, and so each branch's, keep their order
+        order = np.argsort(lane, kind="stable")
+        lane, w, src, pos, vals = lane[order], w[order], src[order], pos[order], vals[order]
+    m, width = pos.shape
+    dense = vals.all()                 # -0.0 counts as zero here, not in the key
+    if not dense:
+        # each row's non-zero entries first, in position order, then (-1, 0)
+        nz = vals.view(np.uint64).reshape(m, width, 2).any(axis=2)
+        pos = np.where(nz, pos, -1)
+        if (nz[:, 1:] > nz[:, :-1]).any():
+            order = np.argsort(~nz, axis=1, kind="stable")
+            at = np.arange(m)[:, None]
+            pos, vals = pos[at, order], vals[at, order]
+    key = np.concatenate([lane[:, None], pos, vals.view(np.int64)], axis=1)
+    # one stable sort on a byte view of the keys: equal keys end up
+    # adjacent, each group led by its first arrival
+    perm = key.view(np.dtype((np.void, 8 * key.shape[1])))[:, 0].argsort(kind="stable")
+    sk = key[perm]
+    new = np.empty(m, dtype=bool)
+    new[0] = True
+    (sk[1:] != sk[:-1]).any(axis=1, out=new[1:])
+    first = np.empty(m, dtype=np.int64)
+    first[perm] = perm[new][np.cumsum(new) - 1]
+    # the outcomes are lane-major, so their first arrivals in order are the
+    # branches lane-major, each lane's in creation order
+    head = (first == np.arange(m)).nonzero()[0]
+    branch = np.searchsorted(head, first)
+    weight = np.zeros(len(head))
+    np.add.at(weight, branch, w)
+    psi = np.zeros((len(head), dim), dtype=np.complex128)
+    pos, vals = pos[head], vals[head]
+    if dense:
+        psi[np.arange(len(head))[:, None], pos] = vals
+    else:
+        on = pos >= 0
+        psi[np.nonzero(on)[0], pos[on]] = vals[on]
+    source = src[head]
+    if (src == source[branch]).all():            # each branch from one source row
+        hist = _take(table, source)
+    else:
+        hist = _merged(len(head), branch, src, table)
+    return lane[head], weight, psi, hist
+
+
 def _run_block(tables, psi, masks, d_w, oracle) -> list[tuple[float, FrontierRun]]:
     """run_segments on one block of lanes: (halting mass, run) per lane."""
     lanes, dim = len(masks), psi.shape[-1]
-    # per segment: lane -> {sparse state key -> [weight, positions, values, history]}
-    pending: list[dict] = [{} for _ in tables]
-    everywhere = np.arange(dim)
-    for lane in range(lanes):
-        pending[0][lane] = {b"": [1.0, everywhere, psi, frozenset({(0, 0)})]}
-    sums = [[0.0] * lanes for _ in (KIND_ACCEPT, KIND_REJECT)]   # indexed by kind code
-    kept = [[set() for _ in range(lanes)] for _ in (KIND_ACCEPT, KIND_REJECT)]
-    halts = [0] * lanes
-    continued: list[dict] = [{} for _ in range(lanes)]
+    arrivals: list[list] = [[] for _ in tables]      # per segment: batches, see _enter
+    visits = []                                      # per segment run, see _settle
+    # every lane enters segment 0 once, in its initial state, with history (0, 0)
+    lane_of, weight = np.arange(lanes), np.ones(lanes)
+    psi = np.repeat(psi[None], lanes, axis=0)
+    start = np.zeros(lanes, dtype=np.int64)
+    hist = (np.arange(lanes + 1), start, start)
     for si, cs in enumerate(tables):
-        stack, lane_of = [], []
-        for lane in sorted(pending[si]):
-            stack += pending[si][lane].values()
-            lane_of += [lane] * len(pending[si][lane])
-        pending[si] = None
-        if not stack:
-            continue
-        pos = [s[1] for s in stack]
-        psi = np.zeros((len(stack), dim), dtype=np.complex128)
-        psi[np.arange(len(stack)).repeat([len(p) for p in pos]),
-            np.concatenate(pos)] = np.concatenate([s[2] for s in stack])
+        if si:
+            if not arrivals[si]:
+                continue
+            lane_of, weight, psi, hist = _enter(arrivals[si], dim)
+            arrivals[si] = None
         psi = cs.ops[0].apply(psi)
         if cs.calls:
             flip = np.nonzero(masks[lane_of])
@@ -475,40 +574,63 @@ def _run_block(tables, psi, masks, d_w, oracle) -> list[tuple[float, FrontierRun
                 oracle(psi, flip, d_w)
                 psi = op.apply(psi)
         prob = cs.outcomes.weights(psi)
-        wp = np.array([s[0] for s in stack])[:, None] * prob
+        wp = weight[:, None] * prob
         # kept: above the measurement's own pruning and the branch weight floor
         r_k, j_k = np.nonzero((prob > BRANCH_PRUNE) & (wp >= BRANCH_PRUNE))
-        cont = cs.continues[j_k]
+        kind, lane_k, w = cs.kind[j_k], lane_of[r_k], wp[r_k, j_k]
+        hist = (hist[0], hist[1] + cs.calls, hist[2])
+        visits.append((si, lane_of, hist, r_k, j_k, kind, lane_k, w))
+        cont = kind == KIND_CONTINUE
         if cont.any():
             r_c, j_c = r_k[cont], j_k[cont]
-            collapsed = iter(cs.collapse(psi, r_c, j_c, prob[r_c, j_c]))
-        history = [frozenset((c + cs.calls, r) for c, r in s[3]) for s in stack]
-        reset = {}                     # per state: its history after a reset
-        rows = {}                      # per lane: the rows its branches continued
-        for r, j, kind, w in zip(r_k.tolist(), j_k.tolist(), cs.kind[j_k].tolist(),
-                                 wp[r_k, j_k].tolist()):
-            lane = lane_of[r]
-            if kind != KIND_CONTINUE:
-                sums[kind][lane] += w
-                halts[lane] += 1
-                kept[kind][lane].update(history[r])
-                continue
-            rows.setdefault(lane, set()).add(j)
-            key, p, v = next(collapsed)
-            if r not in reset:
-                reset[r] = frozenset((c, k + 1) for c, k in history[r])
-            bucket = pending[cs.next_segment[j]].setdefault(lane, {})
-            slot = bucket.get(key)
-            if slot is None:
-                bucket[key] = [w, p, v, reset[r]]
+            pos, vals = cs.collapse(psi, r_c, j_c, prob[r_c, j_c])
+            batch = (lane_k[cont], w[cont], r_c, (hist[0], hist[1], hist[2] + 1), pos, vals)
+            if len(cs.targets) == 1:
+                arrivals[cs.targets[0]].append(batch)
             else:
-                slot[0] += w
-                slot[3] = slot[3] | reset[r]
-        for lane in set(lane_of):
-            continued[lane][si] = len(rows.get(lane, ()))
-    return [(sums[KIND_ACCEPT][lane] + sums[KIND_REJECT][lane],
-             FrontierRun(min(sums[KIND_ACCEPT][lane], 1.0), halts[lane],
-                         kept[KIND_ACCEPT][lane], kept[KIND_REJECT][lane], continued[lane]))
+                target = cs.next_array[j_c]
+                for t in cs.targets:
+                    to = target == t
+                    if to.any():
+                        arrivals[t].append((*(a[to] for a in batch[:3]), batch[3],
+                                            *(a[to] for a in batch[4:])))
+    return _settle(visits, lanes, len(tables), dim)
+
+
+def _settle(visits: list, lanes: int, segments: int, labels: int):
+    """(halting mass, run) per lane of a block from its segment runs, each
+    (segment, stack lanes, stack history table, and per kept outcome its
+    stack row, label row, kind, lane and weight), in the order they ran.
+    Every label row is below labels."""
+    seg, lane_of, tables, r_k, j_k, kind, lane_k, w = zip(*visits)
+    table, first_row = _joined(tables)
+    counts = [len(k) for k in kind]
+    src = np.concatenate(r_k) + np.repeat(first_row, counts)
+    kind, lane_k, w = (np.concatenate(col) for col in (kind, lane_k, w))
+    # halting outcomes: mass summed per lane and kind in arrival order, and
+    # the histories of their rows merged per lane and kind
+    halt = kind != KIND_CONTINUE
+    owner = 2 * lane_k[halt] + kind[halt]
+    sums = np.zeros(2 * lanes)
+    np.add.at(sums, owner, w[halt])
+    halts = np.bincount(owner >> 1, minlength=lanes).tolist()
+    bounds, calls, resets = _merged(2 * lanes, owner, src[halt], table)
+    pairs = np.array([calls, resets]).T
+    # per lane and segment run (-1: not run), the label rows that continued
+    ran = np.full(lanes * segments, -1)
+    ran[np.concatenate(lane_of) * segments + np.repeat(seg, [len(s) for s in lane_of])] = 0
+    cont = ~halt
+    if cont.any():
+        rows = np.unique((lane_k[cont] * segments + np.repeat(seg, counts)[cont]) * labels
+                         + np.concatenate(j_k)[cont])
+        np.add.at(ran, rows // labels, 1)
+    ran = ran.reshape(lanes, segments).tolist()
+    bounds, sums = bounds.tolist(), sums.tolist()
+    return [(sums[2 * lane] + sums[2 * lane + 1],
+             FrontierRun(min(sums[2 * lane], 1.0), halts[lane],
+                         pairs[bounds[2 * lane]:bounds[2 * lane + 1]],
+                         pairs[bounds[2 * lane + 1]:bounds[2 * lane + 2]],
+                         {si: r for si, r in enumerate(ran[lane]) if r >= 0}))
             for lane in range(lanes)]
 
 

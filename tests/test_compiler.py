@@ -445,3 +445,39 @@ def test_machine_source_records_the_construction():
     assert src["algorithm"] == "exact-parity:2"
     assert src["gadget"] == "and1"
     assert src["n"] == 2
+
+
+def fit_size_cases():
+    """Compiled grover_or and exact_parity (AND gadget) at the side lengths
+    criterion 09 fits, n=256 marked slow."""
+    for builder in (grover_or, exact_parity):
+        for n in (16, 64, 256):
+            marks = pytest.mark.slow if n == 256 else ()
+            yield pytest.param(builder, n, marks=marks, id=f"{builder.__name__}-{n}")
+
+
+@pytest.mark.parametrize("builder,n", fit_size_cases())
+def test_closed_forms_match_the_stepped_machine_at_fit_sizes(builder, n):
+    # run_compiled rebuilds time and census from closed forms over each
+    # branch's oracle calls and resets (its Pareto-maximal histories);
+    # qcfa_exact steps the machine. Three seeded pairs and one non-member:
+    # x AND y is all zero, which both OR and parity reject.
+    #
+    # The accept probabilities agree only up to pruning: qcfa_exact merges
+    # branches that become bitwise equal mid-segment, which the engine
+    # keeps apart until the next segment, so its outcomes can fall under
+    # the 1e-12 weight floor where qcfa_exact's merged ones do not (at
+    # grover_or n=256 the gap reaches 5e-11)
+    rng = random.Random(n)
+    pairs = [("".join(rng.choice("01") for _ in range(n)),
+              "".join(rng.choice("01") for _ in range(n))) for _ in range(3)]
+    pairs.append(("1" * n, "0" * n))
+    rep = compile_query_to_qcfa(builder(n), and_gadget(), n)
+    for x, y in pairs:
+        fast = run_compiled(rep, x, y)
+        slow = qcfa_exact(rep.machine, payload(x, y))
+        assert (fast.t_max, fast.t_max_accepting, fast.t_max_rejecting) == \
+            (slow.t_max, slow.t_max_accepting, slow.t_max_rejecting), (x, y)
+        assert fast.visited == len(slow.origin_states), (x, y)
+        assert abs(fast.accept_probability - slow.accept_probability) <= 1e-9, (x, y)
+    assert fast.accept_probability == slow.accept_probability == 0

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import twoway.qquery
+from reference import sequential_accept
+from twoway.kernels import oracle_masks
 from twoway.boolfn import BoolFunction, and_fn, or_fn, parse_function, xor_fn
 from twoway.errors import InputError, RefusalError, SpecError
 from twoway.ops import (
@@ -38,6 +40,7 @@ from twoway.qquery import (
     parse_query_algorithm,
     per_outcome,
     run_query_alg,
+    run_segments,
     run_query_alg_lanes,
     validate_algorithm,
 )
@@ -358,3 +361,63 @@ def test_grover_rows_equal_the_per_label_rule(n):
             assert a.dtype == b.dtype and np.array_equal(a, b), (s, name)
         # the rows shared between rounds cannot be written through
         assert not got.kind.flags.writeable and not got.swap.flags.writeable
+
+
+def test_sums_are_made_left_to_right_in_arrival_order():
+    # grover_or(256) merges hundreds of continuing outcomes into each branch,
+    # so a sum made pairwise or in another order would show in the last bits
+    rng = np.random.default_rng(256)
+    alg = grover_or(256)
+    for _ in range(3):
+        z = "".join(rng.choice(["0", "1"], size=256, p=[0.97, 0.03]))
+        assert run_query_alg(alg, z) == sequential_accept(alg, z), z
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_every_word_sums_as_the_sequential_rule(n):
+    for builder in (grover_or, exact_parity) if n % 2 == 0 else (grover_or,):
+        alg = builder(n)
+        for z in bitstrings(n):
+            assert run_query_alg(alg, z) == sequential_accept(alg, z), (alg.name, z)
+
+
+def test_merged_branch_keeps_every_pareto_maximal_history():
+    # three paths reach segment 4 as the same basis state with amplitude
+    # exactly 1, so they merge into one branch: 0-1-3-4 with 2 calls and 3
+    # resets, 0-2-4 with 3 calls and 2 resets, and 0-4 with 2 calls and 1
+    # reset, which the first dominates
+    layout = RegisterLayout(2, 1)
+    dim = layout.dim
+    quarter = DenseOp(0.5 * np.array([[1, 1, 1, 1], [1, -1, 1, -1],
+                                      [1, 1, -1, -1], [1, -1, -1, 1]]))
+    idle = IdentityOp(dim)
+    basis = CompleteMeasurement(dim)
+
+    def to(seg):
+        return Decision("continue", seg, BasisSwapOp(dim, 0, 1))
+
+    def fork(outcome):
+        return [Decision("continue", 1), to(2), Decision("continue", 4, BasisSwapOp(dim, 0, 2)),
+                REJECT][outcome]
+
+    def onward(seg):
+        return per_outcome(lambda outcome: Decision(
+            "continue", seg, BasisSwapOp(dim, 0, outcome) if outcome else None))
+
+    alg = QueryAlgorithm("pareto", 2, layout, (
+        Segment((quarter, idle), basis, per_outcome(fork)),
+        Segment((idle,), basis, onward(3)),
+        Segment((idle, idle), basis, onward(4)),
+        Segment((idle,), basis, onward(4)),
+        Segment((quarter, idle), basis,
+                per_outcome(lambda outcome: ACCEPT if outcome < 2 else REJECT)),
+    ), 1 / 3)
+    masks = oracle_masks(np.zeros((1, 2), dtype=np.uint8), layout.index_dim)
+    run, = run_segments(alg.tables, alg.initial_state(), masks, layout.work_dim,
+                        alg.name, str)
+    assert run.accept_probability == 0.375
+    assert run.halts == 5                  # 4 from the one merged branch, 1 in segment 0
+    assert sorted(run.accepted.tolist()) == [[2, 3], [3, 2]]
+    # segment 0's reject (1 call, no reset) is dominated as well
+    assert sorted(run.rejected.tolist()) == [[2, 3], [3, 2]]
+    assert run.continued == {0: 3, 1: 1, 2: 1, 3: 1, 4: 0}

@@ -89,6 +89,26 @@ def test_sampler_traces_are_pinned_cold_and_warm(ident):
     assert _digest(cold) == digest
 
 
+def test_a_run_that_records_positions_neither_reads_nor_fills_the_tables():
+    # seeds 0-49 on the grover-or:2 pairs, positions recorded: the sha256
+    # prefix was taken before such runs stopped filling the tables
+    build, sampler, pairs, _ = PINNED["grover-or:2"]
+    machine = build()
+    _clear()
+    traces = [sampler(machine, payload(x, y), seed=seed, record_positions=True)
+              for x, y in pairs for seed in range(50)]
+    assert automata._stretches == {}
+    assert _digest(traces) == "b9c17f83ef1c0bfc"
+    assert all(len(t.positions) == t.steps + 1 for t in traces)
+    # a warm tape's table gains nothing either, and the trace is the same
+    word = payload(*pairs[1])
+    sampler(machine, word, seed=0)
+    before = dict(_table(machine, word))
+    assert _digest([sampler(machine, word, seed=seed, record_positions=True)
+                    for seed in range(50)]) == _digest(traces[50:100])
+    assert _table(machine, word) == before
+
+
 # --- a warm cache raises what a cold one does ---------------------------------------
 
 HALF = Fraction(1, 2)
