@@ -324,17 +324,15 @@ def _sample(machine, payload: str, transition, choose, cutoff: int,
     or the next choice. A stretch is deterministic, so it is stepped once
     per machine, tape and first (state, pos), then replayed from the table,
     a 2QCFA `register` applying its operators one by one with their norm
-    checks. A stretch that could pass `cutoff` is stepped. A run that
-    records positions steps every stretch and neither reads nor fills the
-    tables. An entry holds its machine, so no other can take its id."""
+    checks. A stretch that could pass `cutoff`, or any of a run that records
+    positions, is stepped, and a recording run leaves the tables as they
+    are. An entry holds its machine, so no other can take its id."""
     key = (id(machine), payload)
-    cached = _stretches.get(key)
-    if cached is None:
-        cached = (machine, Tape(payload, machine.circular), {})
-        if not record_positions:
-            if len(_stretches) >= _STRETCH_TAPES:
-                del _stretches[next(iter(_stretches))]
-            _stretches[key] = cached
+    cached = _stretches.get(key) or (machine, Tape(payload, machine.circular), {})
+    if key not in _stretches and not record_positions:
+        if len(_stretches) >= _STRETCH_TAPES:
+            del _stretches[next(iter(_stretches))]
+        _stretches[key] = cached
     _, tape, table = cached
     symbols = tape.symbols
     positions = [0] if record_positions else None

@@ -350,13 +350,10 @@ def _exact_result(report: CompilationReport, run) -> ExactRunResult:
     # so a path of c calls and r resets halts after 3n+4 + c(6n+4) + 3r
     seg_steps = 6 * n + 4
 
-    accepted, rejected = run.accepted.tolist(), run.rejected.tolist()
-
-    def longest(pairs) -> int:
-        return max((3 * n + 4 + c * seg_steps + 3 * r for c, r in pairs), default=0)
-
-    t_acc, t_rej = longest(accepted), longest(rejected)
-    cross_max = max((2 + 4 * c for c, _ in accepted + rejected), default=0)
+    paths = run.accepted.tolist(), run.rejected.tolist()
+    t_acc, t_rej = (max((3 * n + 4 + c * seg_steps + 3 * r for c, r in p), default=0)
+                    for p in paths)
+    cross_max = max((2 + 4 * c for c, _ in paths[0] + paths[1]), default=0)
     # census: the form check's 3n+1 states; per segment entered, its pass
     # states, last unitary and measurement, and one reset per row continued
     visited = 3 * n + 1 + sum(

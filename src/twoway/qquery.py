@@ -7,24 +7,24 @@ consecutive ones, then performs an orthogonal measurement. Each segment
 states its decisions once, as a table with one row per label (`DecisionRows`,
 filled with array operations or read from a per-label rule by `per_outcome`):
 each outcome halts (accept/reject) or continues into a later segment,
-optionally through a reset. A reset must be a basis transposition: the
-state at that point is a known basis vector, so a transposition suffices to
-re-enter the next segment from a canonical state, and the branch engine
-(`run_segments`, shared by `run_query_alg_lanes` and the compiled runner)
-relies on resets only moving amplitudes. The engine evaluates many inputs
-(lanes) at once and stacks their states per segment; a lane's result is
-bitwise the one it gets alone.
+optionally through a reset, which must be a basis transposition.
 
+One branch engine (`run_segments`, shared by `run_query_alg_lanes` and the
+compiled runner) evaluates many inputs (lanes) at once, on arrays: per
+segment it stacks every branch of a block of lanes, sends each continuing
+outcome on collapsed and reset, and groups what a segment was sent by lane
+and bitwise state, summing weights in arrival order with np.add.at, so a
+lane's result is bitwise the one it gets alone. A branch's history keeps,
+per number of resets, the most oracle calls of a path merged into it,
+which gives the Pareto-maximal (calls, resets) pairs its runs report.
 Plain algorithms are a single segment whose decision never continues.
 
 Validation (`validate_algorithm`) certifies every distinct operator object
-through its own `certify()` bound, at every register dimension, and asks
-each segment for its table once, checking it with array operations. The
-tables are cached on the algorithm object for the runners and serializer.
-
+through its own `certify()` bound and checks each segment's table once,
+with array operations; the tables are cached on the algorithm object.
 Builders should reuse one operator (and measurement) instance wherever a
-schedule repeats it: validation certifies each distinct object once and
-the compiler lifts each distinct object once.
+schedule repeats it: validation certifies and the compiler lifts each
+distinct object once.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -296,9 +295,9 @@ def _routes(outcomes: _LiftedOutcomes, rows: DecisionRows):
 class CompiledSegment:
     """One algorithm segment on the lifted register, fixed before any run.
 
-    ops are the lifted unitaries; kind, next_array and swap are the
-    segment's decision rows, shared by every lift; next_segment is
-    next_array as a list and targets its distinct continue targets.
+    ops are the lifted unitaries; kind, next_segment (a list) and swap are
+    the segment's decision rows, shared by every lift; targets are the
+    distinct segments it continues to.
     src[j] and dst[j] are the lifted positions of continuing outcome j's
     group before and after its reset, both ordered by dst: rows of one
     (labels x width) array each, cache_dim wide for a complete measurement
@@ -314,7 +313,6 @@ class CompiledSegment:
         self.kind = rows.kind
         self.continues = rows.kind == KIND_CONTINUE
         self.src, self.dst = routes
-        self.next_array = rows.next_segment
         self.next_segment = rows.next_segment.tolist()
         self.targets = sorted(set(self.next_segment) - {-1})
         self.swap = rows.swap
@@ -377,11 +375,10 @@ def segment_tables(alg: QueryAlgorithm, cache_dim: int) -> list[CompiledSegment]
 
 @dataclass
 class FrontierRun:
-    """What run_segments saw on one lane. A path's history is its (oracle
-    calls, resets) pair; accepted and rejected hold the Pareto-maximal
-    histories of the paths that end in an outcome of that kind, as
-    (pairs, 2) int arrays. Any maximum over those paths of a function that
-    grows with both calls and resets is attained on them."""
+    """What run_segments saw on one lane. accepted and rejected hold the
+    Pareto-maximal (oracle calls, resets) pairs of the paths that end in an
+    outcome of that kind, as (pairs, 2) int arrays: any maximum over those
+    paths of a function that grows with both is attained on them."""
 
     accept_probability: float
     halts: int                    # halting outcomes above the pruning floor
@@ -394,6 +391,8 @@ class FrontierRun:
 # dimension), and at least one lane: 32 lanes at dimension 16, one lane at
 # dimension 512 and above. Only one block's branches are pending at a time.
 LANE_CELLS = 1 << 9
+# no path: a history entry stays negative whatever calls are added to it
+NO_PATH = np.iinfo(np.int64).min // 2
 
 
 def run_segments(tables: list[CompiledSegment], psi: np.ndarray, masks: np.ndarray,
@@ -406,28 +405,24 @@ def run_segments(tables: list[CompiledSegment], psi: np.ndarray, masks: np.ndarr
     masks[lane] holds the cells an oracle call on that lane's input flips
     (kernels.flip_masks or kernels.oracle_masks) on a register of d_w work
     values per answer, and oracle(stack, flip, d_w) makes that call in place
-    on a stack of states (kernels.segment_pass). The lanes run in blocks of
-    at most LANE_CELLS register entries. Per segment, the pending states of
-    every lane of a block are stacked in lane order, each lane's in the
-    order its branches were created; each operator is applied once per
-    stack, and the flip index of a stack is built once for all its oracle
-    calls.
+    on a stack of states (kernels.segment_pass). Lanes run in blocks of at
+    most LANE_CELLS register entries. Per segment, the branches of a block
+    are stacked lane-major, each lane's in creation order; each operator is
+    applied once per stack, with one flip index for all its oracle calls.
 
-    Outcomes are routed through each segment's decision table, as arrays.
-    An outcome of probability at most BRANCH_PRUNE, or of branch weight
-    below it, is dropped; a halting outcome adds its weight to its lane's
-    mass of that kind; a continuing outcome is collapsed, reset and sent to
-    its next segment with its lane, weight and history. A continue only
-    targets a later segment, so a segment has every branch it will get when
-    it starts: it groups them by lane and collapsed state (equal keys are
-    bitwise-equal vectors, so -0.0 stays distinct from 0.0), one branch per
-    group in first-arrival order, and keeps the Pareto-maximal histories of
-    each group. Weights and halting masses are summed with np.add.at in
-    arrival order, the order a run on the lane alone makes them, so a
-    lane's result does not depend on the other lanes or on the blocks. A
-    lane whose halting mass misses 1 by more than 1e-6 raises SpecError
-    where it would be yielded, labelled with name and lane_name(lane): the
-    first such lane raises.
+    Outcomes are handled as arrays. One of probability at most BRANCH_PRUNE,
+    or of branch weight below it, is dropped; a halting one adds its weight
+    to its lane's mass of that kind; a continuing one is collapsed, reset
+    and sent on with its lane, weight and history. A continue only targets
+    a later segment, so a segment has all it was sent when it starts: one
+    branch per (lane, collapsed state) group, keyed bitwise (-0.0 is not
+    0.0). Weights and masses are summed with np.add.at in arrival order, as
+    a run on the lane alone sums them. A branch's history is a row over
+    resets, the most oracle calls of a path with that many (NO_PATH: none):
+    merging takes the maximum, and the Pareto-maximal pairs are the entries
+    above every entry with more resets. A lane whose halting mass misses 1
+    by more than 1e-6 raises SpecError, labelled with name and
+    lane_name(lane), where it would be yielded.
     """
     block = max(1, LANE_CELLS // psi.shape[-1])
     for lo in range(0, len(masks), block):
@@ -437,136 +432,67 @@ def run_segments(tables: list[CompiledSegment], psi: np.ndarray, masks: np.ndarr
             yield run
 
 
-# A history table gives each row of a stack the Pareto-maximal (calls,
-# resets) pairs of the paths merged into it: (bounds, calls, resets), row
-# i's pairs at bounds[i]:bounds[i + 1].
-
-
-def _take(table, rows: np.ndarray):
-    """The history table of the given rows of table, in that order."""
-    bounds, calls, resets = table
-    if bounds[-1] == len(bounds) - 1:            # one pair per row
-        return np.arange(len(rows) + 1), calls[rows], resets[rows]
-    count = bounds[rows + 1] - bounds[rows]
-    out = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(count, out=out[1:])
-    idx = np.repeat(bounds[rows] - out[:-1], count) + np.arange(out[-1])
-    return out, calls[idx], resets[idx]
-
-
-def _joined(tables: list):
-    """One history table of the rows of every table in turn, and the first
-    row of each in it."""
-    sizes = [len(t[0]) - 1 for t in tables]
-    first = list(accumulate(sizes[:-1], initial=0))
-    if len(tables) == 1:
-        return tables[0], first
-    pairs = list(accumulate((int(t[0][-1]) for t in tables), initial=0))
-    bounds = np.concatenate([t[0][:-1] for t in tables] + [pairs[-1:]])
-    bounds[:-1] += np.repeat(pairs[:-1], sizes)
-    return (bounds, *(np.concatenate([t[i] for t in tables]) for i in (1, 2))), first
-
-
-def _merged(owners: int, owner: np.ndarray, src: np.ndarray, table):
-    """The history table of owners 0..owners-1, each holding the Pareto-
-    maximal pairs of the rows of table it gets outcomes from (an owner and
-    a source row per outcome)."""
-    rows = len(table[0]) - 1
-    owner, source = np.divmod(np.unique(owner * rows + src), rows)
-    bounds, calls, resets = _take(table, source)
-    if len(calls) > len(source):
-        owner = np.repeat(owner, np.diff(bounds))
-    if (owner[1:] == owner[:-1]).any():
-        order = np.lexsort((-resets, -calls, owner))
-        owner, calls, resets = owner[order], calls[order], resets[order]
-        # by calls descending, a pair is maximal iff it has more resets
-        # than every earlier pair of its owner
-        level = owner * (int(resets.max()) + 1) + resets
-        keep = np.ones(len(level), dtype=bool)
-        keep[1:] = level[1:] > np.maximum.accumulate(level)[:-1]
-        owner, calls, resets = owner[keep], calls[keep], resets[keep]
-    return np.searchsorted(owner, np.arange(owners + 1)), calls, resets
-
-
 def _enter(batches: list, dim: int):
-    """(lane, weight, states, history table) of the stack entering a
-    segment, from the continuing outcomes sent to it: one batch per sending
-    segment, in sending order, each (lane, weight, source row, source
-    history table, positions, values) per outcome.
-
-    A branch is a (lane, collapsed state) group, keyed on the state's
-    non-zero (position, bit pattern) entries in position order."""
+    """(lane, weight, states, histories) of the stack entering a segment
+    from what was sent to it: per sending segment run, in order, (lane,
+    weight, positions, values, history after the reset) per outcome. A
+    branch is a (lane, collapsed state) group, keyed on the state's non-zero
+    (position, bit pattern) entries in position order; branches are
+    lane-major, each lane's in the order of their first outcomes."""
     if len(batches) == 1:
-        lane, w, src, table, pos, vals = batches[0]
+        (lane, w, pos, vals, hist), = batches
     else:
-        table, first_row = _joined([b[3] for b in batches])
-        width = max(b[4].shape[1] for b in batches)
-        lane, w, src, pos, vals = (np.concatenate(col) for col in (
-            [b[0] for b in batches], [b[1] for b in batches],
-            [b[2] + r for b, r in zip(batches, first_row)],
-            [np.pad(b[4], ((0, 0), (0, width - b[4].shape[1])), constant_values=-1)
-             for b in batches],
-            [np.pad(b[5], ((0, 0), (0, width - b[5].shape[1]))) for b in batches]))
-        # lane-major; each lane's outcomes, and so each branch's, keep their order
-        order = np.argsort(lane, kind="stable")
-        lane, w, src, pos, vals = lane[order], w[order], src[order], pos[order], vals[order]
+        width = max(b[2].shape[1] for b in batches)
+        lane, w, pos, vals, hist = (np.concatenate(col) for col in zip(*[
+            (b[0], b[1], np.pad(b[2], ((0, 0), (0, width - b[2].shape[1])), constant_values=-1),
+             np.pad(b[3], ((0, 0), (0, width - b[3].shape[1]))), b[4]) for b in batches]))
     m, width = pos.shape
-    dense = vals.all()                 # -0.0 counts as zero here, not in the key
-    if not dense:
+    if not vals.all():                 # some entry is 0.0 or -0.0
         # each row's non-zero entries first, in position order, then (-1, 0)
         nz = vals.view(np.uint64).reshape(m, width, 2).any(axis=2)
-        pos = np.where(nz, pos, -1)
-        if (nz[:, 1:] > nz[:, :-1]).any():
-            order = np.argsort(~nz, axis=1, kind="stable")
-            at = np.arange(m)[:, None]
-            pos, vals = pos[at, order], vals[at, order]
+        order, at = np.argsort(~nz, axis=1, kind="stable"), np.arange(m)[:, None]
+        pos, vals = np.where(nz, pos, -1)[at, order], vals[at, order]
     key = np.concatenate([lane[:, None], pos, vals.view(np.int64)], axis=1)
-    # one stable sort on a byte view of the keys: equal keys end up
-    # adjacent, each group led by its first arrival
+    # one stable sort on a byte view of the keys puts each group together,
+    # led by its first outcome
     perm = key.view(np.dtype((np.void, 8 * key.shape[1])))[:, 0].argsort(kind="stable")
     sk = key[perm]
-    new = np.empty(m, dtype=bool)
-    new[0] = True
-    (sk[1:] != sk[:-1]).any(axis=1, out=new[1:])
-    first = np.empty(m, dtype=np.int64)
-    first[perm] = perm[new][np.cumsum(new) - 1]
-    # the outcomes are lane-major, so their first arrivals in order are the
-    # branches lane-major, each lane's in creation order
-    head = (first == np.arange(m)).nonzero()[0]
-    branch = np.searchsorted(head, first)
+    new = np.ones(m, dtype=bool)
+    new[1:] = (sk[1:] != sk[:-1]).any(axis=1)
+    starts = perm[new]
+    order = np.lexsort((starts, lane[starts]))
+    branch = np.empty(m, dtype=np.int64)
+    branch[perm] = order.argsort()[np.cumsum(new) - 1]
+    head = starts[order]
     weight = np.zeros(len(head))
     np.add.at(weight, branch, w)
     psi = np.zeros((len(head), dim), dtype=np.complex128)
     pos, vals = pos[head], vals[head]
-    if dense:
-        psi[np.arange(len(head))[:, None], pos] = vals
-    else:
-        on = pos >= 0
-        psi[np.nonzero(on)[0], pos[on]] = vals[on]
-    source = src[head]
-    if (src == source[branch]).all():            # each branch from one source row
-        hist = _take(table, source)
-    else:
-        hist = _merged(len(head), branch, src, table)
-    return lane[head], weight, psi, hist
+    on = pos >= 0
+    psi[on.nonzero()[0], pos[on]] = vals[on]
+    merged = np.maximum.reduceat(hist[perm], new.nonzero()[0], axis=0)[order]
+    return lane[head], weight, psi, merged
 
 
 def _run_block(tables, psi, masks, d_w, oracle) -> list[tuple[float, FrontierRun]]:
     """run_segments on one block of lanes: (halting mass, run) per lane."""
-    lanes, dim = len(masks), psi.shape[-1]
-    arrivals: list[list] = [[] for _ in tables]      # per segment: batches, see _enter
-    visits = []                                      # per segment run, see _settle
+    lanes, dim, nseg = len(masks), psi.shape[-1], len(tables)
+    sent: list[list] = [[] for _ in tables]          # per segment, see _enter
+    sums = np.zeros(2 * lanes)                       # halting mass per 2 * lane + kind
+    halted = np.full((2 * lanes, nseg), NO_PATH)     # their histories
+    halts = np.zeros(2 * lanes, dtype=np.int64)       # halting outcomes, the same way
+    ran = np.full((lanes, nseg), -1)                 # label rows continued per segment run
     # every lane enters segment 0 once, in its initial state, with history (0, 0)
     lane_of, weight = np.arange(lanes), np.ones(lanes)
     psi = np.repeat(psi[None], lanes, axis=0)
-    start = np.zeros(lanes, dtype=np.int64)
-    hist = (np.arange(lanes + 1), start, start)
+    hist = np.full((lanes, nseg), NO_PATH)
+    hist[:, 0] = 0
     for si, cs in enumerate(tables):
         if si:
-            if not arrivals[si]:
+            if not sent[si]:
                 continue
-            lane_of, weight, psi, hist = _enter(arrivals[si], dim)
-            arrivals[si] = None
+            lane_of, weight, psi, hist = _enter(sent[si], dim)
+            sent[si] = None
         psi = cs.ops[0].apply(psi)
         if cs.calls:
             flip = np.nonzero(masks[lane_of])
@@ -578,54 +504,37 @@ def _run_block(tables, psi, masks, d_w, oracle) -> list[tuple[float, FrontierRun
         # kept: above the measurement's own pruning and the branch weight floor
         r_k, j_k = np.nonzero((prob > BRANCH_PRUNE) & (wp >= BRANCH_PRUNE))
         kind, lane_k, w = cs.kind[j_k], lane_of[r_k], wp[r_k, j_k]
-        hist = (hist[0], hist[1] + cs.calls, hist[2])
-        visits.append((si, lane_of, hist, r_k, j_k, kind, lane_k, w))
-        cont = kind == KIND_CONTINUE
-        if cont.any():
+        hist = hist + cs.calls
+        halt = kind != KIND_CONTINUE
+        owner = (2 * lane_k + kind)[halt]
+        np.add.at(sums, owner, w[halt])
+        np.add.at(halts, owner, 1)
+        np.maximum.at(halted, owner, hist[r_k[halt]])
+        rows = np.zeros((lanes, len(cs.kind)), dtype=bool)
+        if not halt.all():
+            cont = ~halt
             r_c, j_c = r_k[cont], j_k[cont]
             pos, vals = cs.collapse(psi, r_c, j_c, prob[r_c, j_c])
-            batch = (lane_k[cont], w[cont], r_c, (hist[0], hist[1], hist[2] + 1), pos, vals)
+            # a reset moves every history entry to one more reset
+            after = np.full((len(r_c), nseg), NO_PATH)
+            after[:, 1:] = hist[r_c, :-1]
+            batch = (lane_k[cont], w[cont], pos, vals, after)
+            rows[batch[0], j_c] = True
             if len(cs.targets) == 1:
-                arrivals[cs.targets[0]].append(batch)
+                sent[cs.targets[0]].append(batch)
             else:
-                target = cs.next_array[j_c]
+                target = np.asarray(cs.next_segment)[j_c]
                 for t in cs.targets:
                     to = target == t
                     if to.any():
-                        arrivals[t].append((*(a[to] for a in batch[:3]), batch[3],
-                                            *(a[to] for a in batch[4:])))
-    return _settle(visits, lanes, len(tables), dim)
-
-
-def _settle(visits: list, lanes: int, segments: int, labels: int):
-    """(halting mass, run) per lane of a block from its segment runs, each
-    (segment, stack lanes, stack history table, and per kept outcome its
-    stack row, label row, kind, lane and weight), in the order they ran.
-    Every label row is below labels."""
-    seg, lane_of, tables, r_k, j_k, kind, lane_k, w = zip(*visits)
-    table, first_row = _joined(tables)
-    counts = [len(k) for k in kind]
-    src = np.concatenate(r_k) + np.repeat(first_row, counts)
-    kind, lane_k, w = (np.concatenate(col) for col in (kind, lane_k, w))
-    # halting outcomes: mass summed per lane and kind in arrival order, and
-    # the histories of their rows merged per lane and kind
-    halt = kind != KIND_CONTINUE
-    owner = 2 * lane_k[halt] + kind[halt]
-    sums = np.zeros(2 * lanes)
-    np.add.at(sums, owner, w[halt])
-    halts = np.bincount(owner >> 1, minlength=lanes).tolist()
-    bounds, calls, resets = _merged(2 * lanes, owner, src[halt], table)
-    pairs = np.array([calls, resets]).T
-    # per lane and segment run (-1: not run), the label rows that continued
-    ran = np.full(lanes * segments, -1)
-    ran[np.concatenate(lane_of) * segments + np.repeat(seg, [len(s) for s in lane_of])] = 0
-    cont = ~halt
-    if cont.any():
-        rows = np.unique((lane_k[cont] * segments + np.repeat(seg, counts)[cont]) * labels
-                         + np.concatenate(j_k)[cont])
-        np.add.at(ran, rows // labels, 1)
-    ran = ran.reshape(lanes, segments).tolist()
-    bounds, sums = bounds.tolist(), sums.tolist()
+                        sent[t].append(tuple(a[to] for a in batch))
+        ran[lane_of, si] = rows.sum(axis=1)[lane_of]
+    # the Pareto-maximal pairs: entries above -1 and every entry with more resets
+    later = np.append(halted, np.full((2 * lanes, 1), -1), axis=1)[:, :0:-1]
+    owner, resets = np.nonzero(halted > np.maximum.accumulate(later, axis=1)[:, ::-1])
+    pairs = np.stack([halted[owner, resets], resets], axis=1)
+    bounds = np.searchsorted(owner, np.arange(2 * lanes + 1)).tolist()
+    sums, halts, ran = sums.tolist(), (halts[::2] + halts[1::2]).tolist(), ran.tolist()
     return [(sums[2 * lane] + sums[2 * lane + 1],
              FrontierRun(min(sums[2 * lane], 1.0), halts[lane],
                          pairs[bounds[2 * lane]:bounds[2 * lane + 1]],

@@ -104,3 +104,31 @@ def test_branches_with_equal_support_but_different_phases_stay_apart():
         assert abs(run_compiled(rep, z, "11").accept_probability - want) <= GAP, z
         seen.add(round(want, 9))
     assert len(seen) > 1
+
+
+def test_outcomes_of_partition_and_basis_measurements_meet_in_one_segment():
+    # segment 2 gets one-position states from segment 0's basis measurement
+    # and two-position ones from segment 1's partition, in one stack
+    layout = RegisterLayout(2, 1)
+    dim = layout.dim
+    mix = IndexPairHOp(layout, 0, 1)
+    halves = Measurement(dim, {"x": np.array([0, 2]), "y": np.array([1, 3])})
+
+    def fork(outcome):
+        if outcome == 3:
+            return REJECT
+        return Decision("continue", 1 if outcome == 1 else 2,
+                        BasisSwapOp(dim, outcome, 0) if outcome else None)
+
+    alg = QueryAlgorithm("meet", 2, layout, (
+        Segment((mix, mix), CompleteMeasurement(dim), per_outcome(fork)),
+        Segment((mix,), halves,
+                per_outcome(lambda label: Decision("continue", 2) if label == "x" else REJECT)),
+        Segment((mix,), CompleteMeasurement(dim),
+                per_outcome(lambda outcome: ACCEPT if outcome == 0 else REJECT)),
+    ), 1 / 3)
+    rep = compile_query_to_qcfa(alg, and_gadget(), 2)
+    for z in words(2):
+        want = reference_accept(alg, z)
+        assert abs(run_query_alg(alg, z) - want) <= GAP, z
+        assert abs(run_compiled(rep, z, "11").accept_probability - want) <= GAP, z
