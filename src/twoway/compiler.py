@@ -329,8 +329,10 @@ def run_compiled_lanes(report: CompilationReport, x: np.ndarray,
     the same for every branch, so time, census, and boundary crossings are
     reconstructed from closed forms over each branch's oracle calls and
     resets that mirror the step-level runner exactly (validated against it
-    in tests). branch_count tallies halting measurement outcomes, which may
-    group finer or coarser than the step-level runner's merged branch count.
+    in tests). branch_count is the number of halting outcomes the engine
+    kept: (branch, label) pairs of probability above BRANCH_PRUNE and weight
+    at least BRANCH_PRUNE whose decision halts. qcfa_exact counts halting
+    branches after merging equal ones instead, so the two counts differ.
     """
     if not (is_bit_matrix(x, report.n) and is_bit_matrix(y, report.n)) or y.shape != x.shape:
         raise InputError(f"sides must be bit matrices of {report.n} columns")

@@ -7,7 +7,8 @@ consecutive ones, then performs an orthogonal measurement. Each segment
 states its decisions once, as a table with one row per label (`DecisionRows`,
 filled with array operations or read from a per-label rule by `per_outcome`):
 each outcome halts (accept/reject) or continues into a later segment,
-optionally through a reset, which must be a basis transposition.
+optionally through a reset: a basis transposition, so that resets only
+move amplitudes.
 
 One branch engine (`run_segments`, shared by `run_query_alg_lanes` and the
 compiled runner) evaluates many inputs (lanes) at once, on arrays: per
@@ -480,7 +481,7 @@ def _run_block(tables, psi, masks, d_w, oracle) -> list[tuple[float, FrontierRun
     sent: list[list] = [[] for _ in tables]          # per segment, see _enter
     sums = np.zeros(2 * lanes)                       # halting mass per 2 * lane + kind
     halted = np.full((2 * lanes, nseg), NO_PATH)     # their histories
-    halts = np.zeros(2 * lanes, dtype=np.int64)       # halting outcomes, the same way
+    halts = np.zeros(2 * lanes, dtype=np.int64)      # halting outcomes, the same way
     ran = np.full((lanes, nseg), -1)                 # label rows continued per segment run
     # every lane enters segment 0 once, in its initial state, with history (0, 0)
     lane_of, weight = np.arange(lanes), np.ones(lanes)
