@@ -467,7 +467,7 @@ def test_closed_forms_match_the_stepped_machine_at_fit_sizes(builder, n):
     # branches that become bitwise equal mid-segment, which the engine
     # keeps apart until the next segment, so its outcomes can fall under
     # the 1e-12 weight floor where qcfa_exact's merged ones do not (at
-    # grover_or n=256 the gap reaches 5e-11)
+    # grover_or n=256 the gap reaches 7.6e-11)
     rng = random.Random(n)
     pairs = [("".join(rng.choice("01") for _ in range(n)),
               "".join(rng.choice("01") for _ in range(n))) for _ in range(3)]

@@ -8,9 +8,9 @@ import pytest
 
 import twoway.qquery
 from reference import sequential_accept
-from twoway.kernels import oracle_masks
 from twoway.boolfn import BoolFunction, and_fn, or_fn, parse_function, xor_fn
 from twoway.errors import InputError, RefusalError, SpecError
+from twoway.kernels import oracle_masks
 from twoway.ops import (
     MINUS_PREP,
     BasisSwapOp,
@@ -393,12 +393,9 @@ def test_merged_branch_keeps_every_pareto_maximal_history():
     idle = IdentityOp(dim)
     basis = CompleteMeasurement(dim)
 
-    def to(seg):
-        return Decision("continue", seg, BasisSwapOp(dim, 0, 1))
-
     def fork(outcome):
-        return [Decision("continue", 1), to(2), Decision("continue", 4, BasisSwapOp(dim, 0, 2)),
-                REJECT][outcome]
+        return [Decision("continue", 1), Decision("continue", 2, BasisSwapOp(dim, 0, 1)),
+                Decision("continue", 4, BasisSwapOp(dim, 0, 2)), REJECT][outcome]
 
     def onward(seg):
         return per_outcome(lambda outcome: Decision(
