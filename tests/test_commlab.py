@@ -1,9 +1,12 @@
 """Protocol extraction, brute-force communication cost, fingerprinting."""
 
+import hashlib
 import math
+import random
 
 import pytest
 
+from twoway import automata
 from twoway.boolfn import and_gadget, ip_gadget, parse_function
 from twoway.commlab import (
     ALICE,
@@ -23,7 +26,7 @@ from twoway.commlab import (
 from twoway.compiler import compile_query_to_qcfa
 from twoway.errors import InputError, RefusalError
 from twoway.handcrafted import build_eq_dfa, build_eq_pfa
-from twoway.qquery import build_optimal_dt, grover_or
+from twoway.qquery import build_optimal_dt, exact_parity, grover_or
 
 
 def test_transcript_totals():
@@ -76,6 +79,45 @@ def test_compiled_machine_protocol():
     from twoway.compiler import run_compiled
     t_run = run_compiled(rep, "0001", "0001").t_max
     assert tr.total_bits <= space * (t_run // 4) + 1
+
+
+def _compiled(builder, n):
+    return compile_query_to_qcfa(builder(n), and_gadget(), n).machine
+
+
+# the sha256 prefix of the transcripts of seeds 0-39 on six pairs (two
+# members first), the stretch tables cleared before every 7th seed; recorded
+# when the crossings came from a replay of the run's head positions
+PINNED_TRANSCRIPTS = {
+    "eq-dfa:4": (lambda: build_eq_dfa(4), "b87921e28652b775"),
+    "eq-dfa:6": (lambda: build_eq_dfa(6), "274fe65204ae7862"),
+    "eq-pfa:4": (lambda: build_eq_pfa(4), "29b3e7ce0e95c4cc"),
+    "eq-pfa:8": (lambda: build_eq_pfa(8), "36332bd79b1d6dac"),
+    "grover-or:2": (lambda: _compiled(grover_or, 2), "9b382a930d961bfa"),
+    "grover-or:4": (lambda: _compiled(grover_or, 4), "b587dabd6b093995"),
+    "exact-parity:4": (lambda: _compiled(exact_parity, 4), "d1537d8b51211158"),
+}
+
+
+@pytest.mark.parametrize("ident", PINNED_TRANSCRIPTS)
+def test_protocol_transcripts_are_pinned(ident):
+    build, digest = PINNED_TRANSCRIPTS[ident]
+    machine = build()
+    n = int(ident.split(":")[1])
+    rng = random.Random(ident)
+
+    def word():
+        return "".join(rng.choice("01") for _ in range(n))
+
+    pairs = [(x, x) for x in (word(), word())] + [(word(), word()) for _ in range(4)]
+    rows = []
+    for x, y in pairs:
+        for seed in range(40):
+            if seed % 7 == 0:
+                automata._stretches.clear()
+            t = extract_protocol(machine, x, y, seed=seed)
+            rows.append((t.messages, t.output))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == digest
 
 
 def test_protocol_seed_stability():

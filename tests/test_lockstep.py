@@ -1,13 +1,14 @@
 """The lockstep 2DFA walker and the eq-dfa sweep rows it evaluates, checked
 against the per-run path: run_dfa, the owner walk and the accumulator."""
 
+import hashlib
 import itertools
 import os
 import random
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -235,6 +236,17 @@ def test_eq_dfa_csv_is_byte_stable(tmp_path):
     path = tmp_path / "rows.csv"
     write_rows(sweep_ts("eq-dfa", range(1, 9)), path)
     assert path.read_bytes() == EQ_DFA_CSV.replace("\n", "\r\n").encode()
+
+
+def test_eq_dfa_rows_are_pinned(tmp_path):
+    # exhaustive rows up to n=8, sampled rows at 64 and 256 (run_dfa per
+    # pair): the sha256 prefixes of the rows' fields and of their CSV bytes
+    rows = sweep_ts("eq-dfa", [1, 2, 3, 4, 5, 6, 8, 64, 256])
+    fields = [(astuple(r)[:8], r.worst_member, r.worst_nonmember) for r in rows]
+    assert hashlib.sha256(repr(fields).encode()).hexdigest()[:16] == "6503d9205761d297"
+    write_rows(rows, tmp_path / "rows.csv")
+    assert hashlib.sha256((tmp_path / "rows.csv").read_bytes()).hexdigest()[:16] == \
+        "ea07f8492687b92a"
 
 
 def test_sampled_eq_dfa_rows_equal_the_per_run_reference():
