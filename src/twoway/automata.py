@@ -20,13 +20,17 @@ once at a choice and walks on. Between two choices the run is deterministic
 symbol), so a configuration that repeats since the last choice repeats
 forever, and the walker raises at once instead of running to the cutoff;
 and the samplers replay such a stretch from a small per-tape table after
-walking it once.
+walking it once, keyed on its first state, head position and owner. On a
+run split into two ownership regions (commlab's protocol parties), the
+head passes to the other party wherever a stretch starts or a step ends
+outside its owner's region, and must then lie in the other region.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -41,6 +45,7 @@ RIGHT_MARKER = "$"
 PAYLOAD_SYMBOLS = ("0", "1", "#")
 DEFAULT_CUTOFF = 10_000_000
 CONFIG_NODE_CAP = 1_000_000
+_WHOLE_TAPE = ((0, sys.maxsize),) * 2    # the ownership regions of a run that is not split
 
 State = object
 
@@ -172,7 +177,7 @@ class RunTrace:
     steps: int
     visited: int                       # distinct transition-origin states
     final_state: State
-    positions: list[int] | None = None
+    handoffs: list | None = None       # (step, old owner) pairs of a split run
     accepted_bit: int | None = None    # 1/0 for halting runs
     origins: frozenset = frozenset()
 
@@ -237,7 +242,8 @@ def _undefined(machine, state: State, sym: str) -> SpecError:
     return SpecError(f"{machine.name}: undefined transition at {(state, sym)}")
 
 
-def _walk(machine, symbols, transition, cutoff, origins, positions, state, pos, steps):
+def _walk(machine, symbols, transition, cutoff, origins, state, pos, steps,
+          regions=_WHOLE_TAPE, handoffs=()):
     """Follow `machine` on the tape `symbols` from `state` at head position
     `pos`, `steps` transitions in, until it halts or meets a choice.
 
@@ -249,8 +255,9 @@ def _walk(machine, symbols, transition, cutoff, origins, positions, state, pos, 
 
     The stretch walked is deterministic, so a configuration that repeats in
     it repeats forever: the walk raises on it at once, before the step
-    cutoff. Every state a transition is taken from joins `origins`; every
-    head position after a step joins `positions`, unless that is None.
+    cutoff. Every state a transition is taken from joins `origins`, and
+    every hand-off between the two ownership `regions` joins `handoffs`
+    (_hand_off, where the walk starts and after every step).
     """
     last = len(symbols) - 1
     circular = machine.circular
@@ -258,6 +265,7 @@ def _walk(machine, symbols, transition, cutoff, origins, positions, state, pos, 
     seen: set = set()
     seen_add = seen.add
     first = steps                  # where the stretch began
+    lo, hi = _hand_off(regions, handoffs, pos, steps)
     while True:
         if halting(state) is not None:
             return state, pos, steps, None
@@ -296,14 +304,30 @@ def _walk(machine, symbols, transition, cutoff, origins, positions, state, pos, 
         elif mv != 0:
             raise _move_error(machine.name, steps, pos, mv)
         steps += 1
-        if positions is not None:
-            positions.append(pos)
+        if not lo <= pos <= hi:
+            lo, hi = _hand_off(regions, handoffs, pos, steps)
 
 
-def _trace(machine, state, steps: int, origins, positions) -> RunTrace:
+def _hand_off(regions, handoffs, pos: int, steps: int) -> tuple[int, int]:
+    """The region of the head's owner (the other party after an odd number
+    of `handoffs`) at `pos` after `steps` transitions. A head outside it
+    hands off: (steps, old owner) joins `handoffs`, and the head must lie
+    in the other region, so neither party reads the other's symbols."""
+    owner = len(handoffs) & 1
+    lo, hi = regions[owner]
+    if lo <= pos <= hi:
+        return lo, hi
+    handoffs.append((steps, owner))
+    lo, hi = regions[1 - owner]
+    if lo <= pos <= hi:
+        return lo, hi
+    raise InputError(f"head position {pos} lies outside both regions {regions}")
+
+
+def _trace(machine, state, steps: int, origins, handoffs) -> RunTrace:
     halt = machine.states.halting(state)
     return RunTrace(
-        halt, steps, len(origins), state, positions,
+        halt, steps, len(origins), state, handoffs,
         1 if halt == "accept" else 0, frozenset(origins),
     )
 
@@ -311,60 +335,58 @@ def _trace(machine, state, steps: int, origins, positions) -> RunTrace:
 # --- stretch tables ----------------------------------------------------------------
 
 _STRETCH_TAPES = 4     # tapes whose stretch tables are kept; the oldest goes first
-_stretches: dict = {}  # (id(machine), payload) -> (machine, tape, table)
-# a table maps a stretch's first (state, pos) to (state, pos, steps, origins,
-# choice, operators): where it ends, its length, the states it steps from,
-# the choice it ends in (None at a halt), and a 2QCFA's (op, where) pairs
+_stretches: dict = {}  # (id(machine), payload, regions) -> (machine, tape, table)
+# a table maps a stretch's first (state, pos, owner) to its end (state, pos),
+# length, origin states, choice (None at a halt), a 2QCFA's (op, where)
+# pairs, and hand-offs as (step offset, old owner)
 
 
-def _sample(machine, payload: str, transition, choose, cutoff: int,
-            record_positions: bool, register=None) -> RunTrace:
+def _sample(machine, payload: str, transition, choose, cutoff: int, regions,
+            register=None) -> RunTrace:
     """One sampled trajectory of `machine` on `payload`, stretch by stretch:
     from the start or a draw (`choose(state, symbol, choice)`) to the halt
     or the next choice. A stretch is deterministic, so it is stepped once
-    per machine, tape and first (state, pos), then replayed from the table,
-    a 2QCFA `register` applying its operators one by one with their norm
-    checks. A stretch that could pass `cutoff`, or any of a run that records
-    positions, is stepped, and a recording run leaves the tables as they
-    are. An entry holds its machine, so no other can take its id."""
-    key = (id(machine), payload)
+    per machine, tape, regions and first (state, pos, owner), then replayed
+    from the table, a 2QCFA `register` applying its operators one by one
+    with their norm checks. A stretch that could pass `cutoff` is stepped.
+    An entry holds its machine, so no other can take its id."""
+    key = (id(machine), payload, regions)
     cached = _stretches.get(key) or (machine, Tape(payload, machine.circular), {})
-    if key not in _stretches and not record_positions:
+    if key not in _stretches:
         if len(_stretches) >= _STRETCH_TAPES:
             del _stretches[next(iter(_stretches))]
         _stretches[key] = cached
     _, tape, table = cached
     symbols = tape.symbols
-    positions = [0] if record_positions else None
+    handoffs: list = []
     origins: set = set()
     state, pos, steps = machine.states.initial, 0, 0
     while True:
-        if record_positions:
-            state, pos, steps, choice = _walk(
-                machine, symbols, transition, cutoff, origins, positions, state, pos, steps)
+        start = (state, pos, len(handoffs) & 1)
+        stretch = table.get(start)
+        if stretch is None or steps + stretch[2] >= cutoff:
+            part, mark = set(), len(handoffs)
+            if register is not None:
+                register.log = []
+            end, end_pos, end_steps, choice = _walk(
+                machine, symbols, transition, cutoff, part, state, pos, steps,
+                regions or _WHOLE_TAPE, handoffs)
+            stretch = table[start] = (
+                end, end_pos, end_steps - steps, frozenset(part), choice,
+                None if register is None else tuple(register.log),
+                tuple((at - steps, old) for at, old in handoffs[mark:]))
         else:
-            stretch = table.get((state, pos))
-            if stretch is None or steps + stretch[2] >= cutoff:
-                part: set = set()
-                if register is not None:
-                    register.log = []
-                end, end_pos, end_steps, choice = _walk(
-                    machine, symbols, transition, cutoff, part, None, state, pos, steps)
-                stretch = table[state, pos] = (
-                    end, end_pos, end_steps - steps, frozenset(part), choice,
-                    None if register is None else tuple(register.log))
-            elif register is not None:
+            if register is not None:
                 register.replay(stretch[5])
-            state, pos, k, part, choice, _ = stretch
-            origins |= part
-            steps += k
+            handoffs += [(steps + at, old) for at, old in stretch[6]]
+        state, pos, k, part, choice, _, _ = stretch
+        origins |= part
+        steps += k
         if choice is None:
-            return _trace(machine, state, steps, origins, positions)
+            return _trace(machine, state, steps, origins, handoffs if regions else None)
         state, mv = choose(state, symbols[pos], choice)
         pos = tape.move(pos, mv, machine.name, steps)
         steps += 1
-        if positions is not None:
-            positions.append(pos)
 
 
 # --- deterministic runner -----------------------------------------------------
@@ -374,15 +396,18 @@ def run_dfa(
     machine: TwoWayDfa,
     payload: str,
     cutoff: int = DEFAULT_CUTOFF,
-    record_positions: bool = False,
+    regions=None,
 ) -> RunTrace:
     """Run to halt. A revisited (state, position) configuration means the
-    deterministic machine loops forever and raises immediately."""
+    deterministic machine loops forever and raises immediately. With two
+    ownership `regions` ((lo, hi) head intervals), the trace's `handoffs`
+    are the run's (step, old owner) hand-offs between them."""
     origins: set = set()
-    positions = [0] if record_positions else None
+    handoffs: list = []
     state, _, steps, _ = _walk(machine, Tape(payload, machine.circular).symbols, machine.step,
-                               cutoff, origins, positions, machine.states.initial, 0, 0)
-    return _trace(machine, state, steps, origins, positions)
+                               cutoff, origins, machine.states.initial, 0, 0,
+                               regions or _WHOLE_TAPE, handoffs)
+    return _trace(machine, state, steps, origins, handoffs if regions else None)
 
 
 # --- probabilistic runners ------------------------------------------------------
@@ -425,7 +450,7 @@ def run_pfa_sample(
     payload: str,
     seed: int | random.Random = 0,
     cutoff: int = DEFAULT_CUTOFF,
-    record_positions: bool = False,
+    regions=None,
 ) -> RunTrace:
     """One seeded trajectory: one draw per random choice."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
@@ -439,8 +464,7 @@ def run_pfa_sample(
                 break
         return nxt_state, mv
 
-    return _sample(machine, payload, _pfa_transition(machine), choose, cutoff,
-                   record_positions)
+    return _sample(machine, payload, _pfa_transition(machine), choose, cutoff, regions)
 
 
 def _pfa_exact_one_shot(machine: TwoWayPfa, tape: Tape, cutoff: int) -> ExactRunResult:
@@ -451,8 +475,7 @@ def _pfa_exact_one_shot(machine: TwoWayPfa, tape: Tape, cutoff: int) -> ExactRun
     transition = _pfa_transition(machine)
 
     def walk(state, pos, steps):
-        return _walk(machine, symbols, transition, cutoff, origins, None,
-                     state, pos, steps)
+        return _walk(machine, symbols, transition, cutoff, origins, state, pos, steps)
 
     state, pos, steps, dist = walk(machine.states.initial, 0, 0)
     ends = [(Fraction(1), state, steps)] if dist is None else []
@@ -785,7 +808,7 @@ def qcfa_sample(
     payload: str,
     seed: int | random.Random = 0,
     cutoff: int = DEFAULT_CUTOFF,
-    record_positions: bool = False,
+    regions=None,
 ) -> RunTrace:
     """One seeded trajectory: one draw per measurement."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
@@ -802,8 +825,8 @@ def qcfa_sample(
         register.psi = collapsed
         return register.route(state, sym, label)
 
-    return _sample(machine, payload, register.transition, choose, cutoff,
-                   record_positions, register)
+    return _sample(machine, payload, register.transition, choose, cutoff, regions,
+                   register)
 
 
 # --- aggregate accounting --------------------------------------------------------

@@ -74,27 +74,6 @@ def _regions(n: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return ((0, 2 * n), (n + 1, 3 * n + 1))
 
 
-def _owner_walk(positions: list, regions) -> list:
-    """Replay a head trajectory against the two ownership regions, returning
-    the crossing points as (step index, old owner). The walk also checks the
-    partition is honored: after each hand-off the head must sit inside the
-    new owner's region, so neither party ever reads the other's symbols."""
-    owner = 0
-    crossings = []
-    for i, pos in enumerate(positions):
-        lo, hi = regions[owner]
-        if lo <= pos <= hi:
-            continue
-        crossings.append((i, owner))
-        owner = 1 - owner
-        lo, hi = regions[owner]
-        if not (lo <= pos <= hi):
-            raise InputError(
-                f"head position {pos} lies outside both regions {regions}"
-            )
-    return crossings
-
-
 def extract_protocol(machine, x: str, y: str, seed=0) -> ProtocolTranscript:
     """Partitioned simulation of one (seeded) run on x #^n y.
 
@@ -110,19 +89,18 @@ def extract_protocol(machine, x: str, y: str, seed=0) -> ProtocolTranscript:
     payload = x + HASH * n + y
     regions = _regions(n)
     if machine.kind == "2dfa":
-        trace = run_dfa(machine, payload, record_positions=True)
+        trace = run_dfa(machine, payload, regions=regions)
     elif machine.kind == "2pfa":
-        trace = run_pfa_sample(machine, payload, seed=seed, record_positions=True)
+        trace = run_pfa_sample(machine, payload, seed=seed, regions=regions)
     else:
-        trace = qcfa_sample(machine, payload, seed=seed, record_positions=True)
+        trace = qcfa_sample(machine, payload, seed=seed, regions=regions)
     per_message = math.ceil(machine_space(machine))
     names = (ALICE, BOB)
-    crossings = _owner_walk(trace.positions, regions)
     messages = [
         ProtocolMessage(names[old], per_message, "state", f"hand-off at step {i}")
-        for i, old in crossings
+        for i, old in trace.handoffs
     ]
-    final_owner = len(crossings) & 1    # each hand-off flips the owner
+    final_owner = len(trace.handoffs) & 1    # each hand-off flips the owner
     output = 1 if trace.outcome == "accept" else 0
     messages.append(ProtocolMessage(names[final_owner], 1, "output"))
     return ProtocolTranscript(messages, output)

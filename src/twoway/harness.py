@@ -21,8 +21,8 @@ The equality sweep machine's exhaustive rows walk every pair of the row in
 lockstep (lockstep.run_dfa_lanes): the machine's transitions are tabulated
 the first time a pair of the row needs them. A lane the walk hands back (a
 failing transition, a bad head position, a long run) is replayed through
-run_dfa and the owner walk before the lanes after it are added, so the row
-raises the error the first failing pair raises on its own. Its sampled
+run_dfa on the row's regions before the lanes after it are added, so the
+row raises the error the first failing pair raises on its own. Its sampled
 rows, whose states seldom repeat, take that per-run path for every pair.
 
 The equality fingerprint family uses a vectorized evaluator (residues and
@@ -54,9 +54,8 @@ import numpy as np
 
 from .automata import DEFAULT_CUTOFF, PAYLOAD_SYMBOLS, run_dfa
 from .boolfn import HASH, LanguageSpec, bit_string, eq_language, ints_language, lifted_language, ComposedFunction, and_gadget, xor_fn
-from .commlab import _owner_walk, _regions, machine_space
+from .commlab import _regions, machine_space
 from .compiler import compile_query_to_qcfa, run_compiled_lanes
-from .compiler import run_compiled  # noqa: F401  (the benchmark's tracer hooks this name)
 from .errors import InputError, SpecError
 from .handcrafted import PrimeTable, build_eq_dfa, eq_pfa_time
 from .lockstep import LaneRuns, distinct_per_row, run_dfa_lanes
@@ -242,9 +241,9 @@ def _add_dfa_pairs(acc: _Accum, machine, x: np.ndarray, y: np.ndarray, regions,
 
     With `lockstep`, every pair walks in lockstep (run_dfa_lanes); without
     it, every pair is handed back. A lane handed back goes through the
-    per-run path (run_dfa, _owner_walk) before the lanes from it on are
-    added, so the first pair that the per-run path or its certificate fails
-    on raises its error, with its message."""
+    per-run path (run_dfa on `regions`, its hand-offs the crossings) before
+    the lanes from it on are added, so the first pair that the per-run path
+    or its certificate fails on raises its error, with its message."""
     n = x.shape[1]
     if lockstep:
         payloads = np.empty((x.shape[0], 3 * n), dtype=np.uint8)
@@ -266,8 +265,8 @@ def _add_dfa_pairs(acc: _Accum, machine, x: np.ndarray, y: np.ndarray, regions,
     for i in np.flatnonzero(runs.replay).tolist():
         add(slice(start, i))
         trace = run_dfa(machine, bit_string(x[i]) + HASH * n + bit_string(y[i]),
-                        cutoff, record_positions=True)
-        runs.crossings[i] = len(_owner_walk(trace.positions, regions))
+                        cutoff, regions)
+        runs.crossings[i] = len(trace.handoffs)
         runs.accepted[i], runs.steps[i], runs.visited[i] = (
             trace.accepted_bit, trace.steps, trace.visited)
         start = i

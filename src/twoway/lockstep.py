@@ -7,7 +7,7 @@ machine's step function runs once per distinct pair however many lanes take
 it (Shepherdson's transfer tables summarise a two-way machine the same way).
 Every step then moves all live lanes with array lookups. The runner also
 counts each lane's hand-offs between two ownership regions of the tape, as
-commlab's owner walk does on a recorded trajectory, and its visited census.
+run_dfa records them on a split run, and its visited census.
 
 automata.run_dfa stays the single-run API and the reference: a lane this
 runner cannot finish exactly as run_dfa would is handed back to it.
@@ -49,7 +49,7 @@ class LaneRuns:
     accepted: np.ndarray    # 1/0 accepted bit
     steps: np.ndarray
     visited: np.ndarray     # distinct transition-origin states
-    crossings: np.ndarray   # ownership hand-offs, as commlab's owner walk counts them
+    crossings: np.ndarray   # ownership hand-offs, as run_dfa records them
     replay: np.ndarray
 
     @classmethod
@@ -134,7 +134,7 @@ def run_dfa_lanes(
     `payloads` holds one payload per row as indices into PAYLOAD_SYMBOLS.
     Each lane's run equals run_dfa's on its payload, and its crossings
     count the hand-offs between the two ownership `regions` ((lo, hi) head
-    intervals) that commlab's owner walk counts on the run's positions.
+    intervals) that run_dfa records with the same `regions`.
 
     Transitions come from a table filled on first use, so machine.step and
     states.halting run once per distinct (state, symbol) pair and state.
@@ -160,7 +160,7 @@ def run_dfa_lanes(
         row = owner * (width + 2) + 1
         region[row + max(lo, 0):row + min(hi, width - 1) + 1] = True
     table = _TransitionTable(machine)
-    # every lane starts on the left end marker; the owner walk checks it too
+    # every lane starts on the left end marker, where run_dfa checks it too
     owner = 0
     if not region[1]:
         owner = 1

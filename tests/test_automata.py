@@ -49,10 +49,14 @@ def test_dfa_accepts_and_counts_steps():
     assert trace.outcome == "reject" and trace.accepted_bit == 0
 
 
-def test_dfa_positions_recorded():
-    trace = run_dfa(sweep_dfa(), "00", record_positions=True)
-    # one entry per step plus the halting position
-    assert trace.positions == [0, 1, 2, 3, 3]
+def test_dfa_handoffs_recorded():
+    # ¢ 0 0 $: the head is at 0, 1, 2, 3, 3 after steps 0-4
+    m = sweep_dfa()
+    assert run_dfa(m, "00").handoffs is None
+    assert run_dfa(m, "00", regions=((0, 1), (2, 3))).handoffs == [(2, 0)]
+    assert run_dfa(m, "00", regions=((0, 3), (0, 3))).handoffs == []
+    # a start outside the first region hands off before the first step
+    assert run_dfa(m, "00", regions=((1, 3), (0, 0))).handoffs == [(0, 0), (1, 1)]
 
 
 def test_dfa_missing_transition_is_spec_error():

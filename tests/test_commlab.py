@@ -14,7 +14,6 @@ from twoway.commlab import (
     FunctionMatrix,
     ProtocolMessage,
     ProtocolTranscript,
-    _owner_walk,
     block_exchange_protocol,
     bruteforce_dcc,
     composed_protocol_cost,
@@ -23,6 +22,7 @@ from twoway.commlab import (
     fingerprint_protocol,
     machine_space,
 )
+from twoway.automata import dfa_from_table, run_dfa
 from twoway.compiler import compile_query_to_qcfa
 from twoway.errors import InputError, RefusalError
 from twoway.handcrafted import build_eq_dfa, build_eq_pfa
@@ -40,15 +40,28 @@ def test_transcript_totals():
     assert t.crossings == 2           # output messages are not crossings
 
 
-def test_owner_walk_hand_example():
-    # Alice owns [0, 4], Bob owns [3, 7]: entering 5+ hands off to Bob,
-    # coming back below 3 hands back to Alice
+def script_dfa(moves):
+    """A 2DFA that makes the head moves `moves` whatever it reads, then
+    accepts."""
+    table = {(j, sym): (j + 1 if j + 1 < len(moves) else "acc", mv)
+             for j, mv in enumerate(moves) for sym in "¢01#$"}
+    return dfa_from_table("script", table, 0, {"acc"}, set())
+
+
+def test_handoffs_hand_example():
+    # Alice owns [0, 4], Bob owns [3, 7]: the head walks 0..7, back to 2 and
+    # up to 5; entering 5 hands off to Bob, coming back below 3 hands back
+    # to Alice, and entering 5 again hands off to Bob
     regions = ((0, 4), (3, 7))
-    positions = [0, 2, 4, 5, 7, 4, 2, 6]
-    crossings = _owner_walk(positions, regions)
-    assert [(i, old) for i, old in crossings] == [(3, 0), (6, 1), (7, 0)]
-    with pytest.raises(InputError):
-        _owner_walk([0, 9], regions)
+    machine = script_dfa([1] * 7 + [-1] * 5 + [1] * 3)
+    trace = run_dfa(machine, "000000", regions=regions)
+    assert trace.steps == 15
+    assert trace.handoffs == [(5, 0), (12, 1), (15, 0)]
+    assert run_dfa(machine, "000000").handoffs is None
+    # on a longer tape the head reaches 8, outside both regions, on step 8
+    with pytest.raises(InputError, match=r"head position 8 lies outside both regions "
+                                         r"\(\(0, 4\), \(3, 7\)\)"):
+        run_dfa(script_dfa([1] * 9), "0000000", regions=regions)
 
 
 def test_eq_dfa_protocol_single_crossing():

@@ -1,5 +1,5 @@
 """The lockstep 2DFA walker and the eq-dfa sweep rows it evaluates, checked
-against the per-run path: run_dfa, the owner walk and the accumulator."""
+against the per-run path: run_dfa, its hand-offs and the accumulator."""
 
 import hashlib
 import itertools
@@ -18,7 +18,7 @@ import twoway
 from twoway import lockstep
 from twoway.automata import DEFAULT_CUTOFF, dfa_from_table, run_dfa
 from twoway.boolfn import eq_language
-from twoway.commlab import _owner_walk, machine_space
+from twoway.commlab import machine_space
 from twoway.errors import InputError, NonHaltingError, SpecError
 from twoway.handcrafted import build_eq_dfa
 from twoway.lockstep import run_dfa_lanes
@@ -43,11 +43,10 @@ def scalar_lane(machine, payload, regions, cutoff=DEFAULT_CUTOFF):
     """(accepted bit, steps, visited, crossings) of the per-run path, or the
     exception it raises."""
     try:
-        trace = run_dfa(machine, payload, cutoff, record_positions=True)
-        crossings = len(_owner_walk(trace.positions, regions))
+        trace = run_dfa(machine, payload, cutoff, regions)
     except RUN_ERRORS as exc:
         return exc
-    return trace.accepted_bit, trace.steps, trace.visited, crossings
+    return trace.accepted_bit, trace.steps, trace.visited, len(trace.handoffs)
 
 
 def lane(runs, i):
@@ -199,10 +198,9 @@ def reference_row_acc(n):
     lang = eq_language(n)
     acc = _Accum(machine_space(machine))
     for x, y in row_pairs(lang, n, 12):
-        trace = run_dfa(machine, x + "#" * n + y, record_positions=True)
-        crossings = len(_owner_walk(trace.positions, _regions(n)))
+        trace = run_dfa(machine, x + "#" * n + y, regions=_regions(n))
         add_pair(acc, lang, x, y, float(trace.accepted_bit), trace.steps, trace.visited,
-                 crossings)
+                 len(trace.handoffs))
     return acc
 
 
@@ -218,7 +216,7 @@ def test_eq_dfa_rows_equal_the_per_run_reference():
         assert row.t_max == 3 * n + 2
 
 
-# written by the per-run evaluator, one run_dfa and owner walk per pair
+# written by the per-run evaluator, one run_dfa per pair
 EQ_DFA_CSV = """\
 family,n,T,S_declared,S_visited,TS,member_err,nonmember_err
 eq-dfa,1,5,3.169925,2,15.849625,0,0
@@ -321,10 +319,9 @@ def per_pair_error(machine, pairs):
     acc = _Accum(machine_space(machine))
     for x, y in pairs:
         try:
-            trace = run_dfa(machine, x + "#" * N + y, CUTOFF, record_positions=True)
-            crossings = len(_owner_walk(trace.positions, REGIONS))
+            trace = run_dfa(machine, x + "#" * N + y, CUTOFF, REGIONS)
             add_pair(acc, eq_language(N), x, y, float(trace.accepted_bit), trace.steps,
-                     trace.visited, crossings)
+                     trace.visited, len(trace.handoffs))
         except RUN_ERRORS as exc:
             return exc
     return acc

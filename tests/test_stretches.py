@@ -4,6 +4,7 @@ error the step walker raises is raised the same way on a warm cache."""
 
 import gc
 import hashlib
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,7 @@ from twoway.automata import (
 )
 from twoway.boolfn import and_gadget
 from twoway.compiler import compile_query_to_qcfa
-from twoway.errors import NonHaltingError, SpecError
+from twoway.errors import InputError, NonHaltingError, SpecError
 from twoway.handcrafted import build_eq_pfa
 from twoway.ops import DenseOp, Measurement
 from twoway.qquery import exact_parity, grover_or
@@ -74,7 +75,7 @@ def _traces(machine, sampler, pairs, cold):
 
 
 def _digest(traces) -> str:
-    rows = [(t.outcome, t.steps, t.visited, repr(t.final_state), t.positions,
+    rows = [(t.outcome, t.steps, t.visited, repr(t.final_state), t.handoffs,
              t.accepted_bit, sorted(map(repr, t.origins))) for t in traces]
     return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
 
@@ -89,24 +90,49 @@ def test_sampler_traces_are_pinned_cold_and_warm(ident):
     assert _digest(cold) == digest
 
 
-def test_a_run_that_records_positions_neither_reads_nor_fills_the_tables():
-    # seeds 0-49 on the grover-or:2 pairs, positions recorded: the sha256
-    # prefix was taken before such runs stopped filling the tables
+def test_a_split_run_replays_the_tables_and_equals_a_cold_run():
+    # seeds 0-49 on the grover-or:2 pairs, split into the protocol's regions
     build, sampler, pairs, _ = PINNED["grover-or:2"]
     machine = build()
-    _clear()
-    traces = [sampler(machine, payload(x, y), seed=seed, record_positions=True)
-              for x, y in pairs for seed in range(50)]
-    assert automata._stretches == {}
-    assert _digest(traces) == "b9c17f83ef1c0bfc"
-    assert all(len(t.positions) == t.steps + 1 for t in traces)
-    # a warm tape's table gains nothing either, and the trace is the same
-    word = payload(*pairs[1])
-    sampler(machine, word, seed=0)
-    before = dict(_table(machine, word))
-    assert _digest([sampler(machine, word, seed=seed, record_positions=True)
-                    for seed in range(50)]) == _digest(traces[50:100])
-    assert _table(machine, word) == before
+    regions = ((0, 4), (3, 7))
+    for x, y in pairs:
+        word = payload(x, y)
+        cold = []
+        for seed in range(50):
+            _clear()
+            cold.append(sampler(machine, word, seed=seed, regions=regions))
+        _clear()
+        warm = [sampler(machine, word, seed=seed, regions=regions) for seed in range(50)]
+        assert warm == cold
+        assert any(t.handoffs for t in cold)
+        # the split run keeps a table of its own, which the warm runs filled
+        assert len(automata._stretches) == 1
+        table = _table(machine, word, regions)
+        assert table and all(len(key) == 3 for key in table)
+        # every other field equals an unsplit run's
+        unsplit = [sampler(machine, word, seed=seed) for seed in range(50)]
+        assert [replace(t, handoffs=None) for t in cold] == unsplit
+
+
+def test_a_draw_that_moves_the_head_across_hands_off():
+    # the coin's second outcome moves the head from 1 into Bob's region;
+    # a payload of 0s keeps the walk on b until it halts on $
+    table = {("a", "¢"): [(Fraction(1), "a", 1)],
+             ("a", "0"): [(HALF, "yes", 0), (HALF, "b", 1)],
+             ("b", "0"): [(Fraction(1), "b", 1)],
+             ("b", "$"): [(Fraction(1), "yes", 0)]}
+    m = pfa_from_table("cross", table, "a", {"yes"}, set())
+    for regions, want in [(((0, 1), (2, 4)), [(2, 0)]), (((0, 3), (1, 4)), [(4, 0)])]:
+        cold, warm = _cold_and_warm(
+            lambda: run_pfa_sample(m, "000", seed=SECOND, regions=regions).handoffs,
+            lambda: run_pfa_sample(m, "000", seed=SECOND, regions=regions))
+        assert cold == warm == want
+    # a draw that lands outside both regions raises on its step
+    cold, warm = _cold_and_warm(
+        lambda: run_pfa_sample(m, "000", seed=SECOND, regions=((0, 1), (3, 4))),
+        lambda: run_pfa_sample(m, "000", seed=FIRST, regions=((0, 1), (3, 4))))
+    assert cold == warm == (
+        InputError, "head position 2 lies outside both regions ((0, 1), (3, 4))", None)
 
 
 # --- a warm cache raises what a cold one does ---------------------------------------
@@ -116,8 +142,8 @@ HALF = Fraction(1, 2)
 FIRST, SECOND = 1, 0
 
 
-def _table(machine, word):
-    return automata._stretches[id(machine), word][2]
+def _table(machine, word, regions=None):
+    return automata._stretches[id(machine), word, regions][2]
 
 
 def _outcome(run):
@@ -125,7 +151,7 @@ def _outcome(run):
     what it raises."""
     try:
         return run()
-    except (NonHaltingError, SpecError) as err:
+    except (NonHaltingError, SpecError, InputError) as err:
         return type(err), str(err), getattr(err, "configuration", None)
 
 
@@ -148,7 +174,7 @@ def test_a_cutoff_inside_a_cached_stretch_raises_at_its_step():
 
     def warm_up():
         assert run_pfa_sample(m, word, seed=FIRST).steps == 6
-        assert _table(m, word)["b", 1][:3] == ("yes", 5, 5)
+        assert _table(m, word)["b", 1, 0][:3] == ("yes", 5, 5)
 
     for cutoff, want in [
         (5, (NonHaltingError, "walk: step cutoff 5 exceeded", ("b", 5))),
@@ -183,7 +209,7 @@ def test_an_operator_drifting_inside_a_cached_stretch_is_reported_where_it_acts(
 
     def warm_up():
         assert qcfa_sample(m, "0", seed=FIRST).outcome == "accept"
-        assert [where for _, where in _table(m, "0")["fix", 1][5]] == ["at ('fix', '0')"]
+        assert [where for _, where in _table(m, "0")["fix", 1, 0][5]] == ["at ('fix', '0')"]
 
     cold, warm = _cold_and_warm(lambda: qcfa_sample(m, "0", seed=SECOND), warm_up)
     assert cold == warm == (SpecError, "state norm drifted by 3.000e+00 at ('fix', '0')",
