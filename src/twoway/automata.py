@@ -177,7 +177,7 @@ class RunTrace:
     steps: int
     visited: int                       # distinct transition-origin states
     final_state: State
-    handoffs: list | None = None       # (step, old owner) pairs of a split run
+    handoffs: list[tuple[int, int]] | None = None   # (step, old owner) of a split run
     accepted_bit: int | None = None    # 1/0 for halting runs
     origins: frozenset = frozenset()
 

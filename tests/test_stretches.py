@@ -114,27 +114,6 @@ def test_a_split_run_replays_the_tables_and_equals_a_cold_run():
         assert [replace(t, handoffs=None) for t in cold] == unsplit
 
 
-def test_a_draw_that_moves_the_head_across_hands_off():
-    # the coin's second outcome moves the head from 1 into Bob's region;
-    # a payload of 0s keeps the walk on b until it halts on $
-    table = {("a", "¢"): [(Fraction(1), "a", 1)],
-             ("a", "0"): [(HALF, "yes", 0), (HALF, "b", 1)],
-             ("b", "0"): [(Fraction(1), "b", 1)],
-             ("b", "$"): [(Fraction(1), "yes", 0)]}
-    m = pfa_from_table("cross", table, "a", {"yes"}, set())
-    for regions, want in [(((0, 1), (2, 4)), [(2, 0)]), (((0, 3), (1, 4)), [(4, 0)])]:
-        cold, warm = _cold_and_warm(
-            lambda: run_pfa_sample(m, "000", seed=SECOND, regions=regions).handoffs,
-            lambda: run_pfa_sample(m, "000", seed=SECOND, regions=regions))
-        assert cold == warm == want
-    # a draw that lands outside both regions raises on its step
-    cold, warm = _cold_and_warm(
-        lambda: run_pfa_sample(m, "000", seed=SECOND, regions=((0, 1), (3, 4))),
-        lambda: run_pfa_sample(m, "000", seed=FIRST, regions=((0, 1), (3, 4))))
-    assert cold == warm == (
-        InputError, "head position 2 lies outside both regions ((0, 1), (3, 4))", None)
-
-
 # --- a warm cache raises what a cold one does ---------------------------------------
 
 HALF = Fraction(1, 2)
@@ -231,6 +210,28 @@ def test_a_head_move_right_after_a_draw_raises_on_a_warm_run():
         assert cold == warm == (
             SpecError, f"coin: head moved left of the left end marker on step {step} "
                        "at head position 0", None)
+
+
+def test_a_draw_that_moves_the_head_across_hands_off():
+    # the coin's second outcome moves the head from 1 to 2, and b walks on
+    # to $ and halts: on ((0, 1), (2, 4)) the draw hands off at step 2, on
+    # ((0, 3), (1, 4)) the walk does on $ at step 4
+    table = {("a", "¢"): [(Fraction(1), "a", 1)],
+             ("a", "0"): [(HALF, "yes", 0), (HALF, "b", 1)],
+             ("b", "0"): [(Fraction(1), "b", 1)],
+             ("b", "$"): [(Fraction(1), "yes", 0)]}
+    m = pfa_from_table("cross", table, "a", {"yes"}, set())
+    for regions, want in [(((0, 1), (2, 4)), [(2, 0)]), (((0, 3), (1, 4)), [(4, 0)])]:
+        cold, warm = _cold_and_warm(
+            lambda: run_pfa_sample(m, "000", seed=SECOND, regions=regions).handoffs,
+            lambda: run_pfa_sample(m, "000", seed=SECOND, regions=regions))
+        assert cold == warm == want
+    # a draw that lands outside both regions raises on its step
+    cold, warm = _cold_and_warm(
+        lambda: run_pfa_sample(m, "000", seed=SECOND, regions=((0, 1), (3, 4))),
+        lambda: run_pfa_sample(m, "000", seed=FIRST, regions=((0, 1), (3, 4))))
+    assert cold == warm == (
+        InputError, "head position 2 lies outside both regions ((0, 1), (3, 4))", None)
 
 
 def test_a_machine_built_after_a_dropped_one_never_reads_its_tables():
