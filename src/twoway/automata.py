@@ -309,10 +309,9 @@ def _walk(machine, symbols, transition, cutoff, origins, state, pos, steps,
 
 
 def _hand_off(regions, handoffs, pos: int, steps: int) -> tuple[int, int]:
-    """The region of the head's owner (the other party after an odd number
-    of `handoffs`) at `pos` after `steps` transitions. A head outside it
-    hands off: (steps, old owner) joins `handoffs`, and the head must lie
-    in the other region, so neither party reads the other's symbols."""
+    """The owner's region for the head at `pos` after `steps` transitions (Bob
+    owns after an odd number of `handoffs`). A head outside it hands off, with
+    (steps, old owner), and must lie in the other region, unread by the first."""
     owner = len(handoffs) & 1
     lo, hi = regions[owner]
     if lo <= pos <= hi:

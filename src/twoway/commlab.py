@@ -96,10 +96,8 @@ def extract_protocol(machine, x: str, y: str, seed=0) -> ProtocolTranscript:
         trace = qcfa_sample(machine, payload, seed=seed, regions=regions)
     per_message = math.ceil(machine_space(machine))
     names = (ALICE, BOB)
-    messages = [
-        ProtocolMessage(names[old], per_message, "state", f"hand-off at step {i}")
-        for i, old in trace.handoffs
-    ]
+    messages = [ProtocolMessage(names[old], per_message, "state", f"hand-off at step {i}")
+                for i, old in trace.handoffs]
     final_owner = len(trace.handoffs) & 1    # each hand-off flips the owner
     output = 1 if trace.outcome == "accept" else 0
     messages.append(ProtocolMessage(names[final_owner], 1, "output"))
