@@ -11,17 +11,18 @@ qubits for quantum machines. The visited census counts distinct classical
 states a transition was taken from, so a machine that halts immediately on
 its first step has visited 1 state.
 
-Every trajectory runner (run_dfa, run_pfa_sample, qcfa_sample, and the
-one-shot exact 2PFA runner) walks through one step walker. It follows a
-machine's certain transitions until the machine halts or meets a choice: a
-distribution with more than one outcome, or a measurement. A sampler draws
-once at a choice and walks on. Between two choices the run is deterministic
-(for a 2QCFA too: its classical control reads only the state and the
-symbol), so a configuration that repeats since the last choice repeats
-forever, and the walker raises at once instead of running to the cutoff;
-and the samplers replay such a stretch from a small per-tape table after
-walking it once, keyed on its first state, head position and owner. On a
-run split into two ownership regions (commlab's protocol parties), the
+Every runner but qcfa_exact (run_dfa, run_pfa_sample, qcfa_sample and
+pfa_exact) walks through one step walker. It follows a machine's certain
+transitions until the machine halts or meets a choice: a distribution with
+more than one outcome, or a measurement. A sampler draws once at a choice
+and walks on; pfa_exact walks on from every outcome of positive probability
+and solves the graph of these stretches. Between two choices the run is
+deterministic (for a 2QCFA too: its classical control reads only the state
+and the symbol), so a configuration that repeats since the last choice
+repeats forever, and the walker raises at once instead of running to the
+cutoff; and the samplers replay such a stretch from a small per-tape table
+after walking it once, keyed on its first state, head position and owner.
+On a run split into two ownership regions (commlab's protocol parties), the
 head passes to the other party wherever a stretch starts or a step ends
 outside its owner's region, and must then lie in the other region.
 """
@@ -122,15 +123,13 @@ class TwoWayDfa:
 class TwoWayPfa:
     """Transitions map (state, symbol) to a finite distribution of
     (probability, state, move) with exact rational probabilities summing to 1.
-
-    one_shot marks machines that consume all randomness in one designated
-    branching step (every other reachable transition is deterministic)."""
+    A distribution with one certain outcome is a deterministic step; any
+    other is a random choice, wherever the machine meets it."""
 
     name: str
     states: StateSpace
     step: Callable[[State, str], tuple[tuple[Fraction, State, int], ...]]
     circular: bool = False
-    one_shot: bool = False
     source: dict | None = field(default=None, compare=False)
 
     kind = "2pfa"
@@ -189,6 +188,9 @@ class ExactRunResult:
     t_max_accepting: int               # 0 when no branch accepts
     t_max_rejecting: int
     visited: int
+    # pfa_exact: outcomes of positive probability at the choices met (1 with
+    # none); qcfa_exact: halting branches after merging; run_compiled: the
+    # kept halting outcomes
     branch_count: int
     origin_states: set = field(default_factory=set)
     time_bounded: bool = True          # False: cyclic chain, no worst-case time
@@ -412,34 +414,28 @@ def run_dfa(
 # --- probabilistic runners ------------------------------------------------------
 
 
-def _pfa_distribution(machine: TwoWayPfa, state: State, sym: str, dist):
-    """`dist`, the machine's distribution at (state, sym), once checked."""
-    if dist is None:
-        raise _undefined(machine, state, sym)
-    if len(dist) == 1 and dist[0][0] == 1:
-        return dist                 # one certain outcome: nothing to sum
-    total = sum((p for p, _, _ in dist), Fraction(0))
-    if total != 1:
-        raise SpecError(
-            f"{machine.name}: probabilities at {(state, sym)} sum to {total}, not 1"
-        )
-    if any(p < 0 for p, _, _ in dist):
-        raise SpecError(f"{machine.name}: negative probability at {(state, sym)}")
-    return dist
-
-
 def _pfa_transition(machine: TwoWayPfa):
     """The walker's transition for a 2PFA: the outcome of a certain
-    single-outcome distribution, else the checked distribution as a choice."""
+    single-outcome distribution, else the checked distribution as a choice
+    (None where the machine defines none)."""
     step = machine.step
 
     def transition(state, sym):
         dist = step(state, sym)
-        if dist is not None and len(dist) == 1:
+        if dist is None:
+            return None
+        if len(dist) == 1:
             p, nxt_state, mv = dist[0]
             if p == 1:
                 return nxt_state, mv
-        return _CHOICE, _pfa_distribution(machine, state, sym, dist)
+        total = sum((p for p, _, _ in dist), Fraction(0))
+        if total != 1:
+            raise SpecError(
+                f"{machine.name}: probabilities at {(state, sym)} sum to {total}, not 1"
+            )
+        if any(p < 0 for p, _, _ in dist):
+            raise SpecError(f"{machine.name}: negative probability at {(state, sym)}")
+        return _CHOICE, dist
 
     return transition
 
@@ -457,143 +453,109 @@ def run_pfa_sample(
     def choose(state, sym, dist):
         r = rng.random()
         acc = 0.0
-        for p, nxt_state, mv in dist:   # past the float total: the last outcome
+        for p, nxt_state, mv in dist:
             acc += float(p)
             if r < acc:
-                break
-        return nxt_state, mv
+                return nxt_state, mv
+        # past the float total: the last outcome of positive probability
+        return next((nxt_state, mv) for p, nxt_state, mv in reversed(dist) if p)
 
     return _sample(machine, payload, _pfa_transition(machine), choose, cutoff, regions)
 
 
-def _pfa_exact_one_shot(machine: TwoWayPfa, tape: Tape, cutoff: int) -> ExactRunResult:
-    """Walk to the one random choice, then walk each of its outcomes to a
-    halt; a second choice breaks the one-shot annotation."""
-    origins: set = set()
+def pfa_exact_prob(
+    machine: TwoWayPfa, payload: str, cutoff: int = DEFAULT_CUTOFF
+) -> Fraction:
+    """Exact rational acceptance probability."""
+    return pfa_exact(machine, payload, cutoff).accept_probability
+
+
+def pfa_exact(
+    machine: TwoWayPfa, payload: str, cutoff: int = DEFAULT_CUTOFF
+) -> ExactRunResult:
+    """Absorbing-chain solve on the stretch graph.
+
+    A node is where a deterministic stretch starts: the initial
+    configuration, or the (state, head position) an outcome of a random
+    choice lands in. The step walker walks each node once, to a halt or a
+    choice, with the cutoff counted along the path that found the node; the
+    choice's outcomes of positive probability are the node's successors,
+    each edge its stretch's length + 1 steps long. Acyclic graphs get an
+    exact backward propagation, and their longest run must not exceed
+    `cutoff` steps; cyclic graphs of at most 2,000 nodes get rational
+    Gaussian elimination (no worst-case time exists); anything larger is
+    refused. No step recurses, so a run's depth is bounded by memory, not
+    by the interpreter's stack.
+    """
+    tape = Tape(payload, machine.circular)
     symbols = tape.symbols
     transition = _pfa_transition(machine)
-
-    def walk(state, pos, steps):
-        return _walk(machine, symbols, transition, cutoff, origins, state, pos, steps)
-
-    state, pos, steps, dist = walk(machine.states.initial, 0, 0)
-    ends = [(Fraction(1), state, steps)] if dist is None else []
-    for p, nxt_state, mv in dist or ():
-        if p == 0:
-            continue
-        end, end_pos, end_steps, second = walk(
-            nxt_state, tape.move(pos, mv, machine.name, steps), steps + 1
-        )
-        if second is not None:
-            raise SpecError(
-                f"{machine.name}: one-shot annotation violated, second branching at {end_pos}"
-            )
-        ends.append((p, end, end_steps))
-    accept = Fraction(0)
-    t_acc = t_rej = 0
-    for p, end, end_steps in ends:
-        if machine.states.halting(end) == "accept":
-            accept += p
-            t_acc = max(t_acc, end_steps)
-        else:
-            t_rej = max(t_rej, end_steps)
-    return ExactRunResult(
-        accept, max(t_acc, t_rej), t_acc, t_rej, len(origins),
-        len(dist) if dist else 1, origins,
-    )
-
-
-def _pfa_exact_chain(machine: TwoWayPfa, tape: Tape, cutoff: int) -> ExactRunResult:
-    """Absorbing-chain solve on the configuration graph.
-
-    Acyclic graphs get an exact backward propagation, and their longest run
-    must not exceed `cutoff` steps; small cyclic graphs get rational Gaussian
-    elimination (no worst-case time exists, so `cutoff` does not apply);
-    anything larger is refused. No step recurses, so chain depth is bounded
-    by memory, not by the interpreter's stack.
-    """
+    origins: set = set()
     start = (machine.states.initial, 0)
-    symbols = tape.symbols
-    configs: dict = {}
-    order: list = []
-    stack = [(start, 0)]          # (configuration, steps on the path that found it)
-    edges: dict = {}
-    halting: dict = {}
+    nodes: dict = {}              # node -> (stretch length, halt or None, [(p, successor)])
+    stack = [(start, 0)]          # (node, steps on the path that found it)
     while stack:
-        cfg, steps = stack.pop()
-        if cfg in configs:
+        node, steps = stack.pop()
+        if node in nodes:
             continue
-        configs[cfg] = len(order)
-        order.append(cfg)
-        if len(order) > CONFIG_NODE_CAP:
+        if len(nodes) >= CONFIG_NODE_CAP:
             raise UnsupportedStructureError(
-                f"{machine.name}: configuration graph exceeds {CONFIG_NODE_CAP} nodes"
+                f"{machine.name}: stretch graph exceeds {CONFIG_NODE_CAP} nodes"
             )
-        state, pos = cfg
-        halt = machine.states.halting(state)
-        if halt is not None:
-            halting[cfg] = halt
-            continue
-        sym = symbols[pos]
-        dist = _pfa_distribution(machine, state, sym, machine.step(state, sym))
+        state, pos, end, dist = _walk(machine, symbols, transition, cutoff, origins,
+                                      *node, steps)
         outs = []
-        for p, s2, mv in dist:
-            if p == 0:
-                continue
-            nxt = (s2, tape.move(pos, mv, machine.name, steps))
-            outs.append((p, nxt))
-            stack.append((nxt, steps + 1))
-        edges[cfg] = outs
+        for p, nxt_state, mv in dist or ():
+            if p:
+                nxt = (nxt_state, tape.move(pos, mv, machine.name, end))
+                outs.append((p, nxt))
+                stack.append((nxt, end + 1))
+        halt = None if dist else machine.states.halting(state)
+        nodes[node] = (end - steps, halt, outs)
 
     # One iterative post-order walk: a successor still on the walk's path
-    # closes a cycle; otherwise every configuration is solved once all its
-    # successors are. Halting configurations are solved up front.
+    # closes a cycle; otherwise every node is solved once all its
+    # successors are.
     accept_p: dict = {}
     t_long: dict = {}
     t_acc: dict = {}               # -1: no accepting run from here
     t_rej: dict = {}
-    for cfg, halt in halting.items():
-        accept_p[cfg] = Fraction(1) if halt == "accept" else Fraction(0)
-        t_long[cfg] = 0
-        t_acc[cfg] = 0 if halt == "accept" else -1
-        t_rej[cfg] = 0 if halt == "reject" else -1
-    acyclic = True
-    on_path = set()
-    walk = []
-    if start not in accept_p:
-        on_path.add(start)
-        walk.append((start, iter(edges[start])))
+    on_path = {start}
+    walk = [(start, iter(nodes[start][2]))]
     while walk:
-        cfg, successors = walk[-1]
+        node, successors = walk[-1]
         for _, nxt in successors:
             if nxt not in accept_p:
                 break
         else:
             walk.pop()
-            on_path.remove(cfg)
+            on_path.remove(node)
+            k, halt, outs = nodes[node]
+            if halt is not None:
+                accept_p[node] = Fraction(halt == "accept")
+                t_long[node] = k
+                t_acc[node], t_rej[node] = (k, -1) if halt == "accept" else (-1, k)
+                continue
             total = Fraction(0)
-            longest = 0
-            la, lr = -1, -1
-            for p, nxt in edges[cfg]:
+            longest = la = lr = -1
+            for p, nxt in outs:
                 total += p * accept_p[nxt]
-                longest = max(longest, 1 + t_long[nxt])
-                if t_acc[nxt] >= 0:
-                    la = max(la, 1 + t_acc[nxt])
-                if t_rej[nxt] >= 0:
-                    lr = max(lr, 1 + t_rej[nxt])
-            accept_p[cfg] = total
-            t_long[cfg] = longest
-            t_acc[cfg] = la
-            t_rej[cfg] = lr
+                longest = max(longest, t_long[nxt])
+                la = max(la, t_acc[nxt])
+                lr = max(lr, t_rej[nxt])
+            k += 1                 # the choice's own step
+            accept_p[node] = total
+            t_long[node] = k + longest
+            t_acc[node] = la if la < 0 else k + la
+            t_rej[node] = lr if lr < 0 else k + lr
             continue
         if nxt in on_path:
-            acyclic = False
             break
         on_path.add(nxt)
-        walk.append((nxt, iter(edges[nxt])))
+        walk.append((nxt, iter(nodes[nxt][2])))
 
-    origins = {cfg[0] for cfg in order if cfg not in halting}
-    if acyclic:
+    branches = max(1, sum(len(outs) for _, _, outs in nodes.values()))
+    if not walk:                   # the walk met no cycle
         if t_long[start] > cutoff:
             raise NonHaltingError(
                 f"{machine.name}: longest run of {t_long[start]} steps exceeds "
@@ -601,32 +563,25 @@ def _pfa_exact_chain(machine: TwoWayPfa, tape: Tape, cutoff: int) -> ExactRunRes
                 configuration=start,
             )
         return ExactRunResult(
-            accept_p[start],
-            t_long[start],
-            max(0, t_acc[start]),
-            max(0, t_rej[start]),
-            len(origins),
-            len(order),
-            origins,
+            accept_p[start], t_long[start], max(0, t_acc[start]), max(0, t_rej[start]),
+            len(origins), branches, origins,
         )
 
-    if len(order) > 2000:
+    if len(nodes) > 2000:
         raise UnsupportedStructureError(
-            f"{machine.name}: cyclic configuration graph with {len(order)} nodes "
+            f"{machine.name}: cyclic stretch graph with {len(nodes)} nodes "
             "is beyond the exact rational solve"
         )
-    # x_cfg = sum p * x_next, absorbing accept = 1 / reject = 0
-    index = {cfg: k for k, cfg in enumerate(order)}
-    size = len(order)
+    # x_node = sum p * x_next, absorbing accept = 1 / reject = 0
+    index = {node: k for k, node in enumerate(nodes)}
+    size = len(nodes)
     aug = [[Fraction(0)] * (size + 1) for _ in range(size)]
-    for cfg, k in index.items():
+    for node, k in index.items():
         aug[k][k] = Fraction(1)
-        halt = halting.get(cfg)
-        if halt is not None:
-            if halt == "accept":
-                aug[k][size] = Fraction(1)
-            continue
-        for p, nxt in edges[cfg]:
+        _, halt, outs = nodes[node]
+        if halt == "accept":
+            aug[k][size] = Fraction(1)
+        for p, nxt in outs:
             aug[k][index[nxt]] -= p
     for col in range(size):
         pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
@@ -641,28 +596,12 @@ def _pfa_exact_chain(machine: TwoWayPfa, tape: Tape, cutoff: int) -> ExactRunRes
             if r != col and aug[r][col] != 0:
                 factor = aug[r][col]
                 aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    prob = aug[index[start]][size]
     # cyclic graphs have no finite worst-case run length, so the probability is
     # exact but the time fields are meaningless; mark them unbounded
     return ExactRunResult(
-        prob, 0, 0, 0, len(origins), len(order), origins, time_bounded=False
+        aug[index[start]][size], 0, 0, 0, len(origins), branches, origins,
+        time_bounded=False,
     )
-
-
-def pfa_exact_prob(
-    machine: TwoWayPfa, payload: str, cutoff: int = DEFAULT_CUTOFF
-) -> Fraction:
-    """Exact rational acceptance probability."""
-    return pfa_exact(machine, payload, cutoff).accept_probability
-
-
-def pfa_exact(
-    machine: TwoWayPfa, payload: str, cutoff: int = DEFAULT_CUTOFF
-) -> ExactRunResult:
-    tape = Tape(payload, machine.circular)
-    if machine.one_shot:
-        return _pfa_exact_one_shot(machine, tape, cutoff)
-    return _pfa_exact_chain(machine, tape, cutoff)
 
 
 # --- quantum-classical runners --------------------------------------------------
@@ -919,7 +858,6 @@ def pfa_from_table(
     accept: set,
     reject: set,
     circular: bool = False,
-    one_shot: bool = False,
 ) -> TwoWayPfa:
     accept, reject = frozenset(accept), frozenset(reject)
     states = {initial} | accept | reject
@@ -933,7 +871,6 @@ def pfa_from_table(
         space,
         lambda s, sym: tuple(table.get((s, sym), ())) or None,
         circular,
-        one_shot,
         source={
             "kind": "2pfa",
             "explicit": True,
@@ -942,6 +879,5 @@ def pfa_from_table(
             "reject": sorted(reject, key=repr),
             "table": table,
             "circular": circular,
-            "one_shot": one_shot,
         },
     )

@@ -181,7 +181,7 @@ def build_eq_pfa(n: int) -> TwoWayPfa:
         "3n+1 + 2n + sum_{p<=max(n^2,2)}(2p^2+2p) + 2",
     )
     return TwoWayPfa(
-        f"eq-pfa:{n}", space, step, circular=False, one_shot=True,
+        f"eq-pfa:{n}", space, step, circular=False,
         source={"generator": "eq-pfa", "n": n},
     )
 

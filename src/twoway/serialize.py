@@ -77,7 +77,6 @@ def machine_to_json(machine) -> dict:
             for (s, sym), (s2, mv) in src["table"].items()
         ]
     elif machine.kind == "2pfa":
-        out["one_shot"] = src["one_shot"]
         out["transitions"] = [
             [_state_out(s), sym,
              [[str(pr), _state_out(s2), mv] for pr, s2, mv in dist]]
@@ -118,8 +117,7 @@ def load_machine(data) -> TwoWayDfa | TwoWayPfa | TwoWayQcfa:
             for s, sym, dist in data["transitions"]
         }
         return pfa_from_table(
-            data["name"], table, initial, accept, reject,
-            data["circular"], data.get("one_shot", False),
+            data["name"], table, initial, accept, reject, data["circular"]
         )
     raise UnsupportedStructureError(f"cannot load explicit {kind} tables")
 

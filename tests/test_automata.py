@@ -1,5 +1,6 @@
 """Runner semantics on tiny machines whose behavior is checked by hand."""
 
+import random
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -76,8 +77,7 @@ def test_dfa_loop_detected():
     with pytest.raises(NonHaltingError, match="loop: configuration repeats"):
         run_dfa(m, "0")
     pfa = pfa_from_table(
-        "loop", {k: [(Fraction(1), *v)] for k, v in table.items()}, "s", set(), set(),
-        one_shot=True,
+        "loop", {k: [(Fraction(1), *v)] for k, v in table.items()}, "s", set(), set()
     )
     with pytest.raises(NonHaltingError,
                        match="loop: configuration repeats, machine cannot halt"):
@@ -148,9 +148,8 @@ def test_pfa_exact_handles_two_sided_randomness():
 
 
 def deep_chain_pfa():
-    """Not one-shot: a fair coin at ¢, then a deterministic sweep to $ where
-    the heads branch accepts, so a payload of L zeros gives a configuration
-    chain L+2 steps deep."""
+    """A fair coin at ¢, then a deterministic sweep to $ where the heads
+    branch accepts, so a payload of L zeros gives a run L+2 steps long."""
     one, half = Fraction(1), Fraction(1, 2)
     table = {
         ("s", "¢"): [(half, "h", 1), (half, "t", 1)],
@@ -164,7 +163,7 @@ def deep_chain_pfa():
 
 def test_pfa_exact_chain_solves_deep_chains_without_recursion(monkeypatch):
     def refuse(limit):
-        raise AssertionError("the chain solve must not touch the recursion limit")
+        raise AssertionError("pfa_exact must not touch the recursion limit")
 
     monkeypatch.setattr(sys, "setrecursionlimit", refuse)
     res = pfa_exact(deep_chain_pfa(), "0" * 50_000)
@@ -176,7 +175,7 @@ def test_pfa_exact_chain_solves_deep_chains_without_recursion(monkeypatch):
 def test_pfa_exact_chain_honours_the_cutoff():
     m = deep_chain_pfa()
     with pytest.raises(NonHaltingError,
-                       match="longest run of 50002 steps exceeds the step cutoff 1000"):
+                       match="deep: step cutoff 1000 exceeded"):
         pfa_exact(m, "0" * 50_000, cutoff=1000)
     # the same boundary as the sampler's: a run of exactly `cutoff` steps halts
     assert pfa_exact(m, "0" * 10, cutoff=12).t_max == 12
@@ -186,14 +185,47 @@ def test_pfa_exact_chain_honours_the_cutoff():
             run(m, "0" * 10, cutoff=11)
 
 
+def test_pfa_exact_cutoff_bounds_the_longest_path_into_a_shared_node():
+    # the coin at ¢ lists its long branch b first, so the walk finds node
+    # (x, 1) on the short branch a (after 2 steps) before b (after 4) rejoins
+    # it; x takes 2 more steps to accept
+    one, half = Fraction(1), Fraction(1, 2)
+    table = {
+        ("s", "¢"): [(half, "b", 0), (half, "a", 1)],
+        ("a", "0"): [(half, "x", 0), (half, "yes", 0)],
+        ("b", "¢"): [(one, "b2", 0)],
+        ("b2", "¢"): [(one, "b3", 1)],
+        ("b3", "0"): [(half, "x", 0), (half, "no", 0)],
+        ("x", "0"): [(one, "x", 1)],
+        ("x", "$"): [(one, "yes", 0)],
+    }
+    m = pfa_from_table("dag", table, "s", {"yes"}, {"no"})
+    res = pfa_exact(m, "0", cutoff=6)
+    assert (res.accept_probability, res.t_max, res.t_max_rejecting) == (Fraction(3, 4), 6, 4)
+    with pytest.raises(NonHaltingError,
+                       match="dag: longest run of 6 steps exceeds the step cutoff 5"):
+        pfa_exact(m, "0", cutoff=5)
+
+
+def test_pfa_sample_never_draws_an_outcome_of_probability_zero():
+    class Top(random.Random):
+        def random(self):
+            return 1 - 2**-53              # past the float sum of ten tenths
+
+    table = {("s", "¢"): [(Fraction(1, 10), "yes", 0)] * 10 + [(Fraction(0), "bad", 0)]}
+    m = pfa_from_table("tenths", table, "s", {"yes"}, {"bad"})
+    assert pfa_exact(m, "").accept_probability == 1
+    assert run_pfa_sample(m, "", seed=Top()).outcome == "accept"
+
+
 # --- the checks every step loop carries -------------------------------------------
 
 
-def _pfa_runner(exact, one_shot):
+def _pfa_runner(exact):
     def run(name, table, circular=False):
         dists = {k: v if isinstance(v, list) else [(Fraction(1), *v)]
                  for k, v in table.items()}
-        m = pfa_from_table(name, dists, "a", {"yes"}, set(), circular, one_shot)
+        m = pfa_from_table(name, dists, "a", {"yes"}, set(), circular)
         return pfa_exact(m, "0") if exact else run_pfa_sample(m, "0")
     return run
 
@@ -203,9 +235,8 @@ def _dfa_runner(name, table, circular=False):
 
 
 PFA_RUNNERS = {
-    "run_pfa_sample": _pfa_runner(False, False),
-    "pfa_exact-chain": _pfa_runner(True, False),
-    "pfa_exact-one-shot": _pfa_runner(True, True),
+    "run_pfa_sample": _pfa_runner(False),
+    "pfa_exact": _pfa_runner(True),
 }
 RUNNERS = {"run_dfa": _dfa_runner, **PFA_RUNNERS}
 
@@ -330,6 +361,19 @@ def test_pfa_sample_raises_on_a_repeat_after_the_last_coin():
         with pytest.raises(NonHaltingError,
                            match="cycle: configuration repeats, machine cannot halt"):
             run_pfa_sample(m, "0", seed=seed)
+
+
+def test_pfa_exact_raises_on_a_repeat_after_a_coin():
+    # heads accepts; tails enters the certain two-cycle b@1 <-> c@0
+    table = {
+        ("a", "¢"): [(HALF, "yes", 0), (HALF, "b", 1)],
+        ("b", "0"): [(Fraction(1), "c", -1)],
+        ("c", "¢"): [(Fraction(1), "b", 1)],
+    }
+    m = pfa_from_table("tails", table, "a", {"yes"}, set())
+    with pytest.raises(NonHaltingError,
+                       match="tails: configuration repeats, machine cannot halt"):
+        pfa_exact(m, "0")
 
 
 def test_qcfa_runners_raise_on_a_control_cycle_of_identity_ops():

@@ -128,9 +128,10 @@ def test_eq_pfa_rejects_malformed_payloads():
         assert pfa_exact(m, w).accept_probability == 0
 
 
-def test_eq_pfa_is_one_shot_and_samples_reproducibly():
+def test_eq_pfa_branches_once_per_prime_and_samples_reproducibly():
     m = build_eq_pfa(3)
-    assert m.one_shot
+    assert pfa_exact(m, payload("101", "100")).branch_count == \
+        PrimeTable.for_side_length(3).count
     outs = [run_pfa_sample(m, payload("101", "100"), seed=s).outcome
             for s in range(30)]
     assert outs == [run_pfa_sample(m, payload("101", "100"), seed=s).outcome

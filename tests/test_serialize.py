@@ -115,6 +115,15 @@ def test_explicit_pfa_preserves_fractions(tmp_path):
     assert pfa_exact(m2, "0").accept_probability == Fraction(1, 3)
 
 
+def test_pfa_document_with_the_old_one_shot_key_loads_and_solves():
+    table = {("s", "¢"): [(Fraction(1, 3), "yes", 0), (Fraction(2, 3), "no", 0)]}
+    doc = machine_to_json(pfa_from_table("old", table, "s", {"yes"}, {"no"}))
+    assert "one_shot" not in doc
+    doc["one_shot"] = True                 # what older documents carry
+    res = pfa_exact(load_machine(doc), "0")
+    assert (res.accept_probability, res.t_max, res.branch_count) == (Fraction(1, 3), 1, 2)
+
+
 def test_algorithm_round_trips_by_generator_reference():
     alg = exact_parity(4)
     doc = algorithm_to_json(alg)
