@@ -25,6 +25,7 @@ from twoway.automata import (
 )
 from twoway.errors import InputError, NonHaltingError, SpecError
 from twoway.ops import CompleteMeasurement, DenseOp, IdentityOp, Measurement
+from twoway.serialize import load_machine, machine_to_json
 
 
 def sweep_dfa():
@@ -221,11 +222,15 @@ def test_pfa_sample_never_draws_an_outcome_of_probability_zero():
 # --- the checks every step loop carries -------------------------------------------
 
 
-def _pfa_runner(exact):
+def _pfa_runner(exact, one_shot_document=False):
     def run(name, table, circular=False):
         dists = {k: v if isinstance(v, list) else [(Fraction(1), *v)]
                  for k, v in table.items()}
         m = pfa_from_table(name, dists, "a", {"yes"}, set(), circular)
+        if one_shot_document:
+            # older documents mark one-shot machines; the key is ignored on
+            # load, and such a machine gets the same checks as any other
+            m = load_machine({**machine_to_json(m), "one_shot": True})
         return pfa_exact(m, "0") if exact else run_pfa_sample(m, "0")
     return run
 
@@ -236,7 +241,8 @@ def _dfa_runner(name, table, circular=False):
 
 PFA_RUNNERS = {
     "run_pfa_sample": _pfa_runner(False),
-    "pfa_exact": _pfa_runner(True),
+    "pfa_exact-chain": _pfa_runner(True),
+    "pfa_exact-one-shot": _pfa_runner(True, one_shot_document=True),
 }
 RUNNERS = {"run_dfa": _dfa_runner, **PFA_RUNNERS}
 
