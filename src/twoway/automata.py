@@ -240,8 +240,9 @@ class CostReport:
 _CHOICE = object()     # marks a transition that is a choice, not a certain step
 
 
-def _undefined(machine, state: State, sym: str) -> SpecError:
-    return SpecError(f"{machine.name}: undefined transition at {(state, sym)}")
+def _undefined(machine, state: State, sym: str, steps: int, pos: int) -> SpecError:
+    return SpecError(f"{machine.name}: undefined transition at {(state, sym)} "
+                     f"on step {steps + 1} at head position {pos}")
 
 
 def _walk(machine, symbols, transition, cutoff, origins, state, pos, steps,
@@ -286,7 +287,7 @@ def _walk(machine, symbols, transition, cutoff, origins, state, pos, steps,
         sym = symbols[pos]
         nxt = transition(state, sym)
         if nxt is None:
-            raise _undefined(machine, state, sym)
+            raise _undefined(machine, state, sym, steps, pos)
         nxt_state, mv = nxt
         if nxt_state is _CHOICE:
             return state, pos, steps, mv
@@ -723,7 +724,7 @@ def qcfa_exact(
         nxt = register.transition(state, sym)
         origins.add(state)
         if nxt is None:
-            raise _undefined(machine, state, sym)
+            raise _undefined(machine, state, sym, steps, pos)
         nxt_state, mv = nxt
         if nxt_state is not _CHOICE:
             insert(weight, nxt_state, tape.move(pos, mv, machine.name, steps),

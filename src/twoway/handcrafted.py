@@ -8,8 +8,11 @@ machine that compares x and y modulo one uniformly random prime p ≤ n²
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import compress
 
 from .automata import StateSpace, TwoWayDfa, TwoWayPfa
 from .errors import InputError
@@ -18,17 +21,15 @@ _ONE = Fraction(1)      # the weight of every deterministic step, shared
 
 
 def sieve_primes(limit: int) -> list[int]:
-    """Primes ≤ limit by Eratosthenes."""
+    """Primes ≤ limit by Eratosthenes, striking multiples by slice assignment."""
     if limit < 2:
         return []
-    mark = bytearray(limit + 1)
-    primes = []
-    for q in range(2, limit + 1):
-        if not mark[q]:
-            primes.append(q)
-            for k in range(q * q, limit + 1, q):
-                mark[k] = 1
-    return primes
+    prime = bytearray([1]) * (limit + 1)
+    prime[:2] = b"\0\0"
+    for q in range(2, math.isqrt(limit) + 1):
+        if prime[q]:
+            prime[q * q::q] = bytes(len(range(q * q, limit + 1, q)))
+    return list(compress(range(limit + 1), prime))
 
 
 @dataclass(frozen=True)
@@ -38,6 +39,7 @@ class PrimeTable:
     count: int
 
     @staticmethod
+    @lru_cache(maxsize=8)   # the machine, the sweep and commlab read one n's table
     def for_side_length(n: int) -> "PrimeTable":
         if n < 1:
             raise InputError("side length must be ≥ 1")

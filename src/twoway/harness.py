@@ -25,19 +25,15 @@ run_dfa on the row's regions before the lanes after it are added, so the
 row raises the error the first failing pair raises on its own. Its sampled
 rows, whose states seldom repeat, take that per-run path for every pair.
 
-The equality fingerprint family uses a vectorized evaluator (residues and
-per-prime branch walks computed with numpy) that reproduces the machine's
-acceptance probability, step count, and visited-state census exactly; the
-agreement is pinned against the step-level runner at small n in the test
-suite. Per-row visited counts are the maximum census over the evaluated
-inputs of that row.
-
-Most primes need no walk for the x part of that census. Before bit i of
-the right-to-left x read a branch holds (2^i mod p, a_i), and for odd p the
-powers 2^0..2^n mod p are pairwise distinct exactly when 2 has
-multiplicative order greater than n mod p, so such a branch visits n+1
-distinct states whatever x is. Only the remaining primes are walked and
-sorted (206 of the 6542 primes up to 256^2).
+The equality fingerprint family uses a vectorized evaluator (_EqPfaFast)
+that reproduces the machine's acceptance probability, step count, and
+visited-state census exactly; the agreement is pinned against the
+step-level runner at small n in the test suite. Per-row visited counts are
+the maximum census over the evaluated inputs of that row. Each side's
+census part is one walk over blocks of the row's words, as many as fit
+CENSUS_CELLS codes (the whole row at n=8, 7 words at n=64, one at n=256);
+the y walk ends on the y residues, and only x words need residues of their
+own. Most primes need no walk for the x part (_EqPfaFast).
 """
 
 from __future__ import annotations
@@ -59,7 +55,7 @@ from .compiler import compile_query_to_qcfa, run_compiled_lanes
 from .compiler import run_compiled  # noqa: F401  (the benchmark's tracer hooks this name)
 from .errors import InputError, SpecError
 from .handcrafted import PrimeTable, build_eq_dfa, eq_pfa_time
-from .lockstep import LaneRuns, distinct_per_row, run_dfa_lanes
+from .lockstep import LaneRuns, run_dfa_lanes
 from .qquery import exact_parity, grover_or
 
 _owner_walk = None  # a name the benchmark's tracer hooks; the step walker hands off itself
@@ -76,6 +72,7 @@ __all__ = [
 ]
 
 EXHAUSTIVE_LIMIT = 1 << 16      # exhaustive when 2^(2n) <= this
+CENSUS_CELLS = 1 << 18          # sorted census codes of one eq-pfa block of words
 CSV_COLUMNS = (
     "family", "n", "T", "S_declared", "S_visited", "TS",
     "member_err", "nonmember_err",
@@ -286,82 +283,115 @@ class _EqPfaFast:
     x re-read (a function of x alone), and the distinct running residues of
     the y comparison (a function of y alone).
 
+    x_census and y_census take a (words x n) bit matrix, a block of words
+    at a time. The y walk ends on y mod p, so x words alone need residues.
+
     The x re-read of prime p holds (2^i mod p, a_i) before bit i. When the
     powers 2^0..2^n mod p are pairwise distinct, its n+1 states are too.
     For odd p that holds unless 2^k = 1 mod p for some 1 <= k <= n (the
     multiplicative order of 2 is at most n); for p = 2 the powers repeat 0
-    from n = 2 on. Only these "short" primes are walked and sorted; every
-    other prime adds exactly n+1 states.
+    from n = 2 on. Only these "short" primes (206 of the 6542 up to 256^2)
+    are walked and sorted; every other prime adds exactly n+1 states.
     """
 
     def __init__(self, n: int):
         self.n = n
         table = PrimeTable.for_side_length(n)
-        self.prime_list = table.primes
-        self.primes = np.array(table.primes, dtype=np.int64)
-        self.count = table.count
+        self.prime_list, self.count = table.primes, table.count
         self.t_run = eq_pfa_time(n)
         self.shared = (3 * n + 1) + 2 * n + 2 * table.count
-        power = np.ones_like(self.primes)
-        short = self.primes == 2
-        for _ in range(n):
-            power = 2 * power % self.primes
-            short |= power == 1
-        self.short_primes = self.primes[short]
-        self.long_states = (n + 1) * (self.count - self.short_primes.size)
         # residues fit the narrowest unsigned type holding the largest prime;
-        # the running value 2b + bit < 2p is reduced in one that holds 2p
-        top = int(self.primes.max())
+        # a doubled residue (2b + bit, 2 * 2^k) < 2p is reduced in one holding 2p
+        top = table.primes[-1]
         self.residue_dtype = np.min_scalar_type(top)
-        self.reduce_primes = self.primes.astype(np.min_scalar_type(2 * top))
+        self.primes = p = np.array(table.primes, dtype=np.min_scalar_type(2 * top))
+        power = np.ones_like(p)
+        short = p == 2
+        for _ in range(n):
+            power = np.minimum(2 * power, 2 * power - p)
+            short |= power == 1
+        self.short_primes = p[short]
+        self.long_states = (n + 1) * (self.count - self.short_primes.size)
 
-    def residues(self, s: str) -> np.ndarray:
-        v = int(s, 2)
-        return np.array([v % p for p in self.prime_list], dtype=np.int64)
+    def residues(self, xs: np.ndarray) -> np.ndarray:
+        """(words x primes) residues x mod p of a bit matrix's words."""
+        out = np.empty((len(xs), self.count), dtype=self.residue_dtype)
+        for row, w in zip(out, xs):
+            v = int(bit_string(w), 2)
+            row[:] = [v % p for p in self.prime_list]
+        return out
 
-    def b_census(self, x: str) -> int:
-        """Distinct ("b", p, pow, a) states over the right-to-left x read,
-        including the state at the left end marker (it originates the hop
-        into the walk state, so the census counts it)."""
-        p = self.short_primes
-        pw = np.ones_like(p)
-        a = np.zeros_like(p)
-        codes = np.empty((self.n + 1, p.shape[0]), dtype=np.int64)
-        for i, ch in enumerate(reversed(x)):
-            codes[i] = pw * p + a       # state before consuming bit i
-            if ch == "1":
-                a = (a + pw) % p
-            pw = (2 * pw) % p
-        codes[self.n] = pw * p + a
-        return self.long_states + int(distinct_per_row(codes.T).sum())
+    def x_census(self, xs: np.ndarray) -> np.ndarray:
+        """Distinct ("b", p, pow, a) states of each word's right-to-left x
+        read, including the state at the left end marker (it originates the
+        hop into the walk state, so the census counts it)."""
+        n, p = self.n, self.short_primes
+        top = int(p.max())                      # 2 is always short
+        power = np.ones((n + 1, p.size), dtype=p.dtype)
+        for i in range(n):
+            power[i + 1] = np.minimum(2 * power[i], 2 * power[i] - p)
+        # a code pow * p + a < p^2, which passes 2^32 from n = 257 on
+        base = (power.astype(np.min_scalar_type(top * top)) * p).T
+        census = np.empty(len(xs), dtype=np.int64)
+        for lo, bits, codes in _blocks(xs[:, ::-1], p.size, n + 1, base.dtype):
+            # the state before bit i holds a_i = sum of bit_k 2^k mod p over k < i
+            codes[:] = base
+            codes[:, :, 1:] += np.cumsum(bits[:, None, :] * power[:n].T, axis=2,
+                                         dtype=np.min_scalar_type(n * top)) % p[:, None]
+            census[lo:lo + len(bits)] = _distinct(codes)
+        return census + self.long_states
 
-    def r_census(self, y: str) -> int:
-        """Distinct ("r", p, a, b) states over the left-to-right y read; a is
-        fixed per branch so only the running residue b varies. Blocks of 32
-        steps are written into a (primes x n) array, which is sorted in place."""
-        p = self.reduce_primes
-        b = np.zeros_like(p)
-        wrapped = np.empty_like(p)
-        codes = np.empty((p.shape[0], self.n), dtype=self.residue_dtype)
-        block = np.empty((32, p.shape[0]), dtype=self.residue_dtype)
-        for start in range(0, self.n, 32):
-            bits = y[start:start + 32]
-            for i, ch in enumerate(bits):
-                b <<= 1
-                if ch == "1":
-                    b += 1
-                # 2b + bit < 2p: one subtraction reduces; below p it wraps past b
-                np.subtract(b, p, out=wrapped)
-                np.minimum(b, wrapped, out=b)
-                block[i] = b            # state after consuming bit start + i
-            codes[:, start:start + len(bits)] = block[:len(bits)].T
-        return int(distinct_per_row(codes).sum())
+    def y_census(self, ys: np.ndarray) -> tuple:
+        """Distinct ("r", p, a, b) states of each word's left-to-right y read
+        (a is fixed per branch, so only b varies), and the (words x primes)
+        residues y mod p it ends on. Steps are written 32 at a time."""
+        n, p = self.n, self.primes
+        census = np.empty(len(ys), dtype=np.int64)
+        residues = np.empty((len(ys), p.size), dtype=self.residue_dtype)
+        for lo, bits, codes in _blocks(ys, p.size, n, self.residue_dtype):
+            b = np.zeros((len(bits), p.size), dtype=p.dtype)
+            wrapped = np.empty_like(b)
+            chunk = np.empty((32, len(bits), p.size), dtype=self.residue_dtype)
+            for start in range(0, n, 32):
+                stop = min(start + 32, n)
+                for i in range(start, stop):
+                    b <<= 1
+                    b += bits[:, i, None]
+                    # 2b + bit < 2p: one subtraction reduces; below p it wraps past b
+                    np.subtract(b, p, out=wrapped)
+                    np.minimum(b, wrapped, out=b)
+                    chunk[i - start] = b        # state after consuming bit i
+                codes[:, :, start:stop] = chunk[:stop - start].transpose(1, 2, 0)
+            residues[lo:lo + len(bits)] = b
+            census[lo:lo + len(bits)] = _distinct(codes)
+        return census, residues
 
     def census(self, x: str, y: str) -> int:
-        return self.shared + self.b_census(x) + self.r_census(y)
+        return int(self.shared + self.x_census(_word(x))[0] + self.y_census(_word(y))[0][0])
 
     def prob(self, x: str, y: str) -> float:
-        return float(np.count_nonzero(self.residues(x) == self.residues(y))) / self.count
+        same = self.residues(_word(x)) == self.y_census(_word(y))[1]
+        return float(np.count_nonzero(same)) / self.count
+
+
+def _word(s: str) -> np.ndarray:          # a bit string as a one-row bit matrix
+    return np.array([[ch == "1" for ch in s]], dtype=np.uint8)
+
+
+def _blocks(words: np.ndarray, primes: int, steps: int, dtype):
+    """(first row, rows, codes) per block of as many words as fit CENSUS_CELLS
+    (primes x steps) codes, at least one; codes views one reused buffer."""
+    size = max(1, CENSUS_CELLS // (primes * steps))
+    buffer = np.empty((min(size, len(words)), primes, steps), dtype=dtype)
+    for lo in range(0, len(words), size):
+        yield lo, words[lo:lo + size], buffer[:len(words) - lo]
+
+
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """Per word, the distinct codes of each prime's row summed over the primes."""
+    codes.sort(axis=2)
+    return codes.shape[1] + np.array(
+        [np.count_nonzero(c[:, 1:] != c[:, :-1]) for c in codes], dtype=np.int64)
 
 
 def _eval_eq_pfa(n: int, samples: int, seed) -> _Accum:
@@ -369,14 +399,11 @@ def _eval_eq_pfa(n: int, samples: int, seed) -> _Accum:
     acc = _Accum(machine_space(build_eq_pfa(n)))
     fast = _EqPfaFast(n)
     xs, ys, xi, yi = _pair_bits(eq_language(n), n, samples, seed)
-    # census parts and residues once per side word, gathered per pair (the
-    # census splits into an x and a y part); the residues are made after the
-    # census, so that they are not held through its large temporaries
-    x_words, y_words = [bit_string(w) for w in xs], [bit_string(w) for w in ys]
-    visited = (fast.shared + np.array([fast.b_census(w) for w in x_words])[xi]
-               + np.array([fast.r_census(w) for w in y_words])[yi])
-    rx, ry = (np.array([fast.residues(w) for w in words], dtype=fast.residue_dtype)
-              for words in (x_words, y_words))
+    # census parts once per side word, gathered per pair; the y walk ends on
+    # the y residues, and an exhaustive row's x words are its y words
+    r_census, ry = fast.y_census(ys)
+    rx = ry if xs is ys else fast.residues(xs)
+    visited = fast.shared + fast.x_census(xs)[xi] + r_census[yi]
     prob = (rx[xi] == ry[yi]).sum(axis=1) / fast.count
     x, y = xs[xi], ys[yi]
     acc.add_lanes(x, y, (x == y).all(axis=1), prob, np.broadcast_to(fast.t_run, prob.shape),

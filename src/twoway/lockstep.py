@@ -236,9 +236,9 @@ def _walk_block(table, payloads, region, owner, budget, circular, out) -> None:
 def distinct_per_row(codes: np.ndarray) -> np.ndarray:
     """The number of distinct values in each row. A non-contiguous matrix
     (such as a transposed one) is sorted in a contiguous copy, a contiguous
-    one in place, with numpy's default sort: SIMD-accelerated for small
-    unsigned types, it took 1.6 ms on 6542 rows of 256 uint16 values where
-    the radix sort (kind="stable") took 11.6 ms (AVX-512 x86 host, numpy
+    one in place, with numpy's default sort: on one block of the exhaustive
+    eq-dfa n=8 row (5041 lanes of 26 int32 origins) it took 0.30 ms where
+    the radix sort (kind="stable") took 1.2 ms (AVX-512 x86 host, numpy
     2.4)."""
     rows = np.ascontiguousarray(codes)
     rows.sort(axis=1)

@@ -341,6 +341,21 @@ def test_qcfa_runners_reject_missing_routes_alike(broken, message):
             run(m, "0")
 
 
+def test_undefined_transitions_name_step_and_position():
+    # the transition out of ¢ is defined; the one on 0 (position 1) is not
+    for runner in RUNNERS.values():
+        with pytest.raises(SpecError, match=r"walker: undefined transition at \('b', '0'\) "
+                                            r"on step 2 at head position 1$"):
+            runner("walker", {("a", "¢"): ("b", 1)})
+    had = hadamard_qcfa()          # a Hadamard on every step, never a measurement
+    m = replace(had, theta=lambda state, sym: had.theta("go", sym),
+                step=lambda state, sym: ("go", 1) if sym == "¢" else None)
+    for run in (qcfa_exact, qcfa_sample):
+        with pytest.raises(SpecError, match=r"had: undefined transition at \('go', '0'\) "
+                                            r"on step 2 at head position 1$"):
+            run(m, "0")
+
+
 def test_qcfa_head_move_errors_name_step_and_position():
     m = replace(hadamard_qcfa(), step=lambda state, sym: ("read", -1))
     for run in (qcfa_exact, qcfa_sample):

@@ -34,11 +34,18 @@ def test_sieve_against_trial_division():
         return q >= 2 and all(q % d for d in range(2, int(q**0.5) + 1))
     assert sieve_primes(100) == [q for q in range(101) if is_prime(q)]
     assert sieve_primes(1) == []
+    want = [q for q in range(5001) if is_prime(q)]
+    # limits at, just below and just past the square of a prime
+    for limit in (2, 3, 4, 5, 24, 25, 26, 48, 49, 50, 4999, 5000):
+        assert sieve_primes(limit) == [q for q in want if q <= limit]
+    assert len(sieve_primes(65536)) == 6542        # the primes up to 256^2
 
 
 def test_prime_table_small_side_lengths():
     assert PrimeTable.for_side_length(1).primes == (2,)    # cap lifted to 2
     assert PrimeTable.for_side_length(4).primes == (2, 3, 5, 7, 11, 13)
+    # one table per side length, shared by the machine and the evaluators
+    assert PrimeTable.for_side_length(4) is PrimeTable.for_side_length(4)
     with pytest.raises(InputError):
         PrimeTable.for_side_length(0)
 

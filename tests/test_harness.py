@@ -5,12 +5,14 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from twoway.automata import pfa_exact
 from twoway.boolfn import (
     ComposedFunction,
     and_gadget,
+    bit_string,
     eq_language,
     ints_language,
     lifted_language,
@@ -21,12 +23,14 @@ from twoway.qquery import exact_parity, grover_or
 from twoway.commlab import machine_space
 from twoway.compiler import compile_query_to_qcfa, run_compiled
 from twoway.handcrafted import PrimeTable, build_eq_pfa
+from twoway import harness
 from twoway.harness import (
     FAMILIES,
     _Accum,
     _EqPfaFast,
     _pair_bits,
     _sample_pair,
+    _word,
     SweepRow,
     certificate_check,
     fit_scaling,
@@ -56,6 +60,14 @@ def test_fast_evaluator_matches_step_runner(n):
         assert fast.census(x, y) == res.visited
 
 
+def b_census(fast, x):
+    return int(fast.x_census(_word(x))[0])
+
+
+def r_census(fast, y):
+    return int(fast.y_census(_word(y))[0][0])
+
+
 def _census_pairs(n, count):
     rng = random.Random(f"census:{n}")
     pairs = [(format(rng.getrandbits(n), f"0{n}b"), format(rng.getrandbits(n), f"0{n}b"))
@@ -74,8 +86,8 @@ def test_census_shortcut_matches_the_step_runner():
     for x, y in _census_pairs(n, 6):
         res = pfa_exact(machine, payload(x, y))
         tags = [s[0] for s in res.origin_states if isinstance(s, tuple)]
-        assert fast.b_census(x) == tags.count("b")
-        assert fast.r_census(y) == tags.count("r")
+        assert b_census(fast, x) == tags.count("b")
+        assert r_census(fast, y) == tags.count("r")
         assert fast.census(x, y) == res.visited
 
 
@@ -116,8 +128,8 @@ def test_census_shortcut_matches_a_direct_count_past_16_bit_primes():
     primes = PrimeTable.for_side_length(n).primes
     for x, y in _census_pairs(n, 1):
         b_states, r_states = _direct_census(primes, x, y)
-        assert fast.b_census(x) == b_states
-        assert fast.r_census(y) == r_states
+        assert b_census(fast, x) == b_states
+        assert r_census(fast, y) == r_states
         assert fast.census(x, y) == fast.shared + b_states + r_states
 
 
@@ -132,7 +144,62 @@ def test_r_census_matches_a_direct_count(n):
     words = ["0" * n, "1" * n] + [format(rng.getrandbits(n), f"0{n}b")
                                   for _ in range(1 if n == 256 else 3)]
     for y in words:
-        assert fast.r_census(y) == _direct_r_census(primes, y), y
+        assert r_census(fast, y) == _direct_r_census(primes, y), y
+
+
+def _block_words(n):
+    """Eight sampled words of a row and the all-zero and all-one words: ten,
+    so blocks of 3 words leave a ragged tail of one."""
+    xs, ys, _, _ = _pair_bits(eq_language(n), n, 2, 0)
+    return np.concatenate([xs, ys, np.zeros((1, n), np.uint8), np.ones((1, n), np.uint8)])
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_census_blocks_equal_one_block(block, monkeypatch):
+    n = 12
+    fast, words = _EqPfaFast(n), _block_words(n)
+    whole_x, (whole_y, whole_res) = fast.x_census(words), fast.y_census(words)
+    sizes, blocks = [], harness._blocks
+
+    def spy(*args):
+        for lo, bits, codes in blocks(*args):
+            sizes.append(len(bits))
+            yield lo, bits, codes
+
+    monkeypatch.setattr(harness, "_blocks", spy)
+    want = {1: [1] * 10, 2: [2] * 5, 3: [3, 3, 3, 1]}[block]
+    monkeypatch.setattr(harness, "CENSUS_CELLS", block * fast.short_primes.size * (n + 1))
+    assert np.array_equal(fast.x_census(words), whole_x) and sizes == want
+    sizes.clear()
+    monkeypatch.setattr(harness, "CENSUS_CELLS", block * fast.count * n)
+    census, res = fast.y_census(words)
+    assert np.array_equal(census, whole_y) and np.array_equal(res, whole_res)
+    assert sizes == want
+    strings = [bit_string(w) for w in words]
+    for i, x in enumerate(strings):
+        for j, y in enumerate(strings):
+            assert fast.shared + whole_x[i] + whole_y[j] == fast.census(x, y)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+@pytest.mark.parametrize("n,samples", [(4, 12), (12, 5)])
+def test_eq_pfa_row_in_blocks_equals_one_block(n, samples, block, monkeypatch):
+    # the exhaustive n=4 row has 16 words a side and the sampled n=12 row
+    # 10: y blocks of 3 words leave a ragged tail of one on both
+    want = FAMILIES["eq-pfa"](n, samples, 0)
+    monkeypatch.setattr(harness, "CENSUS_CELLS", block * _EqPfaFast(n).count * n)
+    assert FAMILIES["eq-pfa"](n, samples, 0) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 257])
+def test_y_walk_ends_on_the_residues(n):
+    fast = _EqPfaFast(n)
+    words = _block_words(n) if n > 2 else np.array(
+        [[(v >> i) & 1 for i in range(n)] for v in range(1 << n)], dtype=np.uint8)
+    _, res = fast.y_census(words)
+    for w, row in zip(words, res):
+        v = int(bit_string(w), 2)
+        assert row.tolist() == [v % p for p in fast.prime_list]
 
 
 def test_sweep_exhausts_small_sides_and_matches_membership():
