@@ -172,7 +172,7 @@ class TwoWayQcfa:
 
 @dataclass
 class RunTrace:
-    outcome: str                       # accept | reject | cutoff
+    outcome: str                       # accept | reject (past the cutoff: NonHaltingError)
     steps: int
     visited: int                       # distinct transition-origin states
     final_state: State

@@ -59,7 +59,7 @@ def _cmd_simulate(args) -> int:
         if machine.kind == "2dfa":
             trace = run_dfa(machine, args.input)
             out.update(outcome=trace.outcome,
-                       accept_probability=float(trace.accepted_bit or 0),
+                       accept_probability=float(trace.accepted_bit),
                        steps=trace.steps, visited=trace.visited)
         else:
             runner = pfa_exact if machine.kind == "2pfa" else qcfa_exact

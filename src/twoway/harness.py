@@ -5,25 +5,26 @@ worst-case error of one machine family at one side length n. Families run
 exhaustively over all (x, y) pairs while 2^(2n) <= 2^16 and over seeded
 member/non-member samples beyond that.
 
-Every family's row reaches one accumulator, _Accum.add_lanes, as bit
-matrices of pairs in input order with each run's probability, time, census
-and crossings. It checks every run against the protocol-extraction
-certificate (crossings * n <= T and transferred bits <= S * floor(T/n) + 1)
-with array operations; a failing run goes through certificate_check, so the
-first failing pair raises its own error. The worst input of a class is the
-first pair whose error exceeds the running maximum, so a row added in
-chunks equals the row added at once.
+Every family's evaluator returns its row's runs as arrays in input order:
+the pairs as x and y bit matrices, and each pair's membership, acceptance
+probability, time, census and crossings, with the machine that ran them.
+One function, _row, makes the row of them. It checks every run against the
+protocol-extraction certificate (crossings * n <= T and transferred bits <=
+S * floor(T/n) + 1) in one certificate_check call, which raises the first
+failing run's error, and names the first pair of largest positive error as
+the worst input of its class.
 
 A compiled family's row (grover-ints, exact-parity-lifted) runs every pair
 through one run_compiled_lanes call.
 
 The equality sweep machine's exhaustive rows walk every pair of the row in
 lockstep (lockstep.run_dfa_lanes): the machine's transitions are tabulated
-the first time a pair of the row needs them. A lane the walk hands back (a
-failing transition, a bad head position, a long run) is replayed through
-run_dfa on the row's regions before the lanes after it are added, so the
-row raises the error the first failing pair raises on its own. Its sampled
-rows, whose states seldom repeat, take that per-run path for every pair.
+the first time a pair of the row needs them. If the walk hands a lane back
+(a failing transition, a bad head position, a long run), every pair of the
+row goes through run_dfa on the row's regions instead, its certificate
+checked as its run ends, so the row raises the error the first failing pair
+raises on its own. Its sampled rows, whose states seldom repeat, take that
+per-run path from the start.
 
 The equality fingerprint family uses a vectorized evaluator (_EqPfaFast)
 that reproduces the machine's acceptance probability, step count, and
@@ -103,17 +104,22 @@ class FitResult:
     rows_used: int
 
 
-def certificate_check(space: float, t_run: int, crossings: int, n: int) -> int:
-    """Per-run protocol certificate; returns the transcript bit count."""
+def certificate_check(space: float, t_run, crossings, n: int):
+    """Protocol certificate of one run, or of arrays of runs in input order:
+    crossings * n <= T and transcript bits <= S * floor(T/n) + 1. Returns
+    the transcript bit count(s); the first failing run raises its error."""
     bits = crossings * math.ceil(space) + 1
-    if crossings * n > t_run:
+    failing = np.flatnonzero((crossings * n > t_run) | (bits > space * (t_run // n) + 1))
+    if failing.size:
+        i = failing[0]
+        t_run, crossings = int(np.ravel(t_run)[i]), int(np.ravel(crossings)[i])
+        if crossings * n > t_run:
+            raise SpecError(
+                f"certificate violated: {crossings} crossings * n={n} exceeds T={t_run}"
+            )
         raise SpecError(
-            f"certificate violated: {crossings} crossings * n={n} exceeds T={t_run}"
-        )
-    if bits > space * (t_run // n) + 1:
-        raise SpecError(
-            f"certificate violated: {bits} transcript bits exceed "
-            f"S*floor(T/n)+1 = {space * (t_run // n) + 1:.3f}"
+            f"certificate violated: {crossings * math.ceil(space) + 1} transcript bits "
+            f"exceed S*floor(T/n)+1 = {space * (t_run // n) + 1:.3f}"
         )
     return bits
 
@@ -171,57 +177,36 @@ def _sample_pair(lang: LanguageSpec, n: int, rng, want: int):
     return xb, yb
 
 
-@dataclass
-class _Accum:
-    """Worst-case accumulators shared by every family evaluator."""
-
-    space: float
-    qubits: float = 0.0            # the evaluated machine's register size
-    t_max: int = 0
-    visited_max: int = 0
-    member_err: float = 0.0
-    nonmember_err: float = 0.0
-    worst_member: str = ""
-    worst_nonmember: str = ""
-    evaluated: int = 0
-
-    def add_lanes(self, x: np.ndarray, y: np.ndarray, member: np.ndarray,
-                  prob: np.ndarray, t_run: np.ndarray, visited: np.ndarray,
-                  crossings: np.ndarray) -> None:
-        """Add the runs on pairs given as bit-matrix rows in row order.
-
-        Certificates are screened as arrays, and the failing runs go through
-        certificate_check in input order, so the first raises its own error.
-        The worst input of a class is its first pair whose error exceeds the
-        running maximum, across calls as within one."""
-        if not len(prob):
-            return
-        n = x.shape[1]
-        bits = crossings * math.ceil(self.space) + 1
-        failing = (crossings * n > t_run) | (bits > self.space * (t_run // n) + 1)
-        for i in np.flatnonzero(failing).tolist():
-            certificate_check(self.space, int(t_run[i]), int(crossings[i]), n)
-        self.evaluated += len(prob)
-        self.t_max = max(self.t_max, int(t_run.max()))
-        self.visited_max = max(self.visited_max, int(visited.max()))
-        member_err = np.where(member, 1.0 - prob, 0.0)
-        i = int(member_err.argmax())        # argmax: the first maximum
-        if member_err[i] > self.member_err:
-            self.member_err = float(member_err[i])
-            self.worst_member = f"{bit_string(x[i])}|{bit_string(y[i])}"
-        nonmember_err = np.where(member, 0.0, prob)
-        i = int(nonmember_err.argmax())
-        if nonmember_err[i] > self.nonmember_err:
-            self.nonmember_err = float(nonmember_err[i])
-            self.worst_nonmember = f"{bit_string(x[i])}|{bit_string(y[i])}"
+def _row(family: str, machine, x: np.ndarray, y: np.ndarray, member: np.ndarray,
+         prob: np.ndarray, t_run: np.ndarray, visited: np.ndarray,
+         crossings: np.ndarray) -> SweepRow:
+    """The sweep row of a machine's runs on the pairs (x_i, y_i), bit-matrix
+    rows in input order, from each run's membership, acceptance probability,
+    time, census and crossings."""
+    n, space = x.shape[1], machine_space(machine)
+    certificate_check(space, t_run, crossings, n)
+    t_max = int(t_run.max())
+    # one class's errors at a time: both at once keep a row-sized array more alive
+    member_err, worst_member = _worst(np.where(member, 1.0 - prob, 0.0), x, y)
+    nonmember_err, worst_nonmember = _worst(np.where(member, 0.0, prob), x, y)
+    s_visited = machine.qubits + math.log2(max(1, int(visited.max())))
+    return SweepRow(family, n, t_max, space, s_visited, t_max * space, member_err,
+                    nonmember_err, worst_member=worst_member, worst_nonmember=worst_nonmember)
 
 
-# --- family evaluators ---------------------------------------------------------
+def _worst(err: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
+    """A class's largest error and the first pair with it; 0 names no pair."""
+    i = int(err.argmax())
+    if err[i] > 0:
+        return float(err[i]), f"{bit_string(x[i])}|{bit_string(y[i])}"
+    return 0.0, ""
 
 
-def _eval_eq_dfa(n: int, samples: int, seed) -> _Accum:
+# --- family evaluators: a row's (machine, x, y, member, prob, T, census, crossings)
+
+
+def _eval_eq_dfa(n: int, samples: int, seed) -> tuple:
     machine = build_eq_dfa(n)
-    acc = _Accum(machine_space(machine))
     xs, ys, xi, yi = _pair_bits(eq_language(n), n, samples, seed)
     # A row whose side words are fewer than its pairs (an exhaustive row)
     # shares prefixes between pairs, so its lanes pass through the same
@@ -229,21 +214,19 @@ def _eval_eq_dfa(n: int, samples: int, seed) -> _Accum:
     # states carry its random x and almost never repeat: its pairs run
     # faster one by one (the n=64 and 256 rows, 24 pairs each: 0.09 s pair
     # by pair, 0.16 s in lockstep, on a 2-vCPU x86 VM).
-    _add_dfa_pairs(acc, machine, xs[xi], ys[yi], _regions(n), lockstep=len(xs) < len(xi))
-    return acc
+    return _dfa_runs(machine, xs[xi], ys[yi], _regions(n), lockstep=len(xs) < len(xi))
 
 
-def _add_dfa_pairs(acc: _Accum, machine, x: np.ndarray, y: np.ndarray, regions,
-                   cutoff: int = DEFAULT_CUTOFF, lockstep: bool = True) -> None:
-    """Add the runs of a 2DFA on the equality pairs x_i #^n y_i (bit-matrix
-    rows in row order) to acc, through acc.add_lanes like every
-    family's runs.
+def _dfa_runs(machine, x: np.ndarray, y: np.ndarray, regions,
+              cutoff: int = DEFAULT_CUTOFF, lockstep: bool = True) -> tuple:
+    """A row's runs of a 2DFA on the equality pairs x_i #^n y_i (bit-matrix
+    rows in input order).
 
-    With `lockstep`, every pair walks in lockstep (run_dfa_lanes); without
-    it, every pair is handed back. A lane handed back goes through the
-    per-run path (run_dfa on `regions`, its hand-offs the crossings) before
-    the lanes from it on are added, so the first pair that the per-run path
-    or its certificate fails on raises its error, with its message."""
+    With `lockstep`, every pair walks in lockstep (run_dfa_lanes). Without
+    it, or when the walk hands a lane back, every pair runs through run_dfa
+    on `regions` (its hand-offs the crossings) and its certificate is
+    checked as the run ends, so the first pair that run_dfa or its
+    certificate fails on raises its error, with its message."""
     n = x.shape[1]
     if lockstep:
         payloads = np.empty((x.shape[0], 3 * n), dtype=np.uint8)
@@ -252,25 +235,17 @@ def _add_dfa_pairs(acc: _Accum, machine, x: np.ndarray, y: np.ndarray, regions,
         payloads[:, 2 * n:] = y
         runs = run_dfa_lanes(machine, payloads, regions, cutoff)
         del payloads
-    else:
+    if not lockstep or runs.replay.any():
         runs = LaneRuns.zeros(x.shape[0])
-        runs.replay[:] = True
-    member = (x == y).all(axis=1)
-
-    def add(lanes: slice) -> None:
-        acc.add_lanes(x[lanes], y[lanes], member[lanes], runs.accepted[lanes],
-                      runs.steps[lanes], runs.visited[lanes], runs.crossings[lanes])
-
-    start = 0
-    for i in np.flatnonzero(runs.replay).tolist():
-        add(slice(start, i))
-        trace = run_dfa(machine, bit_string(x[i]) + HASH * n + bit_string(y[i]),
-                        cutoff, regions)
-        runs.crossings[i] = len(trace.handoffs)
-        runs.accepted[i], runs.steps[i], runs.visited[i] = (
-            trace.accepted_bit, trace.steps, trace.visited)
-        start = i
-    add(slice(start, None))
+        for i in range(x.shape[0]):
+            trace = run_dfa(machine, bit_string(x[i]) + HASH * n + bit_string(y[i]),
+                            cutoff, regions)
+            crossings = len(trace.handoffs)
+            certificate_check(machine_space(machine), trace.steps, crossings, n)
+            runs.accepted[i], runs.steps[i], runs.visited[i], runs.crossings[i] = (
+                trace.accepted_bit, trace.steps, trace.visited, crossings)
+    return (machine, x, y, (x == y).all(axis=1), runs.accepted, runs.steps, runs.visited,
+            runs.crossings)
 
 
 class _EqPfaFast:
@@ -394,9 +369,9 @@ def _distinct(codes: np.ndarray) -> np.ndarray:
         [np.count_nonzero(c[:, 1:] != c[:, :-1]) for c in codes], dtype=np.int64)
 
 
-def _eval_eq_pfa(n: int, samples: int, seed) -> _Accum:
+def _eval_eq_pfa(n: int, samples: int, seed) -> tuple:
     from .handcrafted import build_eq_pfa
-    acc = _Accum(machine_space(build_eq_pfa(n)))
+    machine = build_eq_pfa(n)
     fast = _EqPfaFast(n)
     xs, ys, xi, yi = _pair_bits(eq_language(n), n, samples, seed)
     # census parts once per side word, gathered per pair; the y walk ends on
@@ -406,32 +381,29 @@ def _eval_eq_pfa(n: int, samples: int, seed) -> _Accum:
     visited = fast.shared + fast.x_census(xs)[xi] + r_census[yi]
     prob = (rx[xi] == ry[yi]).sum(axis=1) / fast.count
     x, y = xs[xi], ys[yi]
-    acc.add_lanes(x, y, (x == y).all(axis=1), prob, np.broadcast_to(fast.t_run, prob.shape),
-                  visited, np.broadcast_to(3, prob.shape))
-    return acc
+    return (machine, x, y, (x == y).all(axis=1), prob,
+            np.broadcast_to(fast.t_run, prob.shape), visited, np.broadcast_to(3, prob.shape))
 
 
-def _eval_compiled(alg_builder, n: int, samples: int, seed, lang, member) -> _Accum:
+def _eval_compiled(alg_builder, n: int, samples: int, seed, lang, member) -> tuple:
     """Every pair of the row through one run_compiled_lanes call; member(x, y)
     is the language value of every pair of the bit matrices."""
     rep = compile_query_to_qcfa(alg_builder(n), and_gadget(), n)
-    acc = _Accum(machine_space(rep.machine), rep.machine.qubits)
     xs, ys, xi, yi = _pair_bits(lang, n, samples, seed)
     x, y = xs[xi], ys[yi]
     runs = run_compiled_lanes(rep, x, y)
     steps, visited, crossings = (np.array([getattr(r, f) for r in runs], dtype=np.int64)
                                  for f in ("t_max", "visited", "crossings_max"))
     prob = np.array([float(r.accept_probability) for r in runs])
-    acc.add_lanes(x, y, member(x, y), prob, steps, visited, crossings)
-    return acc
+    return rep.machine, x, y, member(x, y), prob, steps, visited, crossings
 
 
-def _eval_grover_ints(n: int, samples: int, seed) -> _Accum:
+def _eval_grover_ints(n: int, samples: int, seed) -> tuple:
     return _eval_compiled(grover_or, n, samples, seed, ints_language(n),
                           lambda x, y: (x & y).any(axis=1))
 
 
-def _eval_parity_lifted(n: int, samples: int, seed) -> _Accum:
+def _eval_parity_lifted(n: int, samples: int, seed) -> tuple:
     if n % 2:
         raise InputError("exact-parity-lifted needs even n")
     lang = lifted_language(ComposedFunction(xor_fn(n), and_gadget()))
@@ -460,24 +432,10 @@ def sweep_ts(family: str, n_values, samples_per_n: int = 12, seed=0) -> list:
     for n in sorted(n_values):
         started = time.perf_counter()
         try:
-            acc = evaluator(n, samples_per_n, seed)
+            row = _row(family, *evaluator(n, samples_per_n, seed))
         except Exception as exc:
             raise type(exc)(f"{family} at n={n}: {exc}") from exc
-        machine_s = acc.space
-        s_visited = acc.qubits + math.log2(max(1, acc.visited_max))
-        row = SweepRow(
-            family=family,
-            n=n,
-            t_max=acc.t_max,
-            s_declared=machine_s,
-            s_visited=s_visited,
-            ts=acc.t_max * machine_s,
-            member_err=acc.member_err,
-            nonmember_err=acc.nonmember_err,
-            wall_seconds=time.perf_counter() - started,
-            worst_member=acc.worst_member,
-            worst_nonmember=acc.worst_nonmember,
-        )
+        row.wall_seconds = time.perf_counter() - started
         if row.s_visited > row.s_declared + 1e-9:
             raise SpecError(
                 f"{family} n={n}: visited census exceeds the declared bound"

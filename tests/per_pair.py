@@ -1,10 +1,13 @@
-"""The per-pair reference accumulation that sweep-row tests compare with:
-one run at a time, through the accumulator every row uses."""
+"""The per-pair reference that sweep-row tests compare with: runs collected
+one pair at a time, made into a row by the function every sweep row goes
+through (harness._row)."""
+
+from dataclasses import astuple
 
 import numpy as np
 
 from twoway.boolfn import bit_string
-from twoway.harness import _pair_bits
+from twoway.harness import _pair_bits, _row
 
 
 def row_pairs(lang, n: int, samples: int, seed=0) -> list:
@@ -13,11 +16,17 @@ def row_pairs(lang, n: int, samples: int, seed=0) -> list:
     return [(bit_string(xs[i]), bit_string(ys[j])) for i, j in zip(xi.tolist(), yi.tolist())]
 
 
-def add_pair(acc, lang, x: str, y: str, prob: float, t_run: int, visited: int,
-             crossings: int) -> None:
-    """Add one run on (x, y) to acc as a one-row batch."""
-    def row(side):
-        return np.array([[int(b) for b in side]], dtype=np.uint8)
+def per_pair_row(family: str, machine, lang, runs: list):
+    """The row of runs collected pair by pair, each an (x, y, prob, t_run,
+    visited, crossings) tuple with x and y bit strings, in row order."""
+    def side(k):
+        return np.array([[int(b) for b in run[k]] for run in runs], dtype=np.uint8)
 
-    acc.add_lanes(row(x), row(y), np.array([bool(lang.value(x, y))]), np.array([prob]),
-                  np.array([t_run]), np.array([visited]), np.array([crossings]))
+    prob, t_run, visited, crossings = (np.array([run[k] for run in runs]) for k in range(2, 6))
+    member = np.array([bool(lang.value(run[0], run[1])) for run in runs])
+    return _row(family, machine, side(0), side(1), member, prob, t_run, visited, crossings)
+
+
+def row_fields(row) -> tuple:
+    """Every field of a sweep row but its wall time, worst inputs included."""
+    return astuple(row)[:8], row.worst_member, row.worst_nonmember

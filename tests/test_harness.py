@@ -20,13 +20,10 @@ from twoway.boolfn import (
 )
 from twoway.errors import InputError, SpecError
 from twoway.qquery import exact_parity, grover_or
-from twoway.commlab import machine_space
 from twoway.compiler import compile_query_to_qcfa, run_compiled
 from twoway.handcrafted import PrimeTable, build_eq_pfa
 from twoway import harness
 from twoway.harness import (
-    FAMILIES,
-    _Accum,
     _EqPfaFast,
     _pair_bits,
     _sample_pair,
@@ -38,7 +35,7 @@ from twoway.harness import (
     sweep_ts,
     write_rows,
 )
-from per_pair import add_pair, row_pairs
+from per_pair import per_pair_row, row_fields, row_pairs
 
 
 def payload(x: str, y: str) -> str:
@@ -186,9 +183,9 @@ def test_census_blocks_equal_one_block(block, monkeypatch):
 def test_eq_pfa_row_in_blocks_equals_one_block(n, samples, block, monkeypatch):
     # the exhaustive n=4 row has 16 words a side and the sampled n=12 row
     # 10: y blocks of 3 words leave a ragged tail of one on both
-    want = FAMILIES["eq-pfa"](n, samples, 0)
+    want, = sweep_ts("eq-pfa", [n], samples)
     monkeypatch.setattr(harness, "CENSUS_CELLS", block * _EqPfaFast(n).count * n)
-    assert FAMILIES["eq-pfa"](n, samples, 0) == want
+    assert row_fields(sweep_ts("eq-pfa", [n], samples)[0]) == row_fields(want)
 
 
 @pytest.mark.parametrize("n", [1, 2, 12, 257])
@@ -224,15 +221,15 @@ def test_sweep_exhausts_small_sides_and_matches_membership():
                                       ("grover-ints", 16), ("exact-parity-lifted", 16),
                                       ("eq-pfa", 4), ("eq-pfa", 12)])
 def test_compiled_row_equals_one_built_pair_by_pair(family, n):
-    # a row reaches the accumulator in one add_lanes call (the exhaustive
-    # eq-pfa row from per-value parts broadcast over the pairs); pair by
-    # pair, it must reach the same accumulator, worst inputs and input
-    # count included
+    # a row is one _row call on its runs' arrays (the exhaustive eq-pfa
+    # row's from per-value parts broadcast over the pairs); the runs made
+    # pair by pair, as many as the row has, must make the same row, worst
+    # inputs included
+    runs = []
     if family == "eq-pfa":
-        lang, fast = eq_language(n), _EqPfaFast(n)
-        want = _Accum(machine_space(build_eq_pfa(n)))
+        lang, fast, machine = eq_language(n), _EqPfaFast(n), build_eq_pfa(n)
         for x, y in row_pairs(lang, n, 12):
-            add_pair(want, lang, x, y, fast.prob(x, y), fast.t_run, fast.census(x, y), 3)
+            runs.append((x, y, fast.prob(x, y), fast.t_run, fast.census(x, y), 3))
     else:
         builder, lang = {
             "grover-ints": (grover_or, ints_language(n)),
@@ -240,13 +237,14 @@ def test_compiled_row_equals_one_built_pair_by_pair(family, n):
                                     lifted_language(ComposedFunction(xor_fn(n), and_gadget()))),
         }[family]
         rep = compile_query_to_qcfa(builder(n), and_gadget(), n)
-        want = _Accum(machine_space(rep.machine), rep.machine.qubits)
+        machine = rep.machine
         for x, y in row_pairs(lang, n, 12):
             r = run_compiled(rep, x, y)
-            add_pair(want, lang, x, y, float(r.accept_probability), r.t_max, r.visited,
-                     r.crossings_max)
-    assert want.evaluated == (4 ** n if n <= 8 else 24)
-    assert FAMILIES[family](n, 12, 0) == want
+            runs.append((x, y, float(r.accept_probability), r.t_max, r.visited,
+                         r.crossings_max))
+    assert len(runs) == (4 ** n if n <= 8 else 24)
+    want = per_pair_row(family, machine, lang, runs)
+    assert row_fields(sweep_ts(family, [n])[0]) == row_fields(want)
 
 
 @pytest.mark.parametrize("family", ["eq-pfa", "eq-dfa"])
@@ -374,6 +372,13 @@ def test_fit_input_validation():
 
 def test_certificate_check():
     assert certificate_check(4.0, 40, 3, 4) == 13
+    assert type(certificate_check(4.0, 40, 3, 4)) is int
+    assert certificate_check(4.0, np.array([40, 40]), np.array([3, 1]), 4).tolist() == [13, 5]
+    # runs in input order: the first failing run raises, whichever bound it fails
+    with pytest.raises(SpecError, match="11 crossings"):
+        certificate_check(4.0, np.array([40, 40, 6]), np.array([3, 11, 3]), 4)
+    with pytest.raises(SpecError, match="7 transcript bits"):
+        certificate_check(1.5, np.array([6, 6, 6]), np.array([1, 3, 4]), 2)
     with pytest.raises(SpecError):
         certificate_check(4.0, 40, 11, 4)          # 11 crossings * 4 > 40 steps
     with pytest.raises(SpecError):

@@ -1,5 +1,5 @@
 """The lockstep 2DFA walker and the eq-dfa sweep rows it evaluates, checked
-against the per-run path: run_dfa, its hand-offs and the accumulator."""
+against the per-run path: run_dfa, its hand-offs and the row function."""
 
 import hashlib
 import itertools
@@ -24,13 +24,15 @@ from twoway.handcrafted import build_eq_dfa
 from twoway.lockstep import run_dfa_lanes
 from twoway import harness
 from twoway.harness import (
-    _Accum,
-    _add_dfa_pairs,
+    SweepRow,
+    _dfa_runs,
     _regions,
+    _row,
+    certificate_check,
     sweep_ts,
     write_rows,
 )
-from per_pair import add_pair, row_pairs
+from per_pair import per_pair_row, row_fields, row_pairs
 
 RUN_ERRORS = (SpecError, NonHaltingError, InputError)
 
@@ -147,12 +149,32 @@ def test_walker_fills_each_transition_and_halting_code_once():
 
 def test_an_exhaustive_eq_dfa_sweep_leaves_numpy_ma_unimported():
     # np.unique would import numpy.ma on its first call, which costs a fresh
-    # process milliseconds and about half a megabyte
+    # process milliseconds and about half a megabyte; neither an exhaustive
+    # nor a sampled row of any family, nor any runner, may import it
     src = str(Path(twoway.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys; from twoway.harness import sweep_ts; sweep_ts('eq-dfa', [4]); "
-            "print('numpy.ma' in sys.modules)")
+    code = """if True:
+        import sys
+        from twoway.automata import pfa_exact, qcfa_exact, qcfa_sample, run_pfa_sample
+        from twoway.boolfn import and_gadget
+        from twoway.compiler import compile_query_to_qcfa, run_compiled
+        from twoway.handcrafted import build_eq_pfa
+        from twoway.harness import sweep_ts
+        from twoway.qquery import grover_or
+        sweep_ts('eq-dfa', [4])
+        for family, ns in (('eq-dfa', [9]), ('eq-pfa', [4, 9]), ('grover-ints', [4, 9]),
+                           ('exact-parity-lifted', [4, 10])):
+            sweep_ts(family, ns, samples_per_n=2)
+        pfa = build_eq_pfa(2)
+        pfa_exact(pfa, '01##01')
+        run_pfa_sample(pfa, '01##01')
+        rep = compile_query_to_qcfa(grover_or(2), and_gadget(), 2)
+        qcfa_exact(rep.machine, '01##01')
+        qcfa_sample(rep.machine, '01##01')
+        run_compiled(rep, '01', '01')
+        print('numpy.ma' in sys.modules)
+    """
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
@@ -192,27 +214,22 @@ def test_walker_edge_cases():
 # --- sweep rows ------------------------------------------------------------------
 
 
-def reference_row_acc(n):
+def reference_row(n):
     """The eq-dfa row as the per-run path builds it, pair by pair."""
     machine = build_eq_dfa(n)
     lang = eq_language(n)
-    acc = _Accum(machine_space(machine))
+    runs = []
     for x, y in row_pairs(lang, n, 12):
         trace = run_dfa(machine, x + "#" * n + y, regions=_regions(n))
-        add_pair(acc, lang, x, y, float(trace.accepted_bit), trace.steps, trace.visited,
-                 len(trace.handoffs))
-    return acc
+        runs.append((x, y, float(trace.accepted_bit), trace.steps, trace.visited,
+                     len(trace.handoffs)))
+    return per_pair_row("eq-dfa", machine, lang, runs)
 
 
 def test_eq_dfa_rows_equal_the_per_run_reference():
     ns = [1, 2, 3, 4, 5, 6]
     for row, n in zip(sweep_ts("eq-dfa", ns), ns):
-        acc = reference_row_acc(n)
-        assert (row.t_max, row.member_err, row.nonmember_err) == \
-            (acc.t_max, acc.member_err, acc.nonmember_err)
-        assert (row.worst_member, row.worst_nonmember) == \
-            (acc.worst_member, acc.worst_nonmember)
-        assert row.s_visited == float(np.log2(acc.visited_max))
+        assert row_fields(row) == row_fields(reference_row(n))
         assert row.t_max == 3 * n + 2
 
 
@@ -250,11 +267,7 @@ def test_eq_dfa_rows_are_pinned(tmp_path):
 def test_sampled_eq_dfa_rows_equal_the_per_run_reference():
     n = 9                                   # 4^9 pairs: sampled
     row, = sweep_ts("eq-dfa", [n])
-    acc = reference_row_acc(n)
-    assert (row.t_max, row.member_err, row.nonmember_err, row.worst_member,
-            row.worst_nonmember) == (acc.t_max, acc.member_err, acc.nonmember_err,
-                                     acc.worst_member, acc.worst_nonmember)
-    assert row.s_visited == float(np.log2(acc.visited_max))
+    assert row_fields(row) == row_fields(reference_row(n))
 
 
 def test_exhaustive_rows_walk_in_lockstep_and_sampled_rows_run_per_pair(monkeypatch):
@@ -315,27 +328,31 @@ def mode_pair(mode: int, y: str = "000"):
     return format(mode, f"0{N}b"), y
 
 
-def per_pair_error(machine, pairs):
-    acc = _Accum(machine_space(machine))
+def per_pair_error(machine, pairs, cutoff=CUTOFF):
+    """The per-run path's row, each run's certificate checked as it ends, or
+    the first error it raises."""
+    runs = []
     for x, y in pairs:
         try:
-            trace = run_dfa(machine, x + "#" * N + y, CUTOFF, REGIONS)
-            add_pair(acc, eq_language(N), x, y, float(trace.accepted_bit), trace.steps,
-                     trace.visited, len(trace.handoffs))
+            trace = run_dfa(machine, x + "#" * N + y, cutoff, REGIONS)
+            certificate_check(machine_space(machine), trace.steps, len(trace.handoffs), N)
         except RUN_ERRORS as exc:
             return exc
-    return acc
+        runs.append((x, y, float(trace.accepted_bit), trace.steps, trace.visited,
+                     len(trace.handoffs)))
+    return per_pair_row("eq-dfa", machine, eq_language(N), runs)
 
 
-def batch_error(machine, pairs, lockstep=True):
-    acc = _Accum(machine_space(machine))
-    x = np.array([[int(b) for b in x] for x, _ in pairs], dtype=np.uint8)
-    y = np.array([[int(b) for b in y] for _, y in pairs], dtype=np.uint8)
+def pair_bits(pairs):
+    return (np.array([[int(b) for b in x] for x, _ in pairs], dtype=np.uint8),
+            np.array([[int(b) for b in y] for _, y in pairs], dtype=np.uint8))
+
+
+def batch_error(machine, pairs, lockstep=True, cutoff=CUTOFF):
     try:
-        _add_dfa_pairs(acc, machine, x, y, REGIONS, CUTOFF, lockstep)
+        return _row("eq-dfa", *_dfa_runs(machine, *pair_bits(pairs), REGIONS, cutoff, lockstep))
     except RUN_ERRORS as exc:
         return exc
-    return acc
 
 
 @pytest.mark.parametrize("mode,message", [
@@ -377,10 +394,32 @@ def test_batch_without_failures_equals_the_per_pair_accumulator():
     machine = failing_dfa()
     pairs = [mode_pair(0, y) for y in ("000", "111", "001")] + [mode_pair(0, "000")]
     want, got = per_pair_error(machine, pairs), batch_error(machine, pairs)
-    assert isinstance(got, _Accum) and got == want
-    assert batch_error(machine, pairs, lockstep=False) == want
+    assert isinstance(got, SweepRow) and row_fields(got) == row_fields(want)
+    assert row_fields(batch_error(machine, pairs, lockstep=False)) == row_fields(want)
     assert got.worst_nonmember == "000|111" and got.nonmember_err == 1.0
-    assert got.worst_member == "" and got.evaluated == 4
+    assert got.worst_member == ""
+    assert all(len(a) == 4 for a in _dfa_runs(machine, *pair_bits(pairs), REGIONS, CUTOFF)[3:])
+
+
+def test_a_lane_handed_back_sends_the_whole_row_through_run_dfa(monkeypatch):
+    # mode 6 accepts in 46 steps at cutoff 100, but the lockstep walk stops
+    # at the tape length (11 cells) and hands the lane back
+    machine = failing_dfa()
+    pairs = [mode_pair(0, "101"), mode_pair(6), mode_pair(0)]
+    payloads = np.array([codes(x + "#" * N + y) for x, y in pairs])
+    assert run_dfa_lanes(machine, payloads, REGIONS, 100).replay.tolist() == [False, True, False]
+    assert scalar_lane(machine, "110###000", REGIONS, 100)[:2] == (1, 46)
+    want = per_pair_error(machine, pairs, cutoff=100)
+    calls = Counter()
+
+    def counted(*args, **kwargs):
+        calls["run_dfa"] += 1
+        return run_dfa(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_dfa", counted)
+    got = batch_error(machine, pairs, cutoff=100)
+    assert calls["run_dfa"] == 3
+    assert isinstance(got, SweepRow) and row_fields(got) == row_fields(want)
 
 
 def test_a_transcript_bit_violation_is_found_after_a_lockstep_walk():
