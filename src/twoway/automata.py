@@ -90,7 +90,16 @@ def _move_error(name: str, steps: int, pos: int, delta) -> SpecError:
         what = "head moved left of the left end marker"
     else:
         what = "head moved right of the right end marker"
-    return SpecError(f"{name}: {what} on step {steps + 1} at head position {pos}")
+    return _placed(f"{name}: {what}", steps, pos)
+
+
+def _placed(message: str, steps: int, pos: int) -> SpecError:
+    """message, naming the step after `steps` completed ones and its head position."""
+    return SpecError(f"{message} on step {steps + 1} at head position {pos}")
+
+
+class _Unplaced(SpecError):
+    """A transition's error, which the runner that asked for it raises _placed."""
 
 
 @dataclass(frozen=True)
@@ -241,8 +250,7 @@ _CHOICE = object()     # marks a transition that is a choice, not a certain step
 
 
 def _undefined(machine, state: State, sym: str, steps: int, pos: int) -> SpecError:
-    return SpecError(f"{machine.name}: undefined transition at {(state, sym)} "
-                     f"on step {steps + 1} at head position {pos}")
+    return _placed(f"{machine.name}: undefined transition at {(state, sym)}", steps, pos)
 
 
 def _walk(machine, symbols, transition, cutoff, origins, state, pos, steps,
@@ -285,7 +293,10 @@ def _walk(machine, symbols, transition, cutoff, origins, state, pos, steps,
             )
         origins.add(state)
         sym = symbols[pos]
-        nxt = transition(state, sym)
+        try:
+            nxt = transition(state, sym)
+        except _Unplaced as exc:
+            raise _placed(str(exc), steps, pos) from None
         if nxt is None:
             raise _undefined(machine, state, sym, steps, pos)
         nxt_state, mv = nxt
@@ -386,7 +397,10 @@ def _sample(machine, payload: str, transition, choose, cutoff: int, regions,
         steps += k
         if choice is None:
             return _trace(machine, state, steps, origins, handoffs if regions else None)
-        state, mv = choose(state, symbols[pos], choice)
+        try:
+            state, mv = choose(state, symbols[pos], choice)
+        except _Unplaced as exc:
+            raise _placed(str(exc), steps, pos) from None
         pos = tape.move(pos, mv, machine.name, steps)
         steps += 1
 
@@ -431,11 +445,11 @@ def _pfa_transition(machine: TwoWayPfa):
                 return nxt_state, mv
         total = sum((p for p, _, _ in dist), Fraction(0))
         if total != 1:
-            raise SpecError(
+            raise _Unplaced(
                 f"{machine.name}: probabilities at {(state, sym)} sum to {total}, not 1"
             )
         if any(p < 0 for p, _, _ in dist):
-            raise SpecError(f"{machine.name}: negative probability at {(state, sym)}")
+            raise _Unplaced(f"{machine.name}: negative probability at {(state, sym)}")
         return _CHOICE, dist
 
     return transition
@@ -628,7 +642,7 @@ class _QcfaRegister:
         machine = self.machine
         action = machine.theta(state, sym)
         if action is None:
-            raise SpecError(f"{machine.name}: no quantum action at {(state, sym)}")
+            raise _Unplaced(f"{machine.name}: no quantum action at {(state, sym)}")
         if isinstance(action, Measurement):
             return _CHOICE, action
         if not isinstance(action, IdentityOp):
@@ -650,7 +664,7 @@ class _QcfaRegister:
     def route(self, state: State, sym: str, label) -> tuple[State, int]:
         nxt = self.machine.step_measure(state, sym, label)
         if nxt is None:
-            raise SpecError(f"{self.machine.name}: no route for outcome "
+            raise _Unplaced(f"{self.machine.name}: no route for outcome "
                             f"{label!r} at {(state, sym)}")
         return nxt
 
@@ -721,19 +735,22 @@ def qcfa_exact(
             )
         sym = symbols[pos]
         register.psi = psi
-        nxt = register.transition(state, sym)
-        origins.add(state)
-        if nxt is None:
-            raise _undefined(machine, state, sym, steps, pos)
-        nxt_state, mv = nxt
-        if nxt_state is not _CHOICE:
-            insert(weight, nxt_state, tape.move(pos, mv, machine.name, steps),
-                   register.psi, steps + 1, passed)
-            continue
-        for label, p, collapsed in mv.branches(psi):
-            nxt_state, mv = register.route(state, sym, label)
-            insert(weight * p, nxt_state, tape.move(pos, mv, machine.name, steps),
-                   collapsed, steps + 1, set())
+        try:
+            nxt = register.transition(state, sym)
+            origins.add(state)
+            if nxt is None:
+                raise _undefined(machine, state, sym, steps, pos)
+            nxt_state, mv = nxt
+            if nxt_state is not _CHOICE:
+                insert(weight, nxt_state, tape.move(pos, mv, machine.name, steps),
+                       register.psi, steps + 1, passed)
+                continue
+            for label, p, collapsed in mv.branches(psi):
+                nxt_state, mv = register.route(state, sym, label)
+                insert(weight * p, nxt_state, tape.move(pos, mv, machine.name, steps),
+                       collapsed, steps + 1, set())
+        except _Unplaced as exc:
+            raise _placed(str(exc), steps, pos) from None
 
     check_lost_mass(total, lambda: machine.name)
     return ExactRunResult(

@@ -12,7 +12,6 @@ so member strings have length exactly 3n.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Callable, Sequence
@@ -148,11 +147,6 @@ def ip_gadget(m: int) -> Gadget:
     if m < 1:
         raise InputError("gadget width must be >= 1")
     return Gadget(f"ip:{m}", m, lambda a, b: eval_ip(a, b))
-
-
-def default_gadget_width(p: int) -> int:
-    """Default inner width for lifted constructions: ceil(log2 p), min 1."""
-    return max(1, math.ceil(math.log2(p))) if p > 1 else 1
 
 
 @dataclass(frozen=True)

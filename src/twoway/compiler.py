@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .qquery import (
 
 __all__ = [
     "CompilationReport",
+    "CompiledRuns",
     "compile_query_to_qcfa",
     "run_compiled",
     "run_compiled_lanes",
@@ -310,17 +312,32 @@ def _split_sides(report: CompilationReport, x: str, y: str):
                  for side in (x, y))
 
 
+class CompiledRuns(NamedTuple):
+    """run_compiled_lanes's row: per ExactRunResult field a compiled run
+    fills, one array entry per lane, in lane order."""
+
+    accept_probability: np.ndarray
+    t_max: np.ndarray
+    t_max_accepting: np.ndarray        # 0 where no branch accepts
+    t_max_rejecting: np.ndarray
+    visited: np.ndarray
+    branch_count: np.ndarray
+    crossings_max: np.ndarray
+
+
 def run_compiled(report: CompilationReport, x: str, y: str) -> ExactRunResult:
     """Exact branch evaluation of the compiled machine on x #^n y: the
-    one-lane case of run_compiled_lanes."""
-    return run_compiled_lanes(report, *_split_sides(report, x, y))[0]
+    one-lane case of run_compiled_lanes, with Python int and float fields."""
+    runs = run_compiled_lanes(report, *_split_sides(report, x, y))
+    return ExactRunResult(**{f: a[0].item() for f, a in zip(runs._fields, runs)})
 
 
 def run_compiled_lanes(report: CompilationReport, x: np.ndarray,
-                       y: np.ndarray) -> list[ExactRunResult]:
+                       y: np.ndarray) -> CompiledRuns:
     """Exact branch evaluation of the compiled machine on every x_i #^n y_i,
-    with x and y given as bit matrices (one row of n bits per lane): one
-    ExactRunResult per lane, each equal to a run on that pair alone.
+    with x and y given as bit matrices (one row of n bits per lane): the
+    row's results as arrays, each lane's entries equal to a run on that
+    pair alone.
 
     The segment schedule runs through qquery.run_segments on the machine's
     quantum register alone, every lane at once, one segment_pass per oracle
@@ -329,10 +346,11 @@ def run_compiled_lanes(report: CompilationReport, x: np.ndarray,
     the same for every branch, so time, census, and boundary crossings are
     reconstructed from closed forms over each branch's oracle calls and
     resets that mirror the step-level runner exactly (validated against it
-    in tests). branch_count is the number of halting outcomes the engine
-    kept: (branch, label) pairs of probability above BRANCH_PRUNE and weight
-    at least BRANCH_PRUNE whose decision halts. qcfa_exact counts halting
-    branches after merging equal ones instead, so the two counts differ.
+    in tests), on the engine's arrays. branch_count is the number of
+    halting outcomes the engine kept: (branch, label) pairs of probability
+    above BRANCH_PRUNE and weight at least BRANCH_PRUNE whose decision
+    halts. qcfa_exact counts halting branches after merging equal ones
+    instead, so the two counts differ.
     """
     if not (is_bit_matrix(x, report.n) and is_bit_matrix(y, report.n)) or y.shape != x.shape:
         raise InputError(f"sides must be bit matrices of {report.n} columns")
@@ -342,30 +360,19 @@ def run_compiled_lanes(report: CompilationReport, x: np.ndarray,
     runs = run_segments(report.segments, psi0, masks, report.d_w, report.machine.name,
                         lambda i: f"{bit_string(x[i])}|{bit_string(y[i])}",
                         oracle=segment_pass)
-    return [_exact_result(report, run) for run in runs]
-
-
-def _exact_result(report: CompilationReport, run) -> ExactRunResult:
-    n = report.n
+    n, calls, seg_steps = report.n, runs.halted, 6 * report.n + 4
     # 3n+2 steps reach the first unitary; a segment takes 6n+4 steps per
     # oracle call plus 2 (its last unitary and the measurement), a reset 1,
     # so a path of c calls and r resets halts after 3n+4 + c(6n+4) + 3r
-    seg_steps = 6 * n + 4
-
-    paths = run.accepted.tolist(), run.rejected.tolist()
-    t_acc, t_rej = (max((3 * n + 4 + c * seg_steps + 3 * r for c, r in p), default=0)
-                    for p in paths)
-    cross_max = max((2 + 4 * c for c, _ in paths[0] + paths[1]), default=0)
+    resets = np.arange(calls.shape[2])
+    t_kind = np.where(calls >= 0, 3 * n + 4 + calls * seg_steps + 3 * resets, 0).max(axis=2)
+    top = calls.max(axis=(1, 2))
     # census: the form check's 3n+1 states; per segment entered, its pass
     # states, last unitary and measurement, and one reset per row continued
-    visited = 3 * n + 1 + sum(
-        report.segments[si].calls * seg_steps + 2 + rows
-        for si, rows in run.continued.items()
-    )
-    return ExactRunResult(
-        run.accept_probability, max(t_acc, t_rej), t_acc, t_rej, visited,
-        run.halts, set(), True, cross_max,
-    )
+    entered = np.array([cs.calls * seg_steps + 2 for cs in report.segments])
+    visited = 3 * n + 1 + np.where(runs.ran >= 0, runs.ran + entered, 0).sum(axis=1)
+    return CompiledRuns(runs.accept, t_kind.max(axis=1), t_kind[:, 0], t_kind[:, 1], visited,
+                        runs.halts, np.where(top >= 0, 2 + 4 * top, 0))
 
 
 def verify_segment_equivalence(

@@ -341,17 +341,6 @@ class _EqPfaFast:
             census[lo:lo + len(bits)] = _distinct(codes)
         return census, residues
 
-    def census(self, x: str, y: str) -> int:
-        return int(self.shared + self.x_census(_word(x))[0] + self.y_census(_word(y))[0][0])
-
-    def prob(self, x: str, y: str) -> float:
-        same = self.residues(_word(x)) == self.y_census(_word(y))[1]
-        return float(np.count_nonzero(same)) / self.count
-
-
-def _word(s: str) -> np.ndarray:          # a bit string as a one-row bit matrix
-    return np.array([[ch == "1" for ch in s]], dtype=np.uint8)
-
 
 def _blocks(words: np.ndarray, primes: int, steps: int, dtype):
     """(first row, rows, codes) per block of as many words as fit CENSUS_CELLS
@@ -392,10 +381,8 @@ def _eval_compiled(alg_builder, n: int, samples: int, seed, lang, member) -> tup
     xs, ys, xi, yi = _pair_bits(lang, n, samples, seed)
     x, y = xs[xi], ys[yi]
     runs = run_compiled_lanes(rep, x, y)
-    steps, visited, crossings = (np.array([getattr(r, f) for r in runs], dtype=np.int64)
-                                 for f in ("t_max", "visited", "crossings_max"))
-    prob = np.array([float(r.accept_probability) for r in runs])
-    return rep.machine, x, y, member(x, y), prob, steps, visited, crossings
+    return (rep.machine, x, y, member(x, y), runs.accept_probability, runs.t_max,
+            runs.visited, runs.crossings_max)
 
 
 def _eval_grover_ints(n: int, samples: int, seed) -> tuple:

@@ -32,6 +32,7 @@ from .errors import SpecError
 UNITARY_ATOL = 1e-9     # max-norm tolerance for U^dagger U - I
 NORM_ATOL = 1e-9        # state-norm drift tolerance
 BRANCH_PRUNE = 1e-12    # measurement branches below this probability are dropped
+LOST_MASS = 1e-6        # the halting mass a run may lose to pruning
 DENSE_CHECK_LIMIT = 512   # largest dimension to_dense() materializes
 
 
@@ -575,9 +576,9 @@ class CompleteMeasurement(Measurement):
 
 def check_lost_mass(total: float, where: Callable[[], str]) -> None:
     """Raise when a run's terminal branch weights miss 1 by more than the
-    1e-6 budget that pruning at BRANCH_PRUNE may spend; where() names the
-    run, and is called only then."""
-    if abs(total - 1.0) > 1e-6:
+    LOST_MASS budget that pruning at BRANCH_PRUNE may spend; where() names
+    the run, and is called only then."""
+    if abs(total - 1.0) > LOST_MASS:
         raise SpecError(f"{where()}: terminal branch weights sum to {total}, "
                         "lost probability mass exceeds the pruning budget")
 

@@ -16,8 +16,8 @@ segment it stacks every branch of a block of lanes, sends each continuing
 outcome on collapsed and reset, and groups what a segment was sent by lane
 and bitwise state, summing weights in arrival order with np.add.at, so a
 lane's result is bitwise the one it gets alone. A branch's history keeps,
-per number of resets, the most oracle calls of a path merged into it,
-which gives the Pareto-maximal (calls, resets) pairs its runs report.
+per number of resets, the most oracle calls of a path merged into it, and
+the engine reports every lane's results as arrays (SegmentRuns).
 Plain algorithms are a single segment whose decision never continues.
 
 Validation (`validate_algorithm`) certifies every distinct operator object
@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .errors import InputError, RefusalError, SpecError
 from .kernels import oracle_masks, segment_pass
 from .ops import (
     BRANCH_PRUNE,
+    LOST_MASS,
     BasisSwapOp,
     ComposeOp,
     CompleteMeasurement,
@@ -374,34 +375,32 @@ def segment_tables(alg: QueryAlgorithm, cache_dim: int) -> list[CompiledSegment]
     return tables
 
 
-@dataclass
-class FrontierRun:
-    """What run_segments saw on one lane. accepted and rejected hold the
-    Pareto-maximal (oracle calls, resets) pairs of the paths that end in an
-    outcome of that kind, as (pairs, 2) int arrays: any maximum over those
-    paths of a function that grows with both is attained on them."""
+class SegmentRuns(NamedTuple):
+    """What run_segments saw on every lane, as arrays in lane order."""
 
-    accept_probability: float
-    halts: int                    # halting outcomes above the pruning floor
-    accepted: np.ndarray
-    rejected: np.ndarray
-    continued: dict[int, int]     # per segment some branch ran: rows that continued
+    accept: np.ndarray            # (lanes,) accepting mass, at most 1
+    halts: np.ndarray             # (lanes,) halting outcomes above the pruning floor
+    # (lanes, 2, segments): per kind (accept, reject) and number of resets,
+    # the most oracle calls of a path halting that way (-1: none)
+    halted: np.ndarray
+    ran: np.ndarray               # (lanes, segments) rows continued per segment run, -1: none
 
 
-# A block of lanes holds at most this many register entries (lanes x
-# dimension), and at least one lane: 32 lanes at dimension 16, one lane at
-# dimension 512 and above. Only one block's branches are pending at a time.
-LANE_CELLS = 1 << 9
+# A block holds at most LANE_CELLS // dimension lanes, at least one; its stack
+# is lanes x live branches x dimension x 16 B, one block pending at a time.
+# Measured 2^9-2^15 (BENCH_lane_blocks.json): the compiled workloads reach
+# their plateau at 2^12, below it a segment's ~20 bookkeeping numpy calls
+# per block dominate, and from 2^13 ints-sweep's peak RSS is 1.1 MB higher.
+LANE_CELLS = 1 << 12
 # no path: a history entry stays negative whatever calls are added to it
 NO_PATH = np.iinfo(np.int64).min // 2
 
 
 def run_segments(tables: list[CompiledSegment], psi: np.ndarray, masks: np.ndarray,
                  d_w: int, name: str, lane_name: Callable[[int], str],
-                 oracle=segment_pass) -> Iterator[FrontierRun]:
+                 oracle=segment_pass) -> SegmentRuns:
     """Exact branch evaluation of a segment schedule from state psi, on
-    every lane (one input word or pair) of masks: yields one FrontierRun
-    per lane, in lane order.
+    every lane (one input word or pair) of masks, in lane order.
 
     masks[lane] holds the cells an oracle call on that lane's input flips
     (kernels.flip_masks or kernels.oracle_masks) on a register of d_w work
@@ -419,18 +418,20 @@ def run_segments(tables: list[CompiledSegment], psi: np.ndarray, masks: np.ndarr
     branch per (lane, collapsed state) group, keyed bitwise (-0.0 is not
     0.0). Weights and masses are summed with np.add.at in arrival order, as
     a run on the lane alone sums them. A branch's history is a row over
-    resets, the most oracle calls of a path with that many (NO_PATH: none):
-    merging takes the maximum, and the Pareto-maximal pairs are the entries
-    above every entry with more resets. A lane whose halting mass misses 1
-    by more than 1e-6 raises SpecError, labelled with name and
-    lane_name(lane), where it would be yielded.
+    resets, the most oracle calls of a path with that many (NO_PATH: none),
+    and merging takes the maximum; so a maximum over a lane's halting paths
+    of a function that grows with calls is one over its halted rows. The
+    first lane whose halting mass misses 1 by more than LOST_MASS raises
+    SpecError, labelled with name and lane_name(lane).
     """
     block = max(1, LANE_CELLS // psi.shape[-1])
+    parts = []
     for lo in range(0, len(masks), block):
-        for lane, (total, run) in enumerate(
-                _run_block(tables, psi, masks[lo:lo + block], d_w, oracle), lo):
-            check_lost_mass(total, lambda: f"{name} on {lane_name(lane)}")
-            yield run
+        total, part = _run_block(tables, psi, masks[lo:lo + block], d_w, oracle)
+        lane = int((np.abs(total - 1.0) > LOST_MASS).argmax())    # the first failing, or 0
+        check_lost_mass(float(total[lane]), lambda: f"{name} on {lane_name(lo + lane)}")
+        parts.append(part)
+    return parts[0] if len(parts) == 1 else SegmentRuns._make(map(np.concatenate, zip(*parts)))
 
 
 def _enter(batches: list, dim: int):
@@ -475,8 +476,8 @@ def _enter(batches: list, dim: int):
     return lane[head], weight, psi, merged
 
 
-def _run_block(tables, psi, masks, d_w, oracle) -> list[tuple[float, FrontierRun]]:
-    """run_segments on one block of lanes: (halting mass, run) per lane."""
+def _run_block(tables, psi, masks, d_w, oracle) -> tuple[np.ndarray, SegmentRuns]:
+    """run_segments on one block of lanes: each lane's halting mass, and its runs."""
     lanes, dim, nseg = len(masks), psi.shape[-1], len(tables)
     sent: list[list] = [[] for _ in tables]          # per segment, see _enter
     sums = np.zeros(2 * lanes)                       # halting mass per 2 * lane + kind
@@ -530,23 +531,17 @@ def _run_block(tables, psi, masks, d_w, oracle) -> list[tuple[float, FrontierRun
                     if to.any():
                         sent[t].append(tuple(a[to] for a in batch))
         ran[lane_of, si] = rows.sum(axis=1)[lane_of]
-    # the Pareto-maximal pairs: entries above -1 and every entry with more resets
-    later = np.append(halted, np.full((2 * lanes, 1), -1), axis=1)[:, :0:-1]
-    owner, resets = np.nonzero(halted > np.maximum.accumulate(later, axis=1)[:, ::-1])
-    pairs = np.stack([halted[owner, resets], resets], axis=1)
-    bounds = np.searchsorted(owner, np.arange(2 * lanes + 1)).tolist()
-    sums, halts, ran = sums.tolist(), (halts[::2] + halts[1::2]).tolist(), ran.tolist()
-    return [(sums[2 * lane] + sums[2 * lane + 1],
-             FrontierRun(min(sums[2 * lane], 1.0), halts[lane],
-                         pairs[bounds[2 * lane]:bounds[2 * lane + 1]],
-                         pairs[bounds[2 * lane + 1]:bounds[2 * lane + 2]],
-                         {si: r for si, r in enumerate(ran[lane]) if r >= 0}))
-            for lane in range(lanes)]
+    acc, rej = sums[::2], sums[1::2]
+    return acc + rej, SegmentRuns(np.minimum(acc, 1.0), halts[::2] + halts[1::2],
+                                  np.maximum(halted, -1).reshape(lanes, 2, nseg), ran)
 
 
 def run_query_alg(alg: QueryAlgorithm, z: Sequence[int]) -> float:
     """Exact acceptance probability on input word z: the one-lane case of
-    run_query_alg_lanes."""
+    run_query_alg_lanes. A lone run pays the engine's per-segment numpy
+    calls for one lane: about 325 us per grover_or(6) word, against 9 us a
+    word in a 512-word run_query_alg_lanes call and 245 us for the one-vector
+    loop the engine replaced (2-vCPU x86 VM, BENCH_lane_blocks.json)."""
     return run_query_alg_lanes(alg, np.array([as_bits(z, alg.arity)], dtype=np.uint8))[0]
 
 
@@ -562,9 +557,8 @@ def run_query_alg_lanes(alg: QueryAlgorithm, words: np.ndarray) -> list[float]:
     if not is_bit_matrix(words, alg.arity):
         raise InputError(f"input words must be a bit matrix of {alg.arity} columns")
     masks = oracle_masks(words, alg.layout.index_dim)
-    runs = run_segments(alg.tables, alg.initial_state(), masks, alg.layout.work_dim,
-                        alg.name, lambda lane: bit_string(words[lane]))
-    return [run.accept_probability for run in runs]
+    return run_segments(alg.tables, alg.initial_state(), masks, alg.layout.work_dim,
+                        alg.name, lambda lane: bit_string(words[lane])).accept.tolist()
 
 
 # --- Grover-style bounded-error OR -------------------------------------------

@@ -1,6 +1,6 @@
 """The per-pair reference that sweep-row tests compare with: runs collected
 one pair at a time, made into a row by the function every sweep row goes
-through (harness._row)."""
+through (harness._row), and the eq-pfa fast evaluator's view of one pair."""
 
 from dataclasses import astuple
 
@@ -30,3 +30,19 @@ def per_pair_row(family: str, machine, lang, runs: list):
 def row_fields(row) -> tuple:
     """Every field of a sweep row but its wall time, worst inputs included."""
     return astuple(row)[:8], row.worst_member, row.worst_nonmember
+
+
+def word(s: str) -> np.ndarray:
+    """A bit string as a one-row bit matrix."""
+    return np.array([[ch == "1" for ch in s]], dtype=np.uint8)
+
+
+def pfa_census(fast, x: str, y: str) -> int:
+    """The census an eq-pfa fast evaluator (harness._EqPfaFast) gives the pair."""
+    return int(fast.shared + fast.x_census(word(x))[0] + fast.y_census(word(y))[0][0])
+
+
+def pfa_prob(fast, x: str, y: str) -> float:
+    """The acceptance probability an eq-pfa fast evaluator gives the pair."""
+    same = fast.residues(word(x)) == fast.y_census(word(y))[1]
+    return float(np.count_nonzero(same)) / fast.count

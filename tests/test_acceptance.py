@@ -28,6 +28,8 @@ from twoway.handcrafted import build_eq_dfa, build_eq_pfa
 from twoway.harness import _EqPfaFast, fit_scaling, sweep_ts
 from twoway.qquery import exact_parity, grover_or, run_query_alg_lanes
 
+from per_pair import pfa_prob
+
 
 def payload(x: str, y: str) -> str:
     return x + "#" * len(x) + y
@@ -55,7 +57,7 @@ def test_criterion_01_equality_pfa_error_bound():
     assert len(pairs) == 550
     worst = 0.0
     for x, y in pairs:
-        p = fast.prob(x, y)
+        p = pfa_prob(fast, x, y)
         if x == y:
             assert p == 1.0
         else:
@@ -63,7 +65,7 @@ def test_criterion_01_equality_pfa_error_bound():
             worst = max(worst, p)
     for x, y in pairs[::40] + [("1" * n, "1" * n)]:
         exact = pfa_exact(machine, payload(x, y))
-        assert fast.prob(x, y) == float(exact.accept_probability)
+        assert pfa_prob(fast, x, y) == float(exact.accept_probability)
     elapsed = time.perf_counter() - started
     assert elapsed < 10
     print(f"criterion 01: PASS  worst nonmember error {worst:.4f} <= 0.36, "
@@ -88,7 +90,7 @@ def _compare_compiled(alg_builder, n: int, pairs) -> float:
     alg = alg_builder(n)
     x, y = (np.array([[int(b) for b in w] for w in side], dtype=np.uint8)
             for side in zip(*pairs))
-    got = [r.accept_probability for r in run_compiled_lanes(rep, x, y)]
+    got = run_compiled_lanes(rep, x, y).accept_probability.tolist()
     want = run_query_alg_lanes(alg, x & y)
     return max(abs(g - w) for g, w in zip(got, want))
 

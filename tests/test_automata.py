@@ -356,6 +356,28 @@ def test_undefined_transitions_name_step_and_position():
             run(m, "0")
 
 
+def test_transition_errors_name_step_and_position():
+    # each on the transition out of 0 (position 1), the second step
+    dists = {r"probabilities at \('b', '0'\) sum to 1/2, not 1": [(HALF, "yes", 0)],
+             r"negative probability at \('b', '0'\)": [(3 * HALF, "yes", 0), (-HALF, "yes", 0)]}
+    for what, dist in dists.items():
+        for runner in PFA_RUNNERS.values():
+            with pytest.raises(SpecError, match=rf"walker: {what} on step 2 at head position 1$"):
+                runner("walker", {("a", "¢"): ("b", 1), ("b", "0"): dist})
+    had = hadamard_qcfa()
+    right = replace(had, step=lambda state, sym: ("read", 1))    # H at ¢, then measure
+    broken = {
+        r"no quantum action at \('read', '0'\)":
+            replace(right, theta=lambda state, sym: had.theta(state, sym) if sym == "¢" else None),
+        r"no route for outcome '(zero|one)' at \('read', '0'\)":
+            replace(right, step_measure=lambda state, sym, label: None),
+    }
+    for what, m in broken.items():
+        for run in (qcfa_exact, qcfa_sample):
+            with pytest.raises(SpecError, match=rf"had: {what} on step 2 at head position 1$"):
+                run(m, "0")
+
+
 def test_qcfa_head_move_errors_name_step_and_position():
     m = replace(hadamard_qcfa(), step=lambda state, sym: ("read", -1))
     for run in (qcfa_exact, qcfa_sample):

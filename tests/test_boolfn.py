@@ -10,7 +10,6 @@ from twoway.boolfn import (
     and_gadget,
     as_bits,
     compose_eval,
-    default_gadget_width,
     eq_language,
     eval_ip,
     eval_ne,
@@ -163,12 +162,6 @@ def test_as_bits_validates():
         as_bits("01x")
     with pytest.raises(InputError):
         as_bits("011", length=4)
-
-
-def test_default_gadget_width_grows_logarithmically():
-    assert default_gadget_width(1) == 1
-    assert default_gadget_width(128) == 7
-    assert default_gadget_width(129) == 8
 
 
 @pytest.mark.parametrize("ident", ["xor:2.and1", "xor:2.ip:2"])

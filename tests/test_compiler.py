@@ -17,6 +17,7 @@ import twoway.qquery
 from twoway.automata import qcfa_exact, qcfa_sample
 from twoway.boolfn import HASH, and_gadget, ip_gadget
 from twoway.compiler import (
+    CompiledRuns,
     compile_query_to_qcfa,
     run_compiled,
     run_compiled_lanes,
@@ -154,15 +155,30 @@ ROW_CASES = [(grover_or(n), and_gadget(), n) for n in range(2, 7)] + \
                          ids=[f"{a.name}%{g.name}@{n}" for a, g, n in ROW_CASES])
 def test_row_runner_equals_per_pair_runs(monkeypatch, alg, gadget, n):
     # every lane of a row must get exactly the result it gets alone, however
-    # the row is cut into lane blocks: one lane, three lanes, the whole row
+    # the row is cut into lane blocks: one lane, three lanes (a ragged last
+    # block), the whole row, and the default
     rep = compile_query_to_qcfa(alg, gadget, n)
     x, y = bit_rows(n)
-    want = [run_compiled(rep, "".join(map(str, a)), "".join(map(str, b)))
-            for a, b in zip(x.tolist(), y.tolist())]
+    pairs = [run_compiled(rep, "".join(map(str, a)), "".join(map(str, b)))
+             for a, b in zip(x.tolist(), y.tolist())]
+    want = {f: [getattr(r, f) for r in pairs] for f in CompiledRuns._fields}
     dim = rep.quantum_basis_count
-    for cells in (1, 3 * dim, len(x) * dim):
+    for cells in (1, 3 * dim, len(x) * dim, twoway.qquery.LANE_CELLS):
         monkeypatch.setattr(twoway.qquery, "LANE_CELLS", cells)
-        assert run_compiled_lanes(rep, x, y) == want
+        runs = run_compiled_lanes(rep, x, y)
+        assert {f: a.tolist() for f, a in zip(runs._fields, runs)} == want, cells
+
+
+def test_a_lone_run_has_python_scalar_fields():
+    # the CLI and the sidecar print a run's fields, as Python scalars
+    rep = compile_query_to_qcfa(grover_or(4), and_gadget(), 4)
+    r = run_compiled(rep, "0110", "0111")
+    assert type(r.accept_probability) is float
+    for f in ("t_max", "t_max_accepting", "t_max_rejecting", "visited", "branch_count",
+              "crossings_max"):
+        assert type(getattr(r, f)) is int, f
+    assert r.time_bounded is True and r.origin_states == set()
+    assert type(run_query_alg(grover_or(4), "0110")) is float
 
 
 def test_lost_mass_names_the_first_failing_pair(monkeypatch):
@@ -184,10 +200,14 @@ def test_lost_mass_names_the_first_failing_pair(monkeypatch):
     (fx, fy), message = failed[0]
     assert (fx, fy) != ("0" * n, "0" * n)
     assert f"{rep.machine.name} on {fx}|{fy}: terminal branch weights sum to" in message
-    monkeypatch.setattr(twoway.qquery, "LANE_CELLS", len(x) * rep.quantum_basis_count)
-    with pytest.raises(SpecError) as row:
-        run_compiled_lanes(rep, x, y)
-    assert str(row.value) == message
+    # the whole row in one block, and in blocks that put the pair in the second
+    first = [("".join(map(str, a)), "".join(map(str, b)))
+             for a, b in zip(x.tolist(), y.tolist())].index((fx, fy))
+    for lanes in (len(x), first // 2 + 1):
+        monkeypatch.setattr(twoway.qquery, "LANE_CELLS", lanes * rep.quantum_basis_count)
+        with pytest.raises(SpecError) as row:
+            run_compiled_lanes(rep, x, y)
+        assert str(row.value) == message
     z = gadget_word(fx, fy, and_gadget(), 1)
     with pytest.raises(SpecError, match=f"grover-or:{n} on {z}: terminal branch weights"):
         run_query_alg(grover_or(n), z)

@@ -27,7 +27,6 @@ from twoway.harness import (
     _EqPfaFast,
     _pair_bits,
     _sample_pair,
-    _word,
     SweepRow,
     certificate_check,
     fit_scaling,
@@ -35,7 +34,7 @@ from twoway.harness import (
     sweep_ts,
     write_rows,
 )
-from per_pair import per_pair_row, row_fields, row_pairs
+from per_pair import pfa_census, pfa_prob, per_pair_row, row_fields, row_pairs, word
 
 
 def payload(x: str, y: str) -> str:
@@ -52,17 +51,17 @@ def test_fast_evaluator_matches_step_runner(n):
     pairs.add(("1" * n, "1" * n))
     for x, y in pairs:
         res = pfa_exact(machine, payload(x, y))
-        assert fast.prob(x, y) == float(res.accept_probability)
+        assert pfa_prob(fast, x, y) == float(res.accept_probability)
         assert fast.t_run == res.t_max
-        assert fast.census(x, y) == res.visited
+        assert pfa_census(fast, x, y) == res.visited
 
 
 def b_census(fast, x):
-    return int(fast.x_census(_word(x))[0])
+    return int(fast.x_census(word(x))[0])
 
 
 def r_census(fast, y):
-    return int(fast.y_census(_word(y))[0][0])
+    return int(fast.y_census(word(y))[0][0])
 
 
 def _census_pairs(n, count):
@@ -85,7 +84,7 @@ def test_census_shortcut_matches_the_step_runner():
         tags = [s[0] for s in res.origin_states if isinstance(s, tuple)]
         assert b_census(fast, x) == tags.count("b")
         assert r_census(fast, y) == tags.count("r")
-        assert fast.census(x, y) == res.visited
+        assert pfa_census(fast, x, y) == res.visited
 
 
 def _direct_census(primes, x, y):
@@ -127,7 +126,7 @@ def test_census_shortcut_matches_a_direct_count_past_16_bit_primes():
         b_states, r_states = _direct_census(primes, x, y)
         assert b_census(fast, x) == b_states
         assert r_census(fast, y) == r_states
-        assert fast.census(x, y) == fast.shared + b_states + r_states
+        assert pfa_census(fast, x, y) == fast.shared + b_states + r_states
 
 
 @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 64, 256])
@@ -175,7 +174,7 @@ def test_census_blocks_equal_one_block(block, monkeypatch):
     strings = [bit_string(w) for w in words]
     for i, x in enumerate(strings):
         for j, y in enumerate(strings):
-            assert fast.shared + whole_x[i] + whole_y[j] == fast.census(x, y)
+            assert fast.shared + whole_x[i] + whole_y[j] == pfa_census(fast, x, y)
 
 
 @pytest.mark.parametrize("block", [1, 2, 3])
@@ -229,7 +228,7 @@ def test_compiled_row_equals_one_built_pair_by_pair(family, n):
     if family == "eq-pfa":
         lang, fast, machine = eq_language(n), _EqPfaFast(n), build_eq_pfa(n)
         for x, y in row_pairs(lang, n, 12):
-            runs.append((x, y, fast.prob(x, y), fast.t_run, fast.census(x, y), 3))
+            runs.append((x, y, pfa_prob(fast, x, y), fast.t_run, pfa_census(fast, x, y), 3))
     else:
         builder, lang = {
             "grover-ints": (grover_or, ints_language(n)),

@@ -410,11 +410,13 @@ def test_merged_branch_keeps_every_pareto_maximal_history():
                 per_outcome(lambda outcome: ACCEPT if outcome < 2 else REJECT)),
     ), 1 / 3)
     masks = oracle_masks(np.zeros((1, 2), dtype=np.uint8), layout.index_dim)
-    run, = run_segments(alg.tables, alg.initial_state(), masks, layout.work_dim,
+    runs = run_segments(alg.tables, alg.initial_state(), masks, layout.work_dim,
                         alg.name, str)
-    assert run.accept_probability == 0.375
-    assert run.halts == 5                  # 4 from the one merged branch, 1 in segment 0
-    assert sorted(run.accepted.tolist()) == [[2, 3], [3, 2]]
-    # segment 0's reject (1 call, no reset) is dominated as well
-    assert sorted(run.rejected.tolist()) == [[2, 3], [3, 2]]
-    assert run.continued == {0: 3, 1: 1, 2: 1, 3: 1, 4: 0}
+    assert runs.accept.tolist() == [0.375]
+    assert runs.halts.tolist() == [5]      # 4 from the one merged branch, 1 in segment 0
+    # per reset count, the most calls: the (2, 1) path is kept, and dominated
+    accepted, rejected = runs.halted[0].tolist()
+    assert accepted == [-1, 2, 3, 2, -1]
+    # segment 0's reject has 1 call and no reset
+    assert rejected == [1, 2, 3, 2, -1]
+    assert runs.ran.tolist() == [[3, 1, 1, 1, 0]]
