@@ -380,17 +380,16 @@ class SegmentRuns(NamedTuple):
 
     accept: np.ndarray            # (lanes,) accepting mass, at most 1
     halts: np.ndarray             # (lanes,) halting outcomes above the pruning floor
-    # (lanes, 2, segments): per kind (accept, reject) and number of resets,
-    # the most oracle calls of a path halting that way (-1: none)
+    # (lanes, 2, segments): per kind (accept, reject) and number of resets
+    # (below segments), the most oracle calls of a path halting that way (-1: none)
     halted: np.ndarray
     ran: np.ndarray               # (lanes, segments) rows continued per segment run, -1: none
 
 
-# A block holds at most LANE_CELLS // dimension lanes, at least one; its stack
-# is lanes x live branches x dimension x 16 B, one block pending at a time.
-# Measured 2^9-2^15 (BENCH_lane_blocks.json): the compiled workloads reach
-# their plateau at 2^12, below it a segment's ~20 bookkeeping numpy calls
-# per block dominate, and from 2^13 ints-sweep's peak RSS is 1.1 MB higher.
+# A block holds LANE_CELLS // dimension lanes (at least one); its stack takes
+# lanes x live branches x dimension x 16 B, and one block is pending at a time.
+# Of 2^9-2^15 (BENCH_lane_blocks.json), 2^12 is the smallest on the compiled
+# workloads' plateau; from 2^13 ints-sweep's peak RSS is 1.1 MB higher.
 LANE_CELLS = 1 << 12
 # no path: a history entry stays negative whatever calls are added to it
 NO_PATH = np.iinfo(np.int64).min // 2
@@ -424,14 +423,15 @@ def run_segments(tables: list[CompiledSegment], psi: np.ndarray, masks: np.ndarr
     first lane whose halting mass misses 1 by more than LOST_MASS raises
     SpecError, labelled with name and lane_name(lane).
     """
-    block = max(1, LANE_CELLS // psi.shape[-1])
-    parts = []
+    block, nseg = max(1, LANE_CELLS // psi.shape[-1]), len(tables)
+    parts = [SegmentRuns(np.zeros(0), np.zeros(0, np.int64), np.zeros((0, 2, nseg), np.int64),
+                         np.zeros((0, nseg), np.int64))]         # a row of no lanes
     for lo in range(0, len(masks), block):
         total, part = _run_block(tables, psi, masks[lo:lo + block], d_w, oracle)
         lane = int((np.abs(total - 1.0) > LOST_MASS).argmax())    # the first failing, or 0
         check_lost_mass(float(total[lane]), lambda: f"{name} on {lane_name(lo + lane)}")
         parts.append(part)
-    return parts[0] if len(parts) == 1 else SegmentRuns._make(map(np.concatenate, zip(*parts)))
+    return SegmentRuns._make(map(np.concatenate, zip(*parts)))
 
 
 def _enter(batches: list, dim: int):

@@ -366,9 +366,12 @@ def test_transition_errors_name_step_and_position():
                 runner("walker", {("a", "¢"): ("b", 1), ("b", "0"): dist})
     had = hadamard_qcfa()
     right = replace(had, step=lambda state, sym: ("read", 1))    # H at ¢, then measure
+
+    def on_marker(state, sym):             # no quantum action on 0
+        return had.theta(state, sym) if sym == "¢" else None
+
     broken = {
-        r"no quantum action at \('read', '0'\)":
-            replace(right, theta=lambda state, sym: had.theta(state, sym) if sym == "¢" else None),
+        r"no quantum action at \('read', '0'\)": replace(right, theta=on_marker),
         r"no route for outcome '(zero|one)' at \('read', '0'\)":
             replace(right, step_measure=lambda state, sym, label: None),
     }

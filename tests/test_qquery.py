@@ -117,6 +117,10 @@ def test_run_query_alg_lanes_refuses_anything_but_a_bit_matrix(words):
         run_query_alg_lanes(grover_or(4), words)
 
 
+def test_no_words_give_no_results():
+    assert run_query_alg_lanes(grover_or(4), np.zeros((0, 4), dtype=np.uint8)) == []
+
+
 def test_parse_query_algorithm():
     assert parse_query_algorithm("grover-or:8").arity == 8
     assert parse_query_algorithm("exact-parity:4").arity == 4
