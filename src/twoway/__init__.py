@@ -48,7 +48,6 @@ from .automata import (
     run_dfa,
     run_pfa_sample,
     pfa_exact,
-    pfa_exact_prob,
     qcfa_exact,
     qcfa_sample,
     cost_report,

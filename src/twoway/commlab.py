@@ -136,18 +136,15 @@ def composed_protocol_cost(
     blocks = len(xv) // m
     if blocks * m != len(xv):
         raise InputError(f"side length {len(xv)} is not a multiple of width {m}")
-    bits = 0
-    node = tree
-    while node.var >= 0:
-        if node.var >= blocks:
-            raise InputError(
-                f"tree queries block {node.var}, input has {blocks} blocks"
-            )
-        lo = node.var * m
-        z = gp.run(xv[lo : lo + m], yv[lo : lo + m])
-        bits += gp.cost_bits
-        node = node.high if z else node.low
-    return node.value, bits
+
+    def exchange(block: int) -> int:
+        if block >= blocks:
+            raise InputError(f"tree queries block {block}, input has {blocks} blocks")
+        lo = block * m
+        return gp.run(xv[lo : lo + m], yv[lo : lo + m])
+
+    value, queries = tree.eval_with_queries(exchange)
+    return value, queries * gp.cost_bits
 
 
 # --- exact deterministic communication complexity ----------------------------
@@ -185,16 +182,6 @@ class FunctionMatrix:
         return (self.rows - 1).bit_length() + (self.cols - 1).bit_length()
 
     @staticmethod
-    def from_function(fn, a_bits: int, b_bits: int) -> "FunctionMatrix":
-        return FunctionMatrix(tuple(
-            tuple(
-                int(fn(_bits_of(r, a_bits), _bits_of(c, b_bits)))
-                for c in range(1 << b_bits)
-            )
-            for r in range(1 << a_bits)
-        ))
-
-    @staticmethod
     def load(path) -> "FunctionMatrix":
         lines = [
             ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()
@@ -202,10 +189,6 @@ class FunctionMatrix:
         return FunctionMatrix(tuple(
             tuple(int(c) for c in ln.replace(" ", "")) for ln in lines
         ))
-
-
-def _bits_of(v: int, width: int):
-    return tuple((v >> (width - 1 - j)) & 1 for j in range(width))
 
 
 def eq_matrix(n: int) -> FunctionMatrix:

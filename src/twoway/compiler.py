@@ -327,7 +327,10 @@ class CompiledRuns(NamedTuple):
 
 def run_compiled(report: CompilationReport, x: str, y: str) -> ExactRunResult:
     """Exact branch evaluation of the compiled machine on x #^n y: the
-    one-lane case of run_compiled_lanes, with Python int and float fields."""
+    one-lane case of run_compiled_lanes, with Python int and float fields.
+    A lone run pays the engine's per-segment numpy calls and the closed
+    forms' numpy calls for one lane: 491-495 us per grover_or(6) pair
+    (2-vCPU x86 VM, BENCH_lane_blocks.json, lone_run_us)."""
     runs = run_compiled_lanes(report, *_split_sides(report, x, y))
     return ExactRunResult(**{f: a[0].item() for f, a in zip(runs._fields, runs)})
 

@@ -188,32 +188,6 @@ class ComposeOp(Op):
         return {"op": "compose", "ops": [op.describe() for op in self.ops]}
 
 
-class OnIndexOp(Op):
-    """Lift a dense matrix on the index register: M (x) I_answer (x) I_work."""
-
-    def __init__(self, layout: RegisterLayout, matrix: np.ndarray, name: str):
-        self.layout = layout
-        self.matrix = np.asarray(matrix, dtype=np.complex128)
-        if self.matrix.shape != (layout.index_dim, layout.index_dim):
-            raise SpecError("index operator has wrong shape")
-        self.dim = layout.dim
-        self.name = name
-
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        cols = psi.reshape(*psi.shape[:-1], self.layout.index_dim, 2 * self.layout.work_dim)
-        return (self.matrix @ cols).reshape(psi.shape)
-
-    def certify(self) -> float:
-        return _gram_deviation(self.matrix)
-
-    def describe(self) -> dict:
-        return {
-            "op": "on-index",
-            "name": self.name,
-            "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in self.matrix],
-        }
-
-
 class OnAnswerOp(Op):
     """Lift a 2x2 matrix on the answer bit."""
 

@@ -718,12 +718,6 @@ class DecisionTree:
             return 0
         return 1 + max(self.low.depth, self.high.depth)
 
-    def eval(self, bits: Sequence[int]) -> int:
-        node = self
-        while node.var >= 0:
-            node = node.high if bits[node.var] else node.low
-        return node.value
-
     def eval_with_queries(self, query: Callable[[int], int]) -> tuple[int, int]:
         """Evaluate via a query callback; returns (value, queries made)."""
         node, made = self, 0

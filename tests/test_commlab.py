@@ -150,8 +150,7 @@ def test_machine_space_adds_qubits():
 
 
 def test_function_matrix_constructors():
-    mat = FunctionMatrix.from_function(lambda a, b: a[0] & b[0], 1, 1)
-    assert mat.values == ((0, 0), (0, 1))
+    mat = FunctionMatrix(((0, 0), (0, 1)))      # AND of one bit each
     assert mat.rows == 2 and mat.cols == 2 and mat.input_bits == 2
     with pytest.raises(InputError):
         FunctionMatrix(((0, 1, 0),))          # 3 columns: not a power of two
@@ -173,11 +172,11 @@ def test_bruteforce_dcc_equality_values():
 
 
 def test_bruteforce_dcc_simple_functions():
-    and_mat = FunctionMatrix.from_function(lambda a, b: a[0] & b[0], 1, 1)
+    and_mat = FunctionMatrix(((0, 0), (0, 1)))
     assert bruteforce_dcc(and_mat) == 2
     const = FunctionMatrix(((1, 1), (1, 1)))
     assert bruteforce_dcc(const) == 0
-    row_only = FunctionMatrix.from_function(lambda a, b: a[0], 1, 1)
+    row_only = FunctionMatrix(((0, 0), (1, 1)))
     assert bruteforce_dcc(row_only) == 1      # Alice announces her bit
 
 
@@ -209,15 +208,17 @@ def test_composed_protocol_exhaustive_or():
         for yv in range(4):
             x, y = format(xv, "02b"), format(yv, "02b")
             out, bits = composed_protocol_cost(tree, gp, x, y)
+            _, queries = tree.eval_with_queries(lambda i: int(x[i]) & int(y[i]))
             assert out == int(bool(xv & yv))
+            assert bits == queries * gp.cost_bits
             assert bits <= tree.depth * gp.cost_bits == 4
 
 
 def test_composed_protocol_validates_blocks():
     tree = build_optimal_dt(parse_function("or:3"))
     gp = block_exchange_protocol(and_gadget())
-    with pytest.raises(InputError):
-        composed_protocol_cost(tree, gp, "01", "10")   # only 2 blocks
+    with pytest.raises(InputError, match="queries block 2, input has 2 blocks"):
+        composed_protocol_cost(tree, gp, "01", "10")
 
 
 def test_fingerprint_budget_and_one_sided_error():

@@ -131,7 +131,8 @@ def test_parse_query_algorithm():
 def test_decision_tree_eval_and_query_count():
     # depth-2 tree: query bit 0, then bit 1 on the high side only
     t = DecisionTree(0, low=leaf(0), high=DecisionTree(1, low=leaf(0), high=leaf(1)))
-    assert t.eval((0, 0)) == 0 and t.eval((1, 1)) == 1
+    assert t.eval_with_queries((0, 0).__getitem__) == (0, 1)
+    assert t.eval_with_queries((1, 1).__getitem__) == (1, 2)
     value, queries = t.eval_with_queries(lambda i: (1, 0)[i])
     assert (value, queries) == (0, 2)
     value, queries = t.eval_with_queries(lambda i: (0, 1)[i])
@@ -154,7 +155,9 @@ def test_optimal_tree_computes_the_function():
     assert t.depth == 4
     for z in bitstrings(4):
         zb = tuple(int(c) for c in z)
-        assert t.eval(zb) == f(zb)
+        value, queries = t.eval_with_queries(zb.__getitem__)
+        assert value == f(zb)
+        assert queries <= t.depth
 
 
 def test_dt_arity_cap_refuses_large_instances():
