@@ -11,7 +11,9 @@ outcome to accept, reject, or a reset step that starts the next round.
 
 The quantum register therefore has 2^m * k basis states (k = the algorithm's
 register dimension) and the classical control needs O(t*n) states for t
-oracle calls.
+oracle calls. Between passes only cache block 0 carries amplitude, so the
+row runner (run_compiled_lanes) evaluates the machine on the algorithm's
+own k-entry register; the step-level runners step the full one.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from .automata import ExactRunResult, StateSpace, TwoWayQcfa
 from .boolfn import Gadget, bit_string, is_bit_matrix
 from .errors import InputError, SpecError, UnsupportedStructureError
-from .kernels import flip_masks, oracle_masks, segment_pass
+from .kernels import flip_masks, gadget_words, oracle_masks, segment_pass
 from .ops import BRANCH_PRUNE, CacheFlipOp, GadgetFlipOp, IdentityOp
 from .qquery import (
     KIND_ACCEPT,
@@ -71,7 +73,8 @@ class CompilationReport:
     time_bound: int                       # 8t(n+2) + 4(n+2)
     algorithm: QueryAlgorithm = field(repr=False, default=None)
     gadget: Gadget = field(repr=False, default=None)
-    # internals run_compiled_lanes and verify_segment_equivalence read
+    # internals the runners and verify_segment_equivalence read; segments
+    # are on the lifted register (run_compiled_lanes runs algorithm.tables)
     segments: list = field(repr=False, default=None)    # CompiledSegment per segment
     gflip: np.ndarray = field(repr=False, default=None)
     k_alg: int = field(repr=False, default=0)
@@ -329,8 +332,9 @@ def run_compiled(report: CompilationReport, x: str, y: str) -> ExactRunResult:
     """Exact branch evaluation of the compiled machine on x #^n y: the
     one-lane case of run_compiled_lanes, with Python int and float fields.
     A lone run pays the engine's per-segment numpy calls and the closed
-    forms' numpy calls for one lane: 491-495 us per grover_or(6) pair
-    (2-vCPU x86 VM, BENCH_lane_blocks.json, lone_run_us)."""
+    forms' numpy calls for one lane: 349-364 us per grover_or(6) pair,
+    against 414-426 us on the lifted register (2-vCPU x86 VM,
+    BENCH_algorithm_register.json, lone_run_us)."""
     runs = run_compiled_lanes(report, *_split_sides(report, x, y))
     return ExactRunResult(**{f: a[0].item() for f, a in zip(runs._fields, runs)})
 
@@ -342,14 +346,24 @@ def run_compiled_lanes(report: CompilationReport, x: np.ndarray,
     row's results as arrays, each lane's entries equal to a run on that
     pair alone.
 
-    The segment schedule runs through qquery.run_segments on the machine's
-    quantum register alone, every lane at once, one segment_pass per oracle
-    call and stacked array; run_query_alg is the same engine on the
-    algorithm's own register. The classical walk of a well-formed input is
-    the same for every branch, so time, census, and boundary crossings are
-    reconstructed from closed forms over each branch's oracle calls and
-    resets that mirror the step-level runner exactly (validated against it
-    in tests), on the engine's arrays. branch_count is the number of
+    The segment schedule runs through qquery.run_segments on the
+    algorithm's own register (report.algorithm.tables, as run_query_alg
+    runs it), every lane at once, one segment_pass per oracle call and
+    stacked array, with each lane's gadget word z_i = g(x block i, y block
+    i) as its input. That is the machine's quantum register exactly: it
+    starts in cache block 0; every lifted unitary and reset acts on each
+    cache block alone; an oracle pass (load, flip, unload) permutes entries
+    within cache blocks and flips the answer in block 0 exactly where
+    z_i = 1; and a lifted partition group is summed block by block. So
+    between passes every block but 0 holds exact zeros, and block 0 holds,
+    bitwise, the algorithm register's state: the same weights, collapses
+    and branches on a register 2^m times smaller.
+
+    The classical walk of a well-formed input is the same for every
+    branch, so time, census, and boundary crossings are reconstructed from
+    closed forms over each branch's oracle calls and resets that mirror the
+    step-level runner exactly (validated against it in tests), on the
+    engine's arrays. branch_count is the number of
     halting outcomes the engine kept: (branch, label) pairs of probability
     above BRANCH_PRUNE and weight at least BRANCH_PRUNE whose decision
     halts. qcfa_exact counts halting branches after merging equal ones
@@ -357,11 +371,11 @@ def run_compiled_lanes(report: CompilationReport, x: np.ndarray,
     """
     if not (is_bit_matrix(x, report.n) and is_bit_matrix(y, report.n)) or y.shape != x.shape:
         raise InputError(f"sides must be bit matrices of {report.n} columns")
-    masks = flip_masks(x, y, report.m, report.gflip, report.p_pad)
-    psi0 = np.zeros(report.quantum_basis_count, dtype=np.complex128)
-    psi0[0] = 1.0
-    runs = run_segments(report.segments, psi0, masks, report.d_w, report.machine.name,
-                        lambda i: f"{bit_string(x[i])}|{bit_string(y[i])}",
+    alg = report.algorithm
+    masks = oracle_masks(gadget_words(x, y, report.m, report.gflip), alg.layout.index_dim)
+    tables = alg.tables
+    runs = run_segments(tables, alg.initial_state(), masks, alg.layout.work_dim,
+                        report.machine.name, lambda i: f"{bit_string(x[i])}|{bit_string(y[i])}",
                         oracle=segment_pass)
     n, calls, seg_steps = report.n, runs.halted, 6 * report.n + 4
     # 3n+2 steps reach the first unitary; a segment takes 6n+4 steps per
@@ -372,7 +386,7 @@ def run_compiled_lanes(report: CompilationReport, x: np.ndarray,
     top = calls.max(axis=(1, 2))
     # census: the form check's 3n+1 states; per segment entered, its pass
     # states, last unitary and measurement, and one reset per row continued
-    entered = np.array([cs.calls * seg_steps + 2 for cs in report.segments])
+    entered = np.array([cs.calls * seg_steps + 2 for cs in tables])
     visited = 3 * n + 1 + np.where(runs.ran >= 0, runs.ran + entered, 0).sum(axis=1)
     return CompiledRuns(runs.accept, t_kind.max(axis=1), t_kind[:, 0], t_kind[:, 1], visited,
                         runs.halts, np.where(top >= 0, 2 + 4 * top, 0))
@@ -400,14 +414,10 @@ def verify_segment_equivalence(
     if j < 0 or j > alg.total_calls:
         raise InputError(f"segment index {j} outside [0, {alg.total_calls}]")
     xb, yb = _split_sides(report, x, y)
-    z = [
-        report.gadget(x[i * report.m : (i + 1) * report.m],
-                      y[i * report.m : (i + 1) * report.m])
-        for i in range(report.p)
-    ]
     k = report.k_alg
     flip = np.nonzero(flip_masks(xb, yb, report.m, report.gflip, report.p_pad))
-    marked = np.nonzero(oracle_masks(np.array([z], dtype=np.uint8), alg.layout.index_dim))
+    marked = np.nonzero(oracle_masks(gadget_words(xb, yb, report.m, report.gflip),
+                                     alg.layout.index_dim))
 
     phi = alg.initial_state()
     psi = np.zeros(report.quantum_basis_count, dtype=np.complex128)

@@ -9,10 +9,16 @@ i read MSB-first. Every operation is a coordinate permutation, so the result
 is bitwise-identical to stepping the sweep one bit at a time.
 
 An input pair fixes which (cache value, block) cells the pass flips, so
-flip_masks tabulates them once per pair (one lane) and the branch engine
-turns them into one flip index per stack of states. A plain oracle call on
+flip_masks tabulates them once per pair (one lane). A plain oracle call on
 a query algorithm's own register is the same pass with one cache value: it
-flips the answer on every index i with z_i = 1.
+flips the answer on every index i with z_i = 1 (oracle_masks). At cache
+value 0 the pass flips exactly where the gadget word z_i = g(x_i, y_i) is 1
+(gadget_words), and since every pass and every lifted operator keeps each
+cache block to itself, a run from cache block 0 never leaves it: the branch
+engine runs compiled rows on the algorithm's register with oracle_masks of
+the gadget words, and flip_masks serves the full-register check
+(compiler.verify_segment_equivalence). Either way the engine turns a
+lane's masks into one flip index per stack of states.
 """
 
 from __future__ import annotations
@@ -29,15 +35,26 @@ def flip_masks(xb, yb, m, gflip, p_pad) -> np.ndarray:
             padding and are never flipped.
     gflip:  uint8 gadget table, gflip[c][v] = g(c, v).
     """
-    lanes, n = xb.shape
-    p = n // m
-    weights = 1 << np.arange(m - 1, -1, -1)
-    xval, yval = (bits.reshape(lanes, p, m) @ weights for bits in (xb, yb))
+    xval, yval = _block_values(xb, m), _block_values(yb, m)
+    lanes, p = xval.shape
     cache_dim = gflip.shape[0]
     masks = np.zeros((lanes, cache_dim, p_pad), dtype=bool)
     cache = np.arange(cache_dim)[:, None]
     masks[:, :, :p] = gflip[cache ^ xval[:, None, :], yval[:, None, :]]
     return masks.reshape(lanes, -1)
+
+
+def gadget_words(xb, yb, m, gflip) -> np.ndarray:
+    """Each lane's gadget word z_i = g(x block i, y block i), as a
+    (lanes, p) uint8 array: the cache-value-0 cells of flip_masks, so
+    oracle_masks on it gives the pass on the algorithm's own register."""
+    return gflip[_block_values(xb, m), _block_values(yb, m)]
+
+
+def _block_values(bits, m) -> np.ndarray:
+    """(lanes, p): every m-bit block of every row, read MSB-first."""
+    lanes, n = bits.shape
+    return bits.reshape(lanes, n // m, m) @ (1 << np.arange(m - 1, -1, -1))
 
 
 def oracle_masks(words, index_dim) -> np.ndarray:

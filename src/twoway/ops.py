@@ -474,11 +474,18 @@ class Measurement:
     outcomes maps a label to a sorted array of flat basis indices; the groups
     must be disjoint and cover the space (projectors are then automatically
     idempotent, pairwise orthogonal, and sum to the identity).
+
+    blocks > 1 says every group is that many equal runs of indices, one per
+    block of a lifted register: an outcome's probability is then the sum of
+    each run's own sum, so with weight in the first block alone it is
+    bitwise the unlifted measurement's.
     """
 
-    def __init__(self, dim: int, outcomes: dict[object, np.ndarray], name: str = "basis"):
+    def __init__(self, dim: int, outcomes: dict[object, np.ndarray], name: str = "basis",
+                 blocks: int = 1):
         self.dim = dim
         self.name = name
+        self.blocks = blocks
         self.outcomes = {
             label: np.asarray(idx, dtype=np.int64) for label, idx in outcomes.items()
         }
@@ -508,7 +515,9 @@ class Measurement:
         outcome with probability above the pruning threshold."""
         weights = np.abs(psi) ** 2
         for label, idx in self.outcomes.items():
-            p = float(weights[idx].sum())
+            w = weights[idx]
+            p = float(w.sum() if self.blocks == 1
+                      else sum(map(np.ndarray.sum, w.reshape(self.blocks, -1))))
             if p <= BRANCH_PRUNE:
                 continue
             collapsed = np.zeros_like(psi)

@@ -10,9 +10,10 @@ each outcome halts (accept/reject) or continues into a later segment,
 optionally through a reset: a basis transposition, so that resets only
 move amplitudes.
 
-One branch engine (`run_segments`, shared by `run_query_alg_lanes` and the
-compiled runner) evaluates many inputs (lanes) at once, on arrays: per
-segment it stacks every branch of a block of lanes, sends each continuing
+One branch engine (`run_segments`, which `run_query_alg_lanes` and the
+compiled runner both run on the algorithm's own register, through
+`QueryAlgorithm.tables`) evaluates many inputs (lanes) at once, on arrays:
+per segment it stacks every branch of a block of lanes, sends each continuing
 outcome on collapsed and reset, and groups what a segment was sent by lane
 and bitwise state, summing weights in arrival order with np.add.at, so a
 lane's result is bitwise the one it gets alone. A branch's history keeps,
@@ -252,19 +253,26 @@ class _LiftedOutcomes:
     def lifted(self) -> Measurement:
         """The lifted measurement itself, for the step-level runners."""
         return Measurement(self.cache_dim * self.k, dict(zip(self.labels, self.groups)),
-                           name=f"{self.meas.name}-lifted")
+                           name=f"{self.meas.name}-lifted",
+                           blocks=1 if self.complete else self.cache_dim)
 
     def weights(self, psi: np.ndarray) -> np.ndarray:
         """(states, rows): the probability of every row's outcome in every
         state of a stack, summed per group in the same order as the lifted
-        measurement sums it."""
+        measurement sums it, whatever the stack's height: a partition group
+        as one pairwise sum per cache block, then the blocks' sums."""
         w2 = np.abs(psi) ** 2
         if self.complete:
             if self.cache_dim == 1:
                 return w2                  # one term per group
             grid = w2.reshape(len(w2), self.cache_dim, self.k)
             return np.ascontiguousarray(grid.transpose(0, 2, 1)).sum(axis=2)
-        return np.stack([w2[:, g].sum(axis=1) for g in self.groups], axis=1)
+        # take, not w2[:, g]: that copy is F-ordered, and a stack of two or
+        # more states would sum it sequentially, one alone pairwise
+        parts = [w2.take(g, axis=1) for g in self.groups]
+        if self.cache_dim > 1:             # each cache block's own sum, then theirs
+            parts = [p.reshape(len(w2), self.cache_dim, -1).sum(axis=2) for p in parts]
+        return np.stack([p.sum(axis=1) for p in parts], axis=1)
 
 
 def _transposed(pos: np.ndarray, a, b, k: int) -> np.ndarray:
@@ -388,9 +396,12 @@ class SegmentRuns(NamedTuple):
 
 # A block holds LANE_CELLS // dimension lanes (at least one); its stack takes
 # lanes x live branches x dimension x 16 B, and one block is pending at a time.
-# Of 2^9-2^15 (BENCH_lane_blocks.json), 2^12 is the smallest on the compiled
-# workloads' plateau; from 2^13 ints-sweep's peak RSS is 1.1 MB higher.
-LANE_CELLS = 1 << 12
+# Every engine run is on an algorithm's own register (compiled rows too), so
+# an AND-gadget row at 2^11 blocks the lanes the lifted register did at 2^12.
+# Of 2^10-2^13 (BENCH_algorithm_register.json), 2^11 is the smallest on the
+# small-exhaustive and parity-large plateau; 2^12 gives ints-sweep 3-6% more
+# inputs/s for 0.9 MB more peak RSS.
+LANE_CELLS = 1 << 11
 # no path: a history entry stays negative whatever calls are added to it
 NO_PATH = np.iinfo(np.int64).min // 2
 
@@ -402,10 +413,11 @@ def run_segments(tables: list[CompiledSegment], psi: np.ndarray, masks: np.ndarr
     every lane (one input word or pair) of masks, in lane order.
 
     masks[lane] holds the cells an oracle call on that lane's input flips
-    (kernels.flip_masks or kernels.oracle_masks) on a register of d_w work
-    values per answer, and oracle(stack, flip, d_w) makes that call in place
-    on a stack of states (kernels.segment_pass). Lanes run in blocks of at
-    most LANE_CELLS register entries. Per segment, the branches of a block
+    (kernels.oracle_masks, of a word or of a pair's gadget word) on a
+    register of d_w work values per answer, and oracle(stack, flip, d_w)
+    makes that call in place on a stack of states (kernels.segment_pass).
+    Lanes run in blocks of at most LANE_CELLS register entries. Per
+    segment, the branches of a block
     are stacked lane-major, each lane's in creation order; each operator is
     applied once per stack, with one flip index for all its oracle calls.
 

@@ -3,7 +3,9 @@
 The two run paths (generic step-level runner, block fast path) must agree
 exactly; the machine's acceptance probability must match the algorithm's
 bit for bit, because every lifted operation applies the same float
-arithmetic blockwise and zero-amplitude blocks only ever add exact zeros.
+arithmetic blockwise, zero-amplitude blocks only ever add exact zeros, and
+a lifted partition group is summed block by block. The fast path runs the
+algorithm's own register, which is the lifted register's cache block 0.
 """
 
 import dataclasses
@@ -28,6 +30,7 @@ from twoway.ops import (
     BasisSwapOp,
     CacheFlipOp,
     CompleteMeasurement,
+    DiffusionOp,
     GadgetFlipOp,
     IdentityOp,
     IndexPairHOp,
@@ -45,6 +48,7 @@ from twoway.qquery import (
     grover_or,
     per_outcome,
     run_query_alg,
+    run_query_alg_lanes,
 )
 from twoway.serialize import algorithm_to_json
 
@@ -162,7 +166,7 @@ def test_row_runner_equals_per_pair_runs(monkeypatch, alg, gadget, n):
     pairs = [run_compiled(rep, "".join(map(str, a)), "".join(map(str, b)))
              for a, b in zip(x.tolist(), y.tolist())]
     want = {f: [getattr(r, f) for r in pairs] for f in CompiledRuns._fields}
-    dim = rep.quantum_basis_count
+    dim = rep.k_alg                        # the engine runs the algorithm's register
     for cells in (1, 3 * dim, len(x) * dim, twoway.qquery.LANE_CELLS):
         monkeypatch.setattr(twoway.qquery, "LANE_CELLS", cells)
         runs = run_compiled_lanes(rep, x, y)
@@ -204,7 +208,7 @@ def test_lost_mass_names_the_first_failing_pair(monkeypatch):
     first = [("".join(map(str, a)), "".join(map(str, b)))
              for a, b in zip(x.tolist(), y.tolist())].index((fx, fy))
     for lanes in (len(x), first // 2 + 1):
-        monkeypatch.setattr(twoway.qquery, "LANE_CELLS", lanes * rep.quantum_basis_count)
+        monkeypatch.setattr(twoway.qquery, "LANE_CELLS", lanes * rep.k_alg)
         with pytest.raises(SpecError) as row:
             run_compiled_lanes(rep, x, y)
         assert str(row.value) == message
@@ -359,6 +363,54 @@ def test_partition_measurement_with_reordering_reset():
             assert fast.visited == len(slow.origin_states)
             seen.add(round(want, 9))
     assert len(seen) > 1
+
+
+def spread_algorithm():
+    """One segment on a dim-16 register, measured in a group of 11 entries
+    and one of 5 spread over it: enough terms that a pairwise sum and a
+    sequential one differ, and a lifted group holds other cache blocks'
+    zeros behind block 0's entries."""
+    layout = RegisterLayout(8, 1)
+    five = np.array([1, 4, 7, 10, 13])
+    spread = Measurement(layout.dim, {"wide": np.setdiff1d(np.arange(layout.dim), five),
+                                      "narrow": five}, name="spread")
+    unitaries = (PrepReflectOp(layout, 0), IndexPairHOp(layout, 1, 6), DiffusionOp(layout),
+                 PrepReflectOp(layout, 3))
+    return QueryAlgorithm("spread", 8, layout, (Segment(unitaries, spread, per_outcome(
+        lambda label: ACCEPT if label == "wide" else REJECT)),), 1 / 3)
+
+
+SPREAD = spread_algorithm()
+
+
+@pytest.mark.parametrize("gadget", [and_gadget(), ip_gadget(2)], ids=lambda g: g.name)
+def test_spread_partition_sums_are_the_algorithms_own(gadget):
+    # the step-level runner sums the lifted group per cache block, and every
+    # lane of a row sums its groups as it does alone
+    m = gadget.width
+    n = SPREAD.arity * m
+    rep = compile_query_to_qcfa(SPREAD, gadget, n)
+    rng = random.Random(40)
+    pairs = [tuple("".join(rng.choice("01") for _ in range(n)) for _ in "xy")
+             for _ in range(40)]
+    lone = [run_compiled(rep, x, y) for x, y in pairs]
+    for (x, y), r in zip(pairs, lone):
+        want = run_query_alg(SPREAD, gadget_word(x, y, gadget, m))
+        assert r.accept_probability == qcfa_exact(rep.machine, payload(x, y)).accept_probability \
+            == want, (x, y)
+    x, y = (np.array([[int(b) for b in side] for side in sides], dtype=np.uint8)
+            for sides in zip(*pairs))
+    runs = run_compiled_lanes(rep, x, y)
+    assert {f: a.tolist() for f, a in zip(runs._fields, runs)} == \
+        {f: [getattr(r, f) for r in lone] for f in CompiledRuns._fields}
+
+
+def test_spread_partition_word_row_equals_lone_words():
+    rng = random.Random(41)
+    words = np.array([[rng.getrandbits(1) for _ in range(SPREAD.arity)] for _ in range(40)],
+                     dtype=np.uint8)
+    assert run_query_alg_lanes(SPREAD, words) == \
+        [run_query_alg(SPREAD, "".join(map(str, w))) for w in words.tolist()]
 
 
 def test_paths_merged_from_different_schedules_keep_exact_times():

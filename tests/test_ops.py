@@ -70,36 +70,39 @@ def _tampered_prep(scale):
 L4 = RegisterLayout(4, 1)
 BAD_ANSWER = OnAnswerOp(L4, 1.01 * MINUS_PREP, "scaled")
 
-# (operator, unitary?): every op class, and non-unitary look-alikes
+# (label, operator, unitary?): every op class, and non-unitary look-alikes.
+# A row's test id is its class and its own label, so deleting a row renames
+# no other; the numbered labels are the ids these rows had when ids counted
+# positions, kept so that no recorded id changes.
 CERTIFIED = [
-    (DenseOp(np.array([[1, 1], [1, -1]]) / np.sqrt(2), "H"), True),
-    (DenseOp(1.01 * np.array([[1, 1], [1, -1]]) / np.sqrt(2), "scaled H"), False),
-    (DenseOp(np.diag([1, 1, 1, 0.5])), False),
-    (IdentityOp(6), True),
-    (DiffusionOp(L4), True),
-    (DiffusionOp(RegisterLayout(3, 2)), True),
-    (PrepReflectOp(L4, 2), True),
-    (PrepReflectOp(RegisterLayout(1, 1)), True),
-    (_tampered_prep(1.01), False),
-    (_tampered_prep(0.5), False),
-    (IndexPairHOp(L4, 0, 3), True),
-    (IndexPermOp(L4, [(0, 1), (2, 3)]), True),
-    (BasisSwapOp(8, 0, 2), True),
-    (BasisSwapOp(8, 5, 5), True),
-    (minus_prep_op(L4), True),
-    (BAD_ANSWER, False),
-    (OnAnswerOp(L4, np.diag([1, 0.5]), "damp"), False),
-    (ComposeOp([DiffusionOp(L4), unminus_op(L4)]), True),
-    (ComposeOp([DiffusionOp(L4), BAD_ANSWER]), False),
-    (LiftedOp(PrepReflectOp(L4, 1), 3), True),
-    (LiftedOp(BAD_ANSWER, 2), False),
-    (CacheFlipOp(cache_dim=4, p_pad=3, d_w=2, block=1, mask=3), True),
-    (GadgetFlipOp(cache_dim=4, p_pad=2, d_w=1, block=1, flips=(0, 3)), True),
+    ("0", DenseOp(np.array([[1, 1], [1, -1]]) / np.sqrt(2), "H"), True),
+    ("1", DenseOp(1.01 * np.array([[1, 1], [1, -1]]) / np.sqrt(2), "scaled H"), False),
+    ("2", DenseOp(np.diag([1, 1, 1, 0.5])), False),
+    ("3", IdentityOp(6), True),
+    ("4", DiffusionOp(L4), True),
+    ("5", DiffusionOp(RegisterLayout(3, 2)), True),
+    ("6", PrepReflectOp(L4, 2), True),
+    ("7", PrepReflectOp(RegisterLayout(1, 1)), True),
+    ("8", _tampered_prep(1.01), False),
+    ("9", _tampered_prep(0.5), False),
+    ("10", IndexPairHOp(L4, 0, 3), True),
+    ("11", IndexPermOp(L4, [(0, 1), (2, 3)]), True),
+    ("12", BasisSwapOp(8, 0, 2), True),
+    ("13", BasisSwapOp(8, 5, 5), True),
+    ("14", minus_prep_op(L4), True),
+    ("15", BAD_ANSWER, False),
+    ("16", OnAnswerOp(L4, np.diag([1, 0.5]), "damp"), False),
+    ("17", ComposeOp([DiffusionOp(L4), unminus_op(L4)]), True),
+    ("18", ComposeOp([DiffusionOp(L4), BAD_ANSWER]), False),
+    ("19", LiftedOp(PrepReflectOp(L4, 1), 3), True),
+    ("20", LiftedOp(BAD_ANSWER, 2), False),
+    ("21", CacheFlipOp(cache_dim=4, p_pad=3, d_w=2, block=1, mask=3), True),
+    ("22", GadgetFlipOp(cache_dim=4, p_pad=2, d_w=1, block=1, flips=(0, 3)), True),
 ]
 
 
-@pytest.mark.parametrize("op,unitary", CERTIFIED,
-                         ids=[f"{type(op).__name__}-{i}" for i, (op, _) in enumerate(CERTIFIED)])
+@pytest.mark.parametrize("op,unitary", [row[1:] for row in CERTIFIED],
+                         ids=[f"{type(op).__name__}-{label}" for label, op, _ in CERTIFIED])
 def test_certificate_bounds_the_dense_deviation(op, unitary):
     # certify() bounds the spectral norm, which bounds the max norm of the
     # dense check; the slack only covers the dense oracle's own roundoff
