@@ -22,6 +22,10 @@ and the symbol), so a configuration that repeats since the last choice
 repeats forever, and the walker raises at once instead of running to the
 cutoff; and the samplers replay such a stretch from a small per-tape table
 after walking it once, keyed on its first state, head position and owner.
+A 2QCFA sampler's stretch also keeps a memo from the register's bytes at
+its start to the register at its end and the outcomes of the measurement
+there, so a trajectory that meets a stretch on a register an earlier one
+met it on applies no operator and measures nothing.
 On a run split into two ownership regions (commlab's protocol parties), the
 head passes to the other party wherever a stretch starts or a step ends
 outside its owner's region, and must then lie in the other region.
@@ -353,10 +357,16 @@ def _trace(machine, state, steps: int, origins, handoffs) -> RunTrace:
 # --- stretch tables ----------------------------------------------------------------
 
 _STRETCH_TAPES = 4     # tapes whose stretch tables are kept; the oldest goes first
-_stretches: dict = {}  # (id(machine), payload, regions) -> (machine, tape, table)
+# register cells (complex entries) the register memos of one tape may hold,
+# 256 KiB of amplitudes; past them its stretches replay their operators. A
+# walkers round's tapes hold at most about 1,200 each
+_MEMO_CELLS = 1 << 14
+_stretches: dict = {}  # (id(machine), payload, regions) -> (machine, tape, table, room)
 # a table maps a stretch's first (state, pos, owner) to its end (state, pos),
 # length, origin states, choice (None at a halt), a 2QCFA's (op, where)
-# pairs, and hand-offs as (step offset, old owner)
+# pairs, hand-offs as (step offset, old owner), and a 2QCFA's register memo
+# (_QcfaRegister; a 2PFA's stays empty); room is the tape's memo cells left,
+# in a list the tape's runs share
 
 
 def _sample(machine, payload: str, transition, choose, cutoff: int, regions,
@@ -365,16 +375,22 @@ def _sample(machine, payload: str, transition, choose, cutoff: int, regions,
     from the start or a draw (`choose(state, symbol, choice)`) to the halt
     or the next choice. A stretch is deterministic, so it is stepped once
     per machine, tape, regions and first (state, pos, owner), then replayed
-    from the table, a 2QCFA `register` applying its operators one by one
-    with their norm checks. A stretch that could pass `cutoff` is stepped.
-    An entry holds its machine, so no other can take its id."""
+    from the table. A 2QCFA `register` replays it from the stretch's memo
+    when the memo holds the register's bytes at the stretch's start, and
+    otherwise applies its operators one by one with their norm checks and
+    stores the result while the tape's _MEMO_CELLS last. A stretch that
+    could pass `cutoff` is stepped. An entry holds its machine, so no other
+    can take its id, and its memos go with it."""
     key = (id(machine), payload, regions)
-    cached = _stretches.get(key) or (machine, Tape(payload, machine.circular), {})
+    cached = _stretches.get(key) or (machine, Tape(payload, machine.circular), {},
+                                     [_MEMO_CELLS])
     if key not in _stretches:
         if len(_stretches) >= _STRETCH_TAPES:
             del _stretches[next(iter(_stretches))]
         _stretches[key] = cached
-    _, tape, table = cached
+    _, tape, table, room = cached
+    if register is not None:
+        register.room = room
     symbols = tape.symbols
     handoffs: list = []
     origins: set = set()
@@ -386,18 +402,22 @@ def _sample(machine, payload: str, transition, choose, cutoff: int, regions,
             part, mark = set(), len(handoffs)
             if register is not None:
                 register.log = []
+                begun = register.psi.tobytes()
             end, end_pos, end_steps, choice = _walk(
                 machine, symbols, transition, cutoff, part, state, pos, steps,
                 regions or _WHOLE_TAPE, handoffs)
             stretch = table[start] = (
                 end, end_pos, end_steps - steps, frozenset(part), choice,
                 None if register is None else tuple(register.log),
-                tuple((at - steps, old) for at, old in handoffs[mark:]))
+                tuple((at - steps, old) for at, old in handoffs[mark:]),
+                {} if stretch is None else stretch[7])
+            if register is not None:
+                register.remember(stretch[7], begun)
         else:
             if register is not None:
-                register.replay(stretch[5])
+                register.replay(stretch[5], stretch[7])
             handoffs += [(steps + at, old) for at, old in stretch[6]]
-        state, pos, k, part, choice, _, _ = stretch
+        state, pos, k, part, choice, _, _, _ = stretch
         origins |= part
         steps += k
         if choice is None:
@@ -626,15 +646,30 @@ class _QcfaRegister:
     transition() is the walker's: a unitary action is applied to `psi` (its
     norm checked and, if `log` is a list, logged unless it is the identity)
     and the classical step is machine.step's (None where undefined); a
-    measurement is a choice and leaves `psi` alone. replay() applies a log
-    again; route() is where a measurement outcome goes."""
+    measurement is a choice and leaves `psi` alone. route() is where a
+    measurement outcome goes.
 
-    __slots__ = ("machine", "psi", "log")
+    A sampler's stretch keeps a memo: the register's bytes at the stretch's
+    start map to [register at its end, outcomes of the measurement there or
+    None]. replay() takes the end from the memo when it holds `psi`'s bytes,
+    applying no operator and checking no norm: the stored end passed every
+    check on those bytes, and numpy gives the same output bytes for the same
+    input. Otherwise it applies the log again with its norm checks and, like
+    a stepped stretch, remember()s the end. measure() then takes the
+    outcomes from the memo entry `ending` or computes and stores them.
+    Stored registers are only ever handed out as copies, since some
+    operators write into their input. Storing stops once the tape's `room`
+    (a one-entry list of cells left) would run out; past it `ending` is None
+    and the run replays and measures as if there were no memo."""
+
+    __slots__ = ("machine", "psi", "log", "ending", "room")
 
     def __init__(self, machine: TwoWayQcfa, psi: np.ndarray):
         self.machine = machine
         self.psi = psi
         self.log = None
+        self.ending = None
+        self.room = None
 
     def transition(self, state: State, sym: str):
         machine = self.machine
@@ -652,12 +687,43 @@ class _QcfaRegister:
                 self.log.append((action, where))
         return machine.step(state, sym)
 
-    def replay(self, ops) -> None:
+    def replay(self, ops, memo: dict) -> None:
+        begun = self.psi.tobytes()
+        ending = memo.get(begun)
+        if ending is not None:
+            self.psi = ending[0].copy()
+            self.ending = ending
+            return
         psi = self.psi
         for action, where in ops:
             psi = action.apply(psi)
             check_norm(psi, where)
         self.psi = psi
+        self.remember(memo, begun)
+
+    def remember(self, memo: dict, begun: bytes) -> None:
+        """Store `psi` in `memo` as the end of a stretch begun on the
+        register bytes `begun`, if the tape has room for it."""
+        self.ending = None
+        if self.room[0] >= self.psi.size:
+            self.room[0] -= self.psi.size
+            self.ending = memo[begun] = [self.psi.copy(), None]
+
+    def measure(self, measurement: Measurement):
+        """The (label, p, collapsed) outcomes of `measurement` on `psi`: from
+        the memo entry of the stretch just run when it holds them, else all
+        of them, stored there if the tape has room; with no entry, lazily."""
+        ending = self.ending
+        if ending is None:
+            return measurement.branches(self.psi)
+        if ending[1] is None:
+            outcomes = list(measurement.branches(self.psi))
+            cells = len(outcomes) * self.psi.size
+            if self.room[0] < cells:
+                return outcomes
+            self.room[0] -= cells
+            ending[1] = outcomes
+        return ending[1]
 
     def route(self, state: State, sym: str, label) -> tuple[State, int]:
         nxt = self.machine.step_measure(state, sym, label)
@@ -777,12 +843,12 @@ def qcfa_sample(
     def choose(state, sym, measurement):
         r = rng.random()
         acc = 0.0
-        # collapse lazily up to the drawn outcome; past the float total: the last
-        for label, p, collapsed in measurement.branches(register.psi):
+        # past the float total: the last outcome
+        for label, p, collapsed in register.measure(measurement):
             acc += p
             if r < acc:
                 break
-        register.psi = collapsed
+        register.psi = collapsed.copy()     # the memo may hold collapsed
         return register.route(state, sym, label)
 
     return _sample(machine, payload, register.transition, choose, cutoff, regions,

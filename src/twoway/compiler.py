@@ -13,14 +13,15 @@ The quantum register therefore has 2^m * k basis states (k = the algorithm's
 register dimension) and the classical control needs O(t*n) states for t
 oracle calls. Between passes only cache block 0 carries amplitude, so the
 row runner (run_compiled_lanes) evaluates the machine on the algorithm's
-own k-entry register; the step-level runners step the full one.
+own k-entry register; the step-level runners step the full one, whose
+segment tables are built on their first step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -73,14 +74,21 @@ class CompilationReport:
     time_bound: int                       # 8t(n+2) + 4(n+2)
     algorithm: QueryAlgorithm = field(repr=False, default=None)
     gadget: Gadget = field(repr=False, default=None)
-    # internals the runners and verify_segment_equivalence read; segments
-    # are on the lifted register (run_compiled_lanes runs algorithm.tables)
-    segments: list = field(repr=False, default=None)    # CompiledSegment per segment
+    # internals the runners and verify_segment_equivalence read; lifted
+    # returns the segments on the lifted register, built on first call
+    # (run_compiled_lanes runs algorithm.tables and never calls it)
+    lifted: Callable[[], list] = field(repr=False, default=None)
     gflip: np.ndarray = field(repr=False, default=None)
     k_alg: int = field(repr=False, default=0)
     cache_dim: int = field(repr=False, default=0)
     d_w: int = field(repr=False, default=0)
     p_pad: int = field(repr=False, default=0)
+
+    @property
+    def segments(self) -> list:
+        """The CompiledSegment of every segment on the lifted register, which
+        the step-level runners step."""
+        return self.lifted()
 
 
 def compile_query_to_qcfa(alg: QueryAlgorithm, gadget: Gadget, n: int) -> CompilationReport:
@@ -89,7 +97,7 @@ def compile_query_to_qcfa(alg: QueryAlgorithm, gadget: Gadget, n: int) -> Compil
     alg decides h on p = alg.arity query bits; gadget g has width m; inputs
     are split as z_i = g(x-block i, y-block i) with n = p*m.
     """
-    validate_algorithm(alg)
+    decisions = validate_algorithm(alg)
     m = gadget.width
     p = alg.arity
     if m < 1:
@@ -120,10 +128,14 @@ def compile_query_to_qcfa(alg: QueryAlgorithm, gadget: Gadget, n: int) -> Compil
         flips = tuple(int(c) for c in range(cache_dim) if gflip[c, v])
         return GadgetFlipOp(cache_dim, p_pad, d_w, block, flips)
 
-    segments = segment_tables(alg, cache_dim)
+    # the lifted segment tables, built on the step-level runners' first use
+    @cache
+    def lifted():
+        return segment_tables(alg, cache_dim)
 
     nseg = len(alg.segments)
-    continue_counts = [int(np.count_nonzero(cs.kind == KIND_CONTINUE)) for cs in segments]
+    # every lift of a segment shares its decision rows
+    continue_counts = [int(np.count_nonzero(rows.kind == KIND_CONTINUE)) for rows in decisions]
 
     pass_states = 5 * n + 4 + p * (cache_dim - 1)
     reset_total = sum(continue_counts)
@@ -150,7 +162,7 @@ def compile_query_to_qcfa(alg: QueryAlgorithm, gadget: Gadget, n: int) -> Compil
     def theta(state, sym):
         tag = state[0]
         if tag == "u":
-            return segments[state[1]].ops[state[2]]
+            return lifted()[state[1]].ops[state[2]]
         if tag == "x1" or tag == "x2":
             idx = state[3] - (tag == "x2")       # x2 reads position idx - 1
             return xflip(idx) if sym == "1" and idx >= 0 else identity
@@ -160,9 +172,9 @@ def compile_query_to_qcfa(alg: QueryAlgorithm, gadget: Gadget, n: int) -> Compil
                 return yflip(idx // m, (pref << 1) | (sym == "1"))
             return identity
         if tag == "meas":
-            return segments[state[1]].outcomes.lifted
+            return lifted()[state[1]].outcomes.lifted
         if tag == "rst":
-            cs = segments[state[1]]
+            cs = lifted()[state[1]]
             return cs.reset_op(cs.row(state[2]))
         return identity
 
@@ -205,7 +217,7 @@ def compile_query_to_qcfa(alg: QueryAlgorithm, gadget: Gadget, n: int) -> Compil
             nxt = ("ret", si, ui, j + 1) if j < 2 * n else ("u", si, ui + 1)
             return nxt, 1
         if tag == "rst":
-            cs = segments[si]
+            cs = lifted()[si]
             return ("u", cs.next_segment[cs.row(ui)], 0), 0
         return None
 
@@ -213,7 +225,7 @@ def compile_query_to_qcfa(alg: QueryAlgorithm, gadget: Gadget, n: int) -> Compil
         if state[0] != "meas":
             return None
         si = state[1]
-        cs = segments[si]
+        cs = lifted()[si]
         j = cs.outcomes.rows.get(label)
         if j is None:
             return None
@@ -264,7 +276,7 @@ def compile_query_to_qcfa(alg: QueryAlgorithm, gadget: Gadget, n: int) -> Compil
         time_bound=time_bound,
         algorithm=alg,
         gadget=gadget,
-        segments=segments,
+        lifted=lifted,
         gflip=gflip,
         k_alg=k,
         cache_dim=cache_dim,

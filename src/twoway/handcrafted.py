@@ -59,7 +59,10 @@ def _halting_acc_rej(s):
 
 def build_eq_dfa(n: int) -> TwoWayDfa:
     """Single left-to-right sweep: memorize x bit by bit, count the # block,
-    compare y against the remembered x, confirm $. Runs in 3n+2 steps."""
+    compare y against the remembered x, confirm $. Runs in 3n+2 steps.
+
+    A state holds the x prefix read so far as a str, which caches its hash:
+    the step walker hashes every state it passes."""
     if n < 1:
         raise InputError("n must be ≥ 1")
 
@@ -70,7 +73,7 @@ def build_eq_dfa(n: int) -> TwoWayDfa:
                 return (s, 1)
             if len(prefix) < n:
                 if sym in "01":
-                    return (("rx", prefix + (sym,)), 1)
+                    return (("rx", prefix + sym), 1)
                 return ("rej", 0)
             if sym == "#":
                 return (("h", prefix, 1), 1)
@@ -101,7 +104,7 @@ def build_eq_dfa(n: int) -> TwoWayDfa:
 
     declared = (2 ** (n + 1) - 1) + 2 * n * 2**n + 2
     space = StateSpace(
-        ("rx", ()), _halting_acc_rej, declared, "2^(n+1)-1 + 2n*2^n + 2"
+        ("rx", ""), _halting_acc_rej, declared, "2^(n+1)-1 + 2n*2^n + 2"
     )
     return TwoWayDfa(
         f"eq-dfa:{n}", space, step, circular=False,

@@ -33,8 +33,9 @@ step-level runner at small n in the test suite. Per-row visited counts are
 the maximum census over the evaluated inputs of that row. Each side's
 census part is one walk over blocks of the row's words, as many as fit
 CENSUS_CELLS codes (the whole row at n=8, 7 words at n=64, one at n=256);
-the y walk ends on the y residues, and only x words need residues of their
-own. Most primes need no walk for the x part (_EqPfaFast).
+the y walk ends on the y residues, and only x words that differ from
+their y word need residues of their own. Most primes need no walk for the
+x part (_EqPfaFast).
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -152,10 +155,17 @@ def _pair_bits(lang: LanguageSpec, n: int, samples: int, seed):
     return sides[:, 0], sides[:, 1], index, index
 
 
+def _random_bits(rng: random.Random, n: int) -> list:
+    """n bits drawn as [rng.randrange(2) for _ in range(n)] draws them, from
+    the same stream: randrange(2) takes getrandbits(2) until it is below 2.
+    Here that rejection runs in C iterators, not two Python frames a bit."""
+    return list(islice(filter((2).__gt__, iter(partial(rng.getrandbits, 2), -1)), n))
+
+
 def _sample_pair(lang: LanguageSpec, n: int, rng, want: int):
     """One seeded (x, y) pair of bit lists with lang.value(x, y) == want."""
-    xb = [rng.randrange(2) for _ in range(n)]
-    yb = [rng.randrange(2) for _ in range(n)]
+    xb = _random_bits(rng, n)
+    yb = _random_bits(rng, n)
     if lang.kind == "eq":
         if want:
             return xb, xb
@@ -364,9 +374,16 @@ def _eval_eq_pfa(n: int, samples: int, seed) -> tuple:
     fast = _EqPfaFast(n)
     xs, ys, xi, yi = _pair_bits(eq_language(n), n, samples, seed)
     # census parts once per side word, gathered per pair; the y walk ends on
-    # the y residues, and an exhaustive row's x words are its y words
+    # the y residues, and an exhaustive row's x words are its y words. A
+    # sampled row pairs x word i with y word i, so only the x words that
+    # differ from theirs need residues of their own
     r_census, ry = fast.y_census(ys)
-    rx = ry if xs is ys else fast.residues(xs)
+    if xs is ys:
+        rx = ry
+    else:
+        rx = ry.copy()
+        differ = np.flatnonzero((xs != ys).any(axis=1))
+        rx[differ] = fast.residues(xs[differ])
     visited = fast.shared + fast.x_census(xs)[xi] + r_census[yi]
     prob = (rx[xi] == ry[yi]).sum(axis=1) / fast.count
     x, y = xs[xi], ys[yi]

@@ -69,6 +69,10 @@ class Op:
     dim: int
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
+        """The state(s) after the operator. Some operators (IndexPairHOp,
+        IndexPermOp, CacheFlipOp, GadgetFlipOp and a LiftedOp of one) write
+        into `psi` and return a view of it, so a caller that keeps `psi`
+        passes a copy."""
         raise NotImplementedError
 
     def to_dense(self) -> np.ndarray:

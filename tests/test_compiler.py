@@ -40,6 +40,7 @@ from twoway.ops import (
 )
 from twoway.qquery import (
     ACCEPT,
+    KIND_CONTINUE,
     REJECT,
     Decision,
     QueryAlgorithm,
@@ -49,6 +50,7 @@ from twoway.qquery import (
     per_outcome,
     run_query_alg,
     run_query_alg_lanes,
+    segment_tables,
 )
 from twoway.serialize import algorithm_to_json
 
@@ -95,6 +97,29 @@ def test_declared_state_bound_formula():
         rep = compile_query_to_qcfa(alg, and_gadget(), n)
         assert rep.declared_states <= 8 * rep.t * (n + 2) + 4 * (n + 2)
         assert rep.quantum_basis_count == (1 << rep.m) * rep.k_alg
+
+
+def test_lifted_tables_are_built_on_the_first_step_and_move_no_count():
+    # compiling and a sweep row read only the algorithm's decision rows and
+    # tables; the declared bound and the continue counts are the ones the
+    # lifted tables give, which a step-level run builds
+    cases = ((grover_or(4), 4), (exact_parity(4), 4), (grover_or(8), 8),
+             (exact_parity(64), 64), (grover_or(256), 256))
+    for alg, n in cases:
+        rep = compile_query_to_qcfa(alg, and_gadget(), n)
+        bits = np.zeros((2, n), dtype=np.uint8)
+        run_compiled_lanes(rep, bits, bits)
+        assert rep.lifted.cache_info().currsize == 0
+        lifted = segment_tables(alg, rep.cache_dim)
+        counts = [int(np.count_nonzero(cs.kind == KIND_CONTINUE)) for cs in lifted]
+        assert [row["continue_labels"] for row in rep.phase_table[1:]] == counts
+        pass_states = 5 * n + 4 + rep.p * (rep.cache_dim - 1)
+        assert rep.declared_states == (3 * n + 1) + rep.t * pass_states + sum(
+            2 + r for r in counts) + 2
+        if n <= 8:
+            qcfa_exact(rep.machine, payload("0" * n, "0" * n))
+            assert rep.lifted.cache_info().currsize == 1
+            assert [len(cs.ops) for cs in rep.segments] == [len(cs.ops) for cs in lifted]
 
 
 def test_compiled_probability_matches_algorithm_exhaustively():
@@ -284,8 +309,9 @@ def test_grover_rounds_share_their_routing(monkeypatch):
     monkeypatch.setattr(twoway.qquery, "_transposed", counting)
     n = 4096
     rep = compile_query_to_qcfa(grover_or(n), and_gadget(), n)
-    assert len(calls) == 2                 # the non-last rounds and the last
+    assert not calls                       # the lifted tables wait for their first use
     first, second, last = rep.segments[1], rep.segments[2], rep.segments[-1]
+    assert len(calls) == 2                 # the non-last rounds and the last
     assert second.dst is first.dst and second.src is first.src
     assert second.kind is first.kind
     assert last.dst is not first.dst

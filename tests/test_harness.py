@@ -26,6 +26,7 @@ from twoway import harness
 from twoway.harness import (
     _EqPfaFast,
     _pair_bits,
+    _random_bits,
     _sample_pair,
     SweepRow,
     certificate_check,
@@ -307,6 +308,16 @@ def test_sampler_hits_the_requested_class(lang_builder):
             x, y = _sample_pair(lang, n, rng, want)
             assert len(x) == len(y) == n
             assert lang.value(x, y) == want
+
+
+def test_random_bits_draw_what_randrange_draws():
+    # the same bits and the same generator state afterwards as randrange(2)
+    # on the running Python, whose rejection rule _random_bits restates
+    for seed in (0, 1, 7, "3:eq:256"):
+        for n in (0, 1, 2, 9, 64, 256, 1000):
+            mine, theirs = random.Random(seed), random.Random(seed)
+            assert _random_bits(mine, n) == [theirs.randrange(2) for _ in range(n)]
+            assert mine.getstate() == theirs.getstate()
 
 
 def test_csv_round_trip_is_byte_stable(tmp_path):

@@ -1,9 +1,12 @@
 """The samplers' stretch tables: a trajectory replayed from a tape's cached
 deterministic stretches equals the one stepped through them, and every
-error the step walker raises is raised the same way on a warm cache."""
+error the step walker raises is raised the same way on a warm cache. A
+2QCFA stretch's register memo hands out copies, keeps to its bound of
+cells and goes with its tape."""
 
 import gc
 import hashlib
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -252,3 +255,84 @@ def test_the_cache_keeps_at_most_its_bound_of_tapes():
     for k in range(3 * automata._STRETCH_TAPES):
         run_pfa_sample(m, format(k, "b"))
         assert len(automata._stretches) == min(k + 1, automata._STRETCH_TAPES)
+    # a 2QCFA tape's register memo goes with it: the first tape's stored
+    # register is freed once later tapes evict the tape
+    q = _measure_then(lambda label: ("done", 0), None)
+    _clear()
+    qcfa_sample(q, "0")
+    (ending,) = _table(q, "0")["go", 0, 0][7].values()
+    stored = weakref.ref(ending[0])
+    del ending
+    for k in range(1, automata._STRETCH_TAPES + 1):
+        qcfa_sample(q, format(k, "b"))
+    gc.collect()
+    assert (id(q), "0", None) not in automata._stretches
+    assert stored() is None
+
+
+# --- the register memo ----------------------------------------------------------------
+
+
+def test_a_memo_hit_hands_out_a_register_the_memo_does_not_share():
+    # grover-or:2 on one pair: warm runs fill the memos; then every entry is
+    # hit and the register it hands out is written into by the machine's own
+    # x-pass cache flip, which writes into its input. Warm runs after that
+    # still equal cold ones
+    build, sampler, pairs, _ = PINNED["grover-or:2"]
+    machine = build()
+    word = payload(*pairs[1])
+    flip = machine.theta(("x1", 0, 0, 0), "1")
+    cold = []
+    for seed in range(50):
+        _clear()
+        cold.append(qcfa_sample(machine, word, seed=seed))
+    _clear()
+    assert [qcfa_sample(machine, word, seed=seed) for seed in range(50)] == cold
+    register = automata._QcfaRegister(machine, None)
+    written = 0
+    for stretch in _table(machine, word).values():
+        memo = stretch[7]
+        for begun, ending in list(memo.items()):
+            register.psi = np.frombuffer(begun, dtype=np.complex128).copy()
+            register.replay(stretch[5], memo)
+            assert register.ending is ending
+            kept, handed = ending[0].copy(), register.psi.copy()
+            flip.apply(register.psi)
+            written += not np.array_equal(register.psi, handed)
+            assert np.array_equal(ending[0], kept)
+    assert written
+    assert [qcfa_sample(machine, word, seed=seed) for seed in range(50)] == cold
+
+
+def _drifting_register():
+    """A dim-4 register (qubits A and B, A major): each round turns A by one
+    radian and B by 0.1, then measures B; B = 1 accepts and B = 0 goes round
+    again, on a register no earlier round had, since A's angle never repeats."""
+    c, s = np.cos, np.sin
+    turn = DenseOp(np.kron([[c(1.0), -s(1.0)], [s(1.0), c(1.0)]],
+                           [[c(0.1), -s(0.1)], [s(0.1), c(0.1)]]), "turn")
+    meas = Measurement(4, {"b0": (0, 2), "b1": (1, 3)}, "B")
+    return TwoWayQcfa(
+        "drift", StateSpace("go", lambda s: "accept" if s == "done" else None, 3, "3"), 4,
+        lambda state, sym: turn if state == "go" else meas,
+        lambda state, sym: ("read", 0),
+        lambda state, sym, label: ("go", 0) if label == "b0" else ("done", 0))
+
+
+def test_the_memo_keeps_to_its_bound_of_cells(monkeypatch):
+    m = _drifting_register()
+    seeds = range(20)
+    monkeypatch.setattr(automata, "_MEMO_CELLS", 0)
+    _clear()
+    unmemoised = [qcfa_sample(m, "0", seed=seed) for seed in seeds]
+    assert sum(t.steps for t in unmemoised) > 40 * len(seeds)   # long runs
+    bound = 10 * 4                                              # ten registers
+    monkeypatch.setattr(automata, "_MEMO_CELLS", bound)
+    _clear()
+    for seed, want in zip(seeds, unmemoised):
+        assert qcfa_sample(m, "0", seed=seed) == want
+        _, _, table, room = automata._stretches[id(m), "0", None]
+        stored = sum(end.size + 4 * len(outcomes or ())
+                     for stretch in table.values() for end, outcomes in stretch[7].values())
+        assert stored == bound - room[0] <= bound
+    assert room[0] < 4                                          # the bound was reached
