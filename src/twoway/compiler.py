@@ -218,7 +218,7 @@ def compile_query_to_qcfa(alg: QueryAlgorithm, gadget: Gadget, n: int) -> Compil
             return nxt, 1
         if tag == "rst":
             cs = lifted()[si]
-            return ("u", cs.next_segment[cs.row(ui)], 0), 0
+            return ("u", int(cs.next_segment[cs.row(ui)]), 0), 0
         return None
 
     def step_measure(state, sym, label):
@@ -471,7 +471,7 @@ def verify_segment_equivalence(
             phi[row] = psi[row] = 1.0
             p_alg = p_machine = 1.0
         phi, psi = _collapse(ta, phi, row, p_alg), _collapse(tm, psi, row, p_machine)
-        si = ta.next_segment[row]
+        si = int(ta.next_segment[row])
 
 
 def _collapse(cs, state: np.ndarray, row: int, prob: float) -> np.ndarray:

@@ -15,15 +15,19 @@ compiled runner both run on the algorithm's own register, through
 `QueryAlgorithm.tables`) evaluates many inputs (lanes) at once, on arrays:
 per segment it stacks every branch of a block of lanes, sends each continuing
 outcome on collapsed and reset, and groups what a segment was sent by lane
-and bitwise state, summing weights in arrival order with np.add.at, so a
-lane's result is bitwise the one it gets alone. A branch's history keeps,
-per number of resets, the most oracle calls of a path merged into it, and
-the engine reports every lane's results as arrays (SegmentRuns).
+and bitwise state (one stable np.lexsort over integer key columns), summing
+weights in arrival order with np.add.at, so a lane's result is bitwise the
+one it gets alone. A branch's history keeps, per number of resets, the most
+oracle calls of a path merged into it: a merged branch's row is the maximum
+over its distinct source branches' rows, shifted by one reset, so history
+rows are sent and merged per source branch, not per outcome. The engine
+reports every lane's results as arrays (SegmentRuns).
 Plain algorithms are a single segment whose decision never continues.
 
 Validation (`validate_algorithm`) certifies every distinct operator object
 through its own `certify()` bound and checks each segment's table once,
-with array operations; the tables are cached on the algorithm object.
+with array operations (kind codes and swaps once per distinct array pair);
+the tables are cached on the algorithm object.
 Builders should reuse one operator (and measurement) instance wherever a
 schedule repeats it: validation certifies and the compiler lifts each
 distinct object once.
@@ -172,6 +176,8 @@ def _validated_decisions(alg: QueryAlgorithm) -> list[DecisionRows]:
         raise SpecError("layout narrower than declared arity")
     # keyed on identity, not describe(): some descriptions omit the matrix
     checked: set[int] = set()
+    labels_of: dict[int, list] = {}      # per measurement object
+    passed: set = set()                  # (kind, swap) array pairs whose codes and swaps passed
     rows = []
     for s, seg in enumerate(alg.segments):
         if len(seg.unitaries) < 1:
@@ -183,24 +189,26 @@ def _validated_decisions(alg: QueryAlgorithm) -> list[DecisionRows]:
                 except SpecError as exc:
                     raise SpecError(f"segment {s} unitary {ui}: {exc}") from None
                 checked.add(id(op))
-        if id(seg.measurement) not in checked:
+        labels = labels_of.get(id(seg.measurement))
+        if labels is None:
             seg.measurement.validate()
-            checked.add(id(seg.measurement))
-        labels = seg.measurement.labels()
+            labels = labels_of[id(seg.measurement)] = seg.measurement.labels()
         try:
             table = seg.decide(labels)
         except SpecError as exc:
             raise SpecError(f"segment {s} {exc}") from None
-        _check_rows(table, labels, s, len(alg.segments), alg.layout.dim)
+        _check_rows(table, labels, s, len(alg.segments), alg.layout.dim, passed)
         rows.append(table)
     return rows
 
 
-def _check_rows(rows: DecisionRows, labels: list, s: int, nseg: int, dim: int):
+def _check_rows(rows: DecisionRows, labels: list, s: int, nseg: int, dim: int, passed: set):
     """Refuse segment s's rows, naming the first offending label, unless
     they are integer arrays with a row per label, every code is in KINDS,
     every continue targets a later segment, every swap is (-1, -1) or inside
-    the register, and halting rows carry no swap or target."""
+    the register, and halting rows carry no swap or target. Codes and swaps
+    are checked once per (kind, swap) array pair, recorded in passed; the
+    targets, once per segment."""
     n = len(labels)
     kind, nxt, swap = rows.kind, rows.next_segment, rows.swap
     shapes = [getattr(a, "shape", None) for a in (kind, nxt, swap)]
@@ -209,18 +217,23 @@ def _check_rows(rows: DecisionRows, labels: list, s: int, nseg: int, dim: int):
         where = f" outcome {labels[min(short)]!r}" if short else ""
         raise SpecError(f"segment {s}{where}: decision rows must be integer arrays "
                         f"of shapes ({n},), ({n},), ({n}, 2), got {shapes}")
-    cont, no_swap = kind == KIND_CONTINUE, (swap == -1).all(axis=1)
-    for bad, msg in (
-        ((kind < 0) | (kind >= len(KINDS)), "unknown decision code {k}"),
-        (cont & ((nxt <= s) | (nxt >= nseg)), "continue must target a strictly later segment, got {t}"),
-        (~no_swap & ((swap < 0) | (swap >= dim)).any(axis=1),
-         "a reset must be a basis transposition of the register, got swap {w}"),
-        (~cont & ((nxt != -1) | ~no_swap), "a halting outcome carries no reset or next segment"),
-    ):
+    cont, pair = kind == KIND_CONTINUE, (id(kind), id(swap))
+    target = (cont & ((nxt <= s) | (nxt >= nseg)), "continue must target a strictly later segment, got {t}")
+    halting = ~cont & (nxt != -1)
+    checks = [target]
+    if pair not in passed:
+        no_swap = (swap == -1).all(axis=1)
+        checks = [((kind < 0) | (kind >= len(KINDS)), "unknown decision code {k}"), target,
+                  (~no_swap & ((swap < 0) | (swap >= dim)).any(axis=1),
+                   "a reset must be a basis transposition of the register, got swap {w}")]
+        halting |= ~cont & ~no_swap
+    checks.append((halting, "a halting outcome carries no reset or next segment"))
+    for bad, msg in checks:
         if bad.any():
             j = int(bad.argmax())
             detail = msg.format(k=int(kind[j]), t=int(nxt[j]), w=swap[j].tolist())
             raise SpecError(f"segment {s} outcome {labels[j]!r}: {detail}")
+    passed.add(pair)
 
 
 class _LiftedOutcomes:
@@ -275,6 +288,15 @@ class _LiftedOutcomes:
         return np.stack([p.sum(axis=1) for p in parts], axis=1)
 
 
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of an integer array, ascending (np.unique would
+    import numpy.ma)."""
+    keys = np.sort(keys)
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    return keys[new]
+
+
 def _transposed(pos: np.ndarray, a, b, k: int) -> np.ndarray:
     """Lifted positions pos after exchanging algorithm basis indices a and b
     in every cache block (a = b = -1 leaves them)."""
@@ -305,7 +327,7 @@ def _routes(outcomes: _LiftedOutcomes, rows: DecisionRows):
 class CompiledSegment:
     """One algorithm segment on the lifted register, fixed before any run.
 
-    ops are the lifted unitaries; kind, next_segment (a list) and swap are
+    ops are the lifted unitaries; kind, next_segment and swap are
     the segment's decision rows, shared by every lift; targets are the
     distinct segments it continues to.
     src[j] and dst[j] are the lifted positions of continuing outcome j's
@@ -323,8 +345,8 @@ class CompiledSegment:
         self.kind = rows.kind
         self.continues = rows.kind == KIND_CONTINUE
         self.src, self.dst = routes
-        self.next_segment = rows.next_segment.tolist()
-        self.targets = sorted(set(self.next_segment) - {-1})
+        self.next_segment = rows.next_segment
+        self.targets = _distinct(rows.next_segment[self.continues]).tolist()
         self.swap = rows.swap
         self._resets: dict = {}
 
@@ -424,14 +446,19 @@ def run_segments(tables: list[CompiledSegment], psi: np.ndarray, masks: np.ndarr
     Outcomes are handled as arrays. One of probability at most BRANCH_PRUNE,
     or of branch weight below it, is dropped; a halting one adds its weight
     to its lane's mass of that kind; a continuing one is collapsed, reset
-    and sent on with its lane, weight and history. A continue only targets
+    and sent on with its lane, weight and source branch. A continue only targets
     a later segment, so a segment has all it was sent when it starts: one
     branch per (lane, collapsed state) group, keyed bitwise (-0.0 is not
-    0.0). Weights and masses are summed with np.add.at in arrival order, as
-    a run on the lane alone sums them. A branch's history is a row over
-    resets, the most oracle calls of a path with that many (NO_PATH: none),
-    and merging takes the maximum; so a maximum over a lane's halting paths
-    of a function that grows with calls is one over its halted rows. The
+    0.0) on integer columns (lane, positions, value bit patterns) grouped by
+    one stable np.lexsort, lane-major and in first-arrival order. Weights
+    and masses are summed with np.add.at in arrival order, as a run on the
+    lane alone sums them. A branch's history is a row over resets, the most
+    oracle calls of a path with that many (NO_PATH: none). Every outcome of
+    a branch has its branch's row, so a merged branch's row is the maximum
+    over its distinct source branches' rows, shifted by one reset, and a
+    halting kind's row the maximum over the distinct branches halting that
+    way; a maximum over a lane's halting paths of a function that grows
+    with calls is one over its halted rows. The
     first lane whose halting mass misses 1 by more than LOST_MASS raises
     SpecError, labelled with name and lane_name(lane).
     """
@@ -449,30 +476,37 @@ def run_segments(tables: list[CompiledSegment], psi: np.ndarray, masks: np.ndarr
 def _enter(batches: list, dim: int):
     """(lane, weight, states, histories) of the stack entering a segment
     from what was sent to it: per sending segment run, in order, (lane,
-    weight, positions, values, history after the reset) per outcome. A
-    branch is a (lane, collapsed state) group, keyed on the state's non-zero
-    (position, bit pattern) entries in position order; branches are
-    lane-major, each lane's in the order of their first outcomes."""
+    weight, positions, values, source row) per outcome, and the sender's
+    histories after the reset, one row per source branch. A branch is a
+    (lane, collapsed state) group, keyed on the state's non-zero (position,
+    bit pattern) entries in position order; branches are lane-major, each
+    lane's in the order of their first outcomes. A branch's history is the
+    maximum over its distinct source rows."""
     if len(batches) == 1:
-        (lane, w, pos, vals, hist), = batches
+        (lane, w, pos, vals, src, hist), = batches
     else:
         width = max(b[2].shape[1] for b in batches)
-        lane, w, pos, vals, hist = (np.concatenate(col) for col in zip(*[
+        # each batch's source rows index its own histories: offset them
+        # into the concatenated ones
+        offsets = np.cumsum([0] + [len(b[5]) for b in batches[:-1]])
+        lane, w, pos, vals, src, hist = (np.concatenate(col) for col in zip(*[
             (b[0], b[1], np.pad(b[2], ((0, 0), (0, width - b[2].shape[1])), constant_values=-1),
-             np.pad(b[3], ((0, 0), (0, width - b[3].shape[1]))), b[4]) for b in batches]))
+             np.pad(b[3], ((0, 0), (0, width - b[3].shape[1]))), b[4] + off, b[5])
+            for b, off in zip(batches, offsets)]))
     m, width = pos.shape
     if not vals.all():                 # some entry is 0.0 or -0.0
         # each row's non-zero entries first, in position order, then (-1, 0)
         nz = vals.view(np.uint64).reshape(m, width, 2).any(axis=2)
         order, at = np.argsort(~nz, axis=1, kind="stable"), np.arange(m)[:, None]
         pos, vals = np.where(nz, pos, -1)[at, order], vals[at, order]
-    key = np.concatenate([lane[:, None], pos, vals.view(np.int64)], axis=1)
-    # one stable sort on a byte view of the keys puts each group together,
-    # led by its first outcome
-    perm = key.view(np.dtype((np.void, 8 * key.shape[1])))[:, 0].argsort(kind="stable")
-    sk = key[perm]
-    new = np.ones(m, dtype=bool)
-    new[1:] = (sk[1:] != sk[:-1]).any(axis=1)
+    # one key column per lane, position and value bit pattern; a stable
+    # lexsort puts each group together, led by its first outcome
+    key = np.concatenate([lane[None], pos.T, vals.view(np.int64).T])
+    perm = np.lexsort(key)
+    new = np.zeros(m, dtype=bool)        # where a group starts: a column changes
+    new[0] = True
+    for col in key.take(perm, axis=1):
+        new[1:] |= col[1:] != col[:-1]
     starts = perm[new]
     order = np.lexsort((starts, lane[starts]))
     branch = np.empty(m, dtype=np.int64)
@@ -484,7 +518,10 @@ def _enter(batches: list, dim: int):
     pos, vals = pos[head], vals[head]
     on = pos >= 0
     psi[on.nonzero()[0], pos[on]] = vals[on]
-    merged = np.maximum.reduceat(hist[perm], new.nonzero()[0], axis=0)[order]
+    # a maximum does not depend on order: one row per (branch, source) pair
+    pair = _distinct(branch * len(hist) + src)
+    merged = np.full((len(head), hist.shape[1]), NO_PATH)
+    np.maximum.at(merged, pair // len(hist), hist[pair % len(hist)])
     return lane[head], weight, psi, merged
 
 
@@ -520,28 +557,32 @@ def _run_block(tables, psi, masks, d_w, oracle) -> tuple[np.ndarray, SegmentRuns
         kind, lane_k, w = cs.kind[j_k], lane_of[r_k], wp[r_k, j_k]
         hist = hist + cs.calls
         halt = kind != KIND_CONTINUE
-        owner = (2 * lane_k + kind)[halt]
-        np.add.at(sums, owner, w[halt])
-        np.add.at(halts, owner, 1)
-        np.maximum.at(halted, owner, hist[r_k[halt]])
+        if halt.any():
+            owner = (2 * lane_k + kind)[halt]
+            np.add.at(sums, owner, w[halt])
+            halts += np.bincount(owner, minlength=2 * lanes)
+            # one maximum per (branch, kind) pair: maxima do not depend on order
+            pair = _distinct(2 * r_k[halt] + kind[halt])
+            np.maximum.at(halted, 2 * lane_of[pair // 2] + pair % 2, hist[pair // 2])
         rows = np.zeros((lanes, len(cs.kind)), dtype=bool)
         if not halt.all():
             cont = ~halt
             r_c, j_c = r_k[cont], j_k[cont]
             pos, vals = cs.collapse(psi, r_c, j_c, prob[r_c, j_c])
-            # a reset moves every history entry to one more reset
-            after = np.full((len(r_c), nseg), NO_PATH)
-            after[:, 1:] = hist[r_c, :-1]
-            batch = (lane_k[cont], w[cont], pos, vals, after)
+            # a reset moves every history entry to one more reset; every
+            # outcome of a branch has its branch's row, so it is sent once
+            after = np.full((len(hist), nseg), NO_PATH)
+            after[:, 1:] = hist[:, :-1]
+            batch = (lane_k[cont], w[cont], pos, vals, r_c)
             rows[batch[0], j_c] = True
             if len(cs.targets) == 1:
-                sent[cs.targets[0]].append(batch)
+                sent[cs.targets[0]].append(batch + (after,))
             else:
-                target = np.asarray(cs.next_segment)[j_c]
+                target = cs.next_segment[j_c]
                 for t in cs.targets:
                     to = target == t
                     if to.any():
-                        sent[t].append(tuple(a[to] for a in batch))
+                        sent[t].append(tuple(a[to] for a in batch) + (after,))
         ran[lane_of, si] = rows.sum(axis=1)[lane_of]
     acc, rej = sums[::2], sums[1::2]
     return acc + rej, SegmentRuns(np.minimum(acc, 1.0), halts[::2] + halts[1::2],

@@ -315,7 +315,7 @@ def test_grover_rounds_share_their_routing(monkeypatch):
     assert second.dst is first.dst and second.src is first.src
     assert second.kind is first.kind
     assert last.dst is not first.dst
-    assert second.next_segment != first.next_segment
+    assert not np.array_equal(second.next_segment, first.next_segment)
 
 
 def test_generic_runner_time_within_declared_budget():

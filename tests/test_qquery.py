@@ -388,11 +388,14 @@ def test_every_word_sums_as_the_sequential_rule(n):
             assert run_query_alg(alg, z) == sequential_accept(alg, z), (alg.name, z)
 
 
-def test_merged_branch_keeps_every_pareto_maximal_history():
-    # three paths reach segment 4 as the same basis state with amplitude
-    # exactly 1, so they merge into one branch: 0-1-3-4 with 2 calls and 3
-    # resets, 0-2-4 with 3 calls and 2 resets, and 0-4 with 2 calls and 1
-    # reset, which the first dominates
+def pareto_algorithm(detour=False) -> QueryAlgorithm:
+    """Three paths reach segment 4 as the same basis state with amplitude
+    exactly 1, so they merge into one branch: 0-1-3-4 with 2 calls and 3
+    resets, 0-2-4 with 3 calls and 2 resets, and 0-4 with 2 calls and 1
+    reset, which the first dominates. With detour, segment 2 sends an
+    outcome other than 0 (a word with z_0 = 1) through segment 3 instead,
+    where it merges with the path from segment 1: 0-2-3-4 has 3 calls and 3
+    resets."""
     layout = RegisterLayout(2, 1)
     dim = layout.dim
     quarter = DenseOp(0.5 * np.array([[1, 1, 1, 1], [1, -1, 1, -1],
@@ -404,21 +407,29 @@ def test_merged_branch_keeps_every_pareto_maximal_history():
         return [Decision("continue", 1), Decision("continue", 2, BasisSwapOp(dim, 0, 1)),
                 Decision("continue", 4, BasisSwapOp(dim, 0, 2)), REJECT][outcome]
 
-    def onward(seg):
+    def onward(seg, detour=None):
         return per_outcome(lambda outcome: Decision(
-            "continue", seg, BasisSwapOp(dim, 0, outcome) if outcome else None))
+            "continue", detour if detour and outcome else seg,
+            BasisSwapOp(dim, 0, outcome) if outcome else None))
 
-    alg = QueryAlgorithm("pareto", 2, layout, (
+    return QueryAlgorithm("pareto", 2, layout, (
         Segment((quarter, idle), basis, per_outcome(fork)),
         Segment((idle,), basis, onward(3)),
-        Segment((idle, idle), basis, onward(4)),
+        Segment((idle, idle), basis, onward(4, 3 if detour else None)),
         Segment((idle,), basis, onward(4)),
         Segment((quarter, idle), basis,
                 per_outcome(lambda outcome: ACCEPT if outcome < 2 else REJECT)),
     ), 1 / 3)
-    masks = oracle_masks(np.zeros((1, 2), dtype=np.uint8), layout.index_dim)
-    runs = run_segments(alg.tables, alg.initial_state(), masks, layout.work_dim,
+
+
+def pareto_runs(alg, words):
+    masks = oracle_masks(np.array(words, dtype=np.uint8), alg.layout.index_dim)
+    return run_segments(alg.tables, alg.initial_state(), masks, alg.layout.work_dim,
                         alg.name, str)
+
+
+def test_merged_branch_keeps_every_pareto_maximal_history():
+    runs = pareto_runs(pareto_algorithm(), [[0, 0]])
     assert runs.accept.tolist() == [0.375]
     assert runs.halts.tolist() == [5]      # 4 from the one merged branch, 1 in segment 0
     # per reset count, the most calls: the (2, 1) path is kept, and dominated
@@ -427,3 +438,44 @@ def test_merged_branch_keeps_every_pareto_maximal_history():
     # segment 0's reject has 1 call and no reset
     assert rejected == [1, 2, 3, 2, -1]
     assert runs.ran.tolist() == [[3, 1, 1, 1, 0]]
+
+
+@pytest.mark.parametrize("lanes_per_block", [None, 1, 2, 3])
+def test_merged_branches_keep_their_histories_on_every_lane_and_block(monkeypatch,
+                                                                       lanes_per_block):
+    # segments 3 and 4 merge outcomes sent by different segments, each of
+    # whose source rows count from 0 in its own stack, so with several lanes
+    # the rows of different senders collide by index; segment 2 sends some
+    # lanes to 3 and some to 4. Every lane must still be the run it makes
+    # alone, whether its block is shared or split
+    alg = pareto_algorithm(detour=True)
+    words = [[0, 0], [1, 0], [0, 1], [1, 1], [0, 0], [1, 1], [0, 1]]
+    alone = [pareto_runs(alg, [word]) for word in words]
+    if lanes_per_block:
+        monkeypatch.setattr(twoway.qquery, "LANE_CELLS", lanes_per_block * alg.layout.dim)
+    runs = pareto_runs(alg, words)
+    for lane, lone in enumerate(alone):
+        for name, got, want in zip(runs._fields, runs, lone):
+            assert got[lane:lane + 1].tobytes() == want.tobytes(), (lane, name)
+    for lane, (z0, _) in enumerate(words):
+        if z0:                             # 0-2-3-4 dominates 0-1-3-4; no path has 2 resets
+            assert runs.halted[lane].tolist() == [[-1, 2, -1, 3, -1], [1, 2, -1, 3, -1]]
+            assert runs.ran[lane].tolist() == [3, 1, 1, 1, 0]
+        else:
+            assert runs.halted[lane].tolist() == [[-1, 2, 3, 2, -1], [1, 2, 3, 2, -1]]
+
+
+def test_a_shared_table_is_still_checked_for_each_segment_target():
+    # segments 0 and 1 share their kind and swap arrays, checked once; segment
+    # 1's own next segments must still be refused
+    meas = CompleteMeasurement(TOY.dim)
+    idle = IdentityOp(TOY.dim)
+    kind = np.array([C, R, R, R], dtype=np.int8)
+    swap = np.full((4, 2), -1, dtype=np.int64)
+    first = DecisionRows(kind, np.array([1, -1, -1, -1]), swap)
+    second = DecisionRows(kind, np.array([1, -1, -1, -1]), swap)
+    alg = toy_algorithm(Segment((idle,), meas, lambda labels: first),
+                        Segment((idle,), meas, lambda labels: second),
+                        Segment((idle,), meas, halt))
+    with pytest.raises(SpecError, match="segment 1 outcome 0: continue must target"):
+        validate_algorithm(alg)
