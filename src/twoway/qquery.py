@@ -218,7 +218,8 @@ def _check_rows(rows: DecisionRows, labels: list, s: int, nseg: int, dim: int, p
         raise SpecError(f"segment {s}{where}: decision rows must be integer arrays "
                         f"of shapes ({n},), ({n},), ({n}, 2), got {shapes}")
     cont, pair = kind == KIND_CONTINUE, (id(kind), id(swap))
-    target = (cont & ((nxt <= s) | (nxt >= nseg)), "continue must target a strictly later segment, got {t}")
+    target = (cont & ((nxt <= s) | (nxt >= nseg)),
+              "continue must target a strictly later segment, got {t}")
     halting = ~cont & (nxt != -1)
     checks = [target]
     if pair not in passed:
@@ -288,15 +289,6 @@ class _LiftedOutcomes:
         return np.stack([p.sum(axis=1) for p in parts], axis=1)
 
 
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """The distinct values of an integer array, ascending (np.unique would
-    import numpy.ma)."""
-    keys = np.sort(keys)
-    new = np.ones(len(keys), dtype=bool)
-    new[1:] = keys[1:] != keys[:-1]
-    return keys[new]
-
-
 def _transposed(pos: np.ndarray, a, b, k: int) -> np.ndarray:
     """Lifted positions pos after exchanging algorithm basis indices a and b
     in every cache block (a = b = -1 leaves them)."""
@@ -346,7 +338,7 @@ class CompiledSegment:
         self.continues = rows.kind == KIND_CONTINUE
         self.src, self.dst = routes
         self.next_segment = rows.next_segment
-        self.targets = _distinct(rows.next_segment[self.continues]).tolist()
+        self.targets = np.flatnonzero(np.bincount(rows.next_segment[self.continues])).tolist()
         self.swap = rows.swap
         self._resets: dict = {}
 
@@ -446,21 +438,21 @@ def run_segments(tables: list[CompiledSegment], psi: np.ndarray, masks: np.ndarr
     Outcomes are handled as arrays. One of probability at most BRANCH_PRUNE,
     or of branch weight below it, is dropped; a halting one adds its weight
     to its lane's mass of that kind; a continuing one is collapsed, reset
-    and sent on with its lane, weight and source branch. A continue only targets
-    a later segment, so a segment has all it was sent when it starts: one
-    branch per (lane, collapsed state) group, keyed bitwise (-0.0 is not
-    0.0) on integer columns (lane, positions, value bit patterns) grouped by
-    one stable np.lexsort, lane-major and in first-arrival order. Weights
-    and masses are summed with np.add.at in arrival order, as a run on the
-    lane alone sums them. A branch's history is a row over resets, the most
-    oracle calls of a path with that many (NO_PATH: none). Every outcome of
-    a branch has its branch's row, so a merged branch's row is the maximum
-    over its distinct source branches' rows, shifted by one reset, and a
-    halting kind's row the maximum over the distinct branches halting that
-    way; a maximum over a lane's halting paths of a function that grows
-    with calls is one over its halted rows. The
-    first lane whose halting mass misses 1 by more than LOST_MASS raises
-    SpecError, labelled with name and lane_name(lane).
+    and sent on with its lane, weight and source branch. A continue only
+    targets a later segment, so a segment has all it was sent when it
+    starts: one branch per (lane, collapsed state) group, keyed bitwise
+    (-0.0 is not 0.0) on integer columns (lane, positions, value bit
+    patterns) grouped by one stable np.lexsort, lane-major and in
+    first-arrival order. Weights and masses are summed with np.add.at in
+    arrival order, as a run on the lane alone sums them. A branch's history
+    is a row over resets, the most oracle calls of a path with that many
+    (NO_PATH: none). Every outcome of a branch has its branch's row, so a
+    merged branch's row is the maximum over its distinct source branches'
+    rows, shifted by one reset, and a halting kind's row the maximum over
+    the distinct branches halting that way; a maximum over a lane's halting
+    paths of a function that grows with calls is one over its halted rows.
+    The first lane whose halting mass misses 1 by more than LOST_MASS
+    raises SpecError, labelled with name and lane_name(lane).
     """
     block, nseg = max(1, LANE_CELLS // psi.shape[-1]), len(tables)
     parts = [SegmentRuns(np.zeros(0), np.zeros(0, np.int64), np.zeros((0, 2, nseg), np.int64),
@@ -518,10 +510,13 @@ def _enter(batches: list, dim: int):
     pos, vals = pos[head], vals[head]
     on = pos >= 0
     psi[on.nonzero()[0], pos[on]] = vals[on]
-    # a maximum does not depend on order: one row per (branch, source) pair
-    pair = _distinct(branch * len(hist) + src)
-    merged = np.full((len(head), hist.shape[1]), NO_PATH)
-    np.maximum.at(merged, pair // len(hist), hist[pair % len(hist)])
+    # a maximum does not depend on order or repeats, so one row per run of
+    # equal source rows in a group will do; source rows never decrease in
+    # arrival order, so each run is a distinct source
+    src = src[perm]
+    run = new.copy()
+    run[1:] |= src[1:] != src[:-1]
+    merged = np.maximum.reduceat(hist[src[run]], np.flatnonzero(new[run]), axis=0)[order]
     return lane[head], weight, psi, merged
 
 
@@ -562,7 +557,9 @@ def _run_block(tables, psi, masks, d_w, oracle) -> tuple[np.ndarray, SegmentRuns
             np.add.at(sums, owner, w[halt])
             halts += np.bincount(owner, minlength=2 * lanes)
             # one maximum per (branch, kind) pair: maxima do not depend on order
-            pair = _distinct(2 * r_k[halt] + kind[halt])
+            seen = np.zeros(2 * len(hist), dtype=bool)
+            seen[2 * r_k[halt] + kind[halt]] = True
+            pair = np.flatnonzero(seen)
             np.maximum.at(halted, 2 * lane_of[pair // 2] + pair % 2, hist[pair // 2])
         rows = np.zeros((lanes, len(cs.kind)), dtype=bool)
         if not halt.all():
