@@ -15,19 +15,17 @@ compiled runner both run on the algorithm's own register, through
 `QueryAlgorithm.tables`) evaluates many inputs (lanes) at once, on arrays:
 per segment it stacks every branch of a block of lanes, sends each continuing
 outcome on collapsed and reset, and groups what a segment was sent by lane
-and bitwise state (one stable np.lexsort over integer key columns), summing
+and bitwise state (a stable np.lexsort on integer key columns), summing
 weights in arrival order with np.add.at, so a lane's result is bitwise the
 one it gets alone. A branch's history keeps, per number of resets, the most
-oracle calls of a path merged into it: a merged branch's row is the maximum
-over its distinct source branches' rows, shifted by one reset, so history
-rows are sent and merged per source branch, not per outcome. The engine
-reports every lane's results as arrays (SegmentRuns).
+oracle calls of a path merged into it: the maximum over its distinct source
+branches' rows, shifted one reset. The engine reports every lane's results
+as arrays (SegmentRuns).
 Plain algorithms are a single segment whose decision never continues.
 
 Validation (`validate_algorithm`) certifies every distinct operator object
 through its own `certify()` bound and checks each segment's table once,
-with array operations (kind codes and swaps once per distinct array pair);
-the tables are cached on the algorithm object.
+with array operations; the tables are cached on the algorithm object.
 Builders should reuse one operator (and measurement) instance wherever a
 schedule repeats it: validation certifies and the compiler lifts each
 distinct object once.
@@ -177,7 +175,7 @@ def _validated_decisions(alg: QueryAlgorithm) -> list[DecisionRows]:
     # keyed on identity, not describe(): some descriptions omit the matrix
     checked: set[int] = set()
     labels_of: dict[int, list] = {}      # per measurement object
-    passed: set = set()                  # (kind, swap) array pairs whose codes and swaps passed
+    passed: set = set()                  # (kind, swap) array ids checked
     rows = []
     for s, seg in enumerate(alg.segments):
         if len(seg.unitaries) < 1:
@@ -207,8 +205,7 @@ def _check_rows(rows: DecisionRows, labels: list, s: int, nseg: int, dim: int, p
     they are integer arrays with a row per label, every code is in KINDS,
     every continue targets a later segment, every swap is (-1, -1) or inside
     the register, and halting rows carry no swap or target. Codes and swaps
-    are checked once per (kind, swap) array pair, recorded in passed; the
-    targets, once per segment."""
+    are checked once per (kind, swap) array pair in passed."""
     n = len(labels)
     kind, nxt, swap = rows.kind, rows.next_segment, rows.swap
     shapes = [getattr(a, "shape", None) for a in (kind, nxt, swap)]
@@ -441,18 +438,15 @@ def run_segments(tables: list[CompiledSegment], psi: np.ndarray, masks: np.ndarr
     and sent on with its lane, weight and source branch. A continue only
     targets a later segment, so a segment has all it was sent when it
     starts: one branch per (lane, collapsed state) group, keyed bitwise
-    (-0.0 is not 0.0) on integer columns (lane, positions, value bit
-    patterns) grouped by one stable np.lexsort, lane-major and in
-    first-arrival order. Weights and masses are summed with np.add.at in
-    arrival order, as a run on the lane alone sums them. A branch's history
-    is a row over resets, the most oracle calls of a path with that many
-    (NO_PATH: none). Every outcome of a branch has its branch's row, so a
-    merged branch's row is the maximum over its distinct source branches'
-    rows, shifted by one reset, and a halting kind's row the maximum over
-    the distinct branches halting that way; a maximum over a lane's halting
-    paths of a function that grows with calls is one over its halted rows.
-    The first lane whose halting mass misses 1 by more than LOST_MASS
-    raises SpecError, labelled with name and lane_name(lane).
+    (-0.0 is not 0.0) on integer columns grouped by a stable np.lexsort,
+    lane-major in first-arrival order. Weights and masses are summed with
+    np.add.at in arrival order, as a run on the lane alone sums them. A
+    branch's history is a row over resets, the most oracle calls of a path
+    with that many (NO_PATH: none): a merged branch's row is the maximum
+    over its distinct source branches' rows, shifted one reset, so a maximum
+    over a lane's halting paths of a function that grows with calls is one
+    over its halted rows. The first lane whose halting mass misses 1 by more
+    than LOST_MASS raises SpecError, labelled with name and lane_name(lane).
     """
     block, nseg = max(1, LANE_CELLS // psi.shape[-1]), len(tables)
     parts = [SegmentRuns(np.zeros(0), np.zeros(0, np.int64), np.zeros((0, 2, nseg), np.int64),
@@ -472,14 +466,12 @@ def _enter(batches: list, dim: int):
     histories after the reset, one row per source branch. A branch is a
     (lane, collapsed state) group, keyed on the state's non-zero (position,
     bit pattern) entries in position order; branches are lane-major, each
-    lane's in the order of their first outcomes. A branch's history is the
-    maximum over its distinct source rows."""
+    lane's in the order of their first outcomes."""
     if len(batches) == 1:
         (lane, w, pos, vals, src, hist), = batches
     else:
         width = max(b[2].shape[1] for b in batches)
-        # each batch's source rows index its own histories: offset them
-        # into the concatenated ones
+        # offset each batch's source rows into the concatenated histories
         offsets = np.cumsum([0] + [len(b[5]) for b in batches[:-1]])
         lane, w, pos, vals, src, hist = (np.concatenate(col) for col in zip(*[
             (b[0], b[1], np.pad(b[2], ((0, 0), (0, width - b[2].shape[1])), constant_values=-1),
@@ -510,9 +502,8 @@ def _enter(batches: list, dim: int):
     pos, vals = pos[head], vals[head]
     on = pos >= 0
     psi[on.nonzero()[0], pos[on]] = vals[on]
-    # a maximum does not depend on order or repeats, so one row per run of
-    # equal source rows in a group will do; source rows never decrease in
-    # arrival order, so each run is a distinct source
+    # maxima ignore order and repeats: one row per run of equal sources in a
+    # group (sources never decrease in arrival order, so runs are distinct)
     src = src[perm]
     run = new.copy()
     run[1:] |= src[1:] != src[:-1]
@@ -556,7 +547,7 @@ def _run_block(tables, psi, masks, d_w, oracle) -> tuple[np.ndarray, SegmentRuns
             owner = (2 * lane_k + kind)[halt]
             np.add.at(sums, owner, w[halt])
             halts += np.bincount(owner, minlength=2 * lanes)
-            # one maximum per (branch, kind) pair: maxima do not depend on order
+            # one maximum per (branch, kind) pair: maxima ignore order
             seen = np.zeros(2 * len(hist), dtype=bool)
             seen[2 * r_k[halt] + kind[halt]] = True
             pair = np.flatnonzero(seen)
@@ -566,8 +557,7 @@ def _run_block(tables, psi, masks, d_w, oracle) -> tuple[np.ndarray, SegmentRuns
             cont = ~halt
             r_c, j_c = r_k[cont], j_k[cont]
             pos, vals = cs.collapse(psi, r_c, j_c, prob[r_c, j_c])
-            # a reset moves every history entry to one more reset; every
-            # outcome of a branch has its branch's row, so it is sent once
+            # a reset moves every history entry to one more reset; sent per branch
             after = np.full((len(hist), nseg), NO_PATH)
             after[:, 1:] = hist[:, :-1]
             batch = (lane_k[cont], w[cont], pos, vals, r_c)
