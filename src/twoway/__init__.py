@@ -31,12 +31,10 @@ from .boolfn import (
     ip_gadget,
     eq_language,
     ints_language,
-    rne_language,
     lifted_language,
     membership,
     parse_function,
     parse_gadget,
-    parse_language,
 )
 from .automata import (
     TwoWayDfa,

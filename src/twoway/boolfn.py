@@ -16,7 +16,10 @@ from dataclasses import dataclass, field
 from functools import reduce
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import InputError
+from .kernels import gadget_words
 
 Bits = tuple[int, ...]
 
@@ -51,11 +54,13 @@ def is_bit_matrix(bits, columns: int) -> bool:
 
 @dataclass(frozen=True)
 class BoolFunction:
-    """A total Boolean function on a fixed number of input bits."""
+    """A total Boolean function on a fixed number of input bits; on_rows
+    gives it on a bit matrix's rows (bool array), as lifted languages need."""
 
     name: str
     arity: int
     fn: Callable[[Bits], int]
+    on_rows: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, bits: Sequence[int] | str) -> int:
         return int(self.fn(as_bits(bits, self.arity)))
@@ -72,26 +77,22 @@ class BoolFunction:
 
 
 def or_fn(p: int) -> BoolFunction:
-    return BoolFunction(f"or:{p}", p, lambda bits: int(any(bits)))
+    return BoolFunction(f"or:{p}", p, lambda bits: int(any(bits)), lambda z: z.any(axis=1))
 
 
 def and_fn(p: int) -> BoolFunction:
-    return BoolFunction(f"and:{p}", p, lambda bits: int(all(bits)))
+    return BoolFunction(f"and:{p}", p, lambda bits: int(all(bits)), lambda z: z.all(axis=1))
 
 
 def xor_fn(p: int) -> BoolFunction:
-    return BoolFunction(f"xor:{p}", p, lambda bits: reduce(lambda a, b: a ^ b, bits, 0))
+    return BoolFunction(f"xor:{p}", p, lambda bits: reduce(lambda a, b: a ^ b, bits, 0),
+                        lambda z: z.sum(axis=1) % 2 == 1)
 
 
 def eval_ne(bits: Sequence[int] | str) -> int:
-    """Recursive not-all-equal function on 3^d bits.
-
-    Base: one bit, identity. Step: split into three equal blocks, recurse,
-    output 0 iff the three sub-values are all equal... which for bits means
-    the standard "not all three equal" on the sub-results.
-
-    Arity must be an exact power of 3; anything else is rejected.
-    """
+    """Recursive not-all-equal function on 3^d bits (any other arity is
+    rejected): one bit is itself; else split into three equal blocks,
+    recurse, and output 1 iff the three sub-values are not all equal."""
     b = as_bits(bits)
     size = len(b)
     if size == 1:
@@ -103,13 +104,21 @@ def eval_ne(bits: Sequence[int] | str) -> int:
     return int(not (sub[0] == sub[1] == sub[2]))
 
 
+def ne_rows(z: np.ndarray) -> np.ndarray:
+    """eval_ne on every row, bottom-up over consecutive triples."""
+    while z.shape[1] > 1:
+        t = z.reshape(len(z), -1, 3)
+        z = t.any(axis=2) & ~t.all(axis=2)
+    return z[:, 0] == 1
+
+
 def ne_fn(p: int) -> BoolFunction:
     q = p
     while q > 1:
         if q % 3 != 0:
             raise InputError(f"arity {p} is not a power of 3")
         q //= 3
-    return BoolFunction(f"ne:{p}", p, lambda bits: eval_ne(bits))
+    return BoolFunction(f"ne:{p}", p, lambda bits: eval_ne(bits), ne_rows)
 
 
 @dataclass(frozen=True)
@@ -195,9 +204,9 @@ PAYLOAD_ALPHABET = ("0", "1", HASH)
 class LanguageSpec:
     """A padded two-party language over {0,1,#} at a fixed size n.
 
-    kind is one of "lifted", "eq", "ints", "rne"; lifted carries the composed
-    function. ints and rne are fixed lifted families (or/ne over the 1-bit and
-    gadget); eq is string equality of the two sides.
+    kind is one of "lifted", "eq", "ints"; lifted carries the composed
+    function. ints is set intersection (or over the 1-bit and gadget); eq is
+    string equality of the two sides. value is the one-pair case of values.
     """
 
     kind: str
@@ -214,8 +223,6 @@ class LanguageSpec:
                 raise InputError(
                     f"composed function covers {self.composed.side_bits} bits per side, not {self.n}"
                 )
-        elif self.kind == "rne":
-            ne_fn(self.n)  # rejects non-powers-of-3
         elif self.kind not in ("eq", "ints"):
             raise InputError(f"unknown language kind {self.kind!r}")
 
@@ -238,15 +245,21 @@ class LanguageSpec:
         return x, y
 
     def value(self, x: Sequence[int] | str, y: Sequence[int] | str) -> int:
-        xv = as_bits(x, self.n)
-        yv = as_bits(y, self.n)
+        xv, yv = (np.array([as_bits(v, self.n)], dtype=np.uint8) for v in (x, y))
+        return int(self.values(xv, yv)[0])
+
+    def values(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Values of the pairs (xs[i], ys[i]) of two (rows x n) bit matrices
+        as a bool array; lifted: on_rows of the gadget words."""
+        if xs.shape != ys.shape or not (is_bit_matrix(xs, self.n) and is_bit_matrix(ys, self.n)):
+            raise InputError(f"expected two (rows x {self.n}) bit matrices")
         if self.kind == "eq":
-            return int(xv == yv)
+            return (xs == ys).all(axis=1)
         if self.kind == "ints":
-            return int(any(a & b for a, b in zip(xv, yv)))
-        if self.kind == "rne":
-            return eval_ne(tuple(a & b for a, b in zip(xv, yv)))
-        return compose_eval(self.composed, xv, yv)
+            return (xs & ys).any(axis=1)
+        f = self.composed
+        table = np.array(f.gadget.table(), dtype=np.uint8)
+        return f.outer.on_rows(gadget_words(xs, ys, f.gadget.width, table))
 
 
 def membership(lang: LanguageSpec, w: str) -> bool:
@@ -265,10 +278,6 @@ def eq_language(n: int) -> LanguageSpec:
 
 def ints_language(n: int) -> LanguageSpec:
     return LanguageSpec("ints", n)
-
-
-def rne_language(n: int) -> LanguageSpec:
-    return LanguageSpec("rne", n)
 
 
 def lifted_language(f: ComposedFunction) -> LanguageSpec:
@@ -306,18 +315,3 @@ def parse_gadget(ident: str) -> Gadget:
         except ValueError:
             raise InputError(f"bad gadget width in {ident!r}") from None
     raise InputError(f"unknown gadget id {ident!r}")
-
-
-def parse_language(ident: str) -> LanguageSpec:
-    """Language ids: eq:<n>, ints:<n>, rne:<n>, or composed `<fn>.<gadget>`
-    such as or:4.and1 or xor:2.ip:3."""
-    head, _, arg = ident.partition(":")
-    if head in ("eq", "ints", "rne") and arg and "." not in arg:
-        try:
-            return LanguageSpec(head, int(arg))
-        except ValueError:
-            raise InputError(f"bad size in {ident!r}") from None
-    if "." in ident:
-        fn_part, _, gadget_part = ident.partition(".")
-        return lifted_language(ComposedFunction(parse_function(fn_part), parse_gadget(gadget_part)))
-    raise InputError(f"unknown language id {ident!r}")

@@ -7,8 +7,9 @@ member/non-member samples beyond that.
 
 Every family's evaluator returns its row's runs as arrays in input order:
 the pairs as x and y bit matrices, and each pair's membership, acceptance
-probability, time, census and crossings, with the machine that ran them.
-One function, _row, makes the row of them. It checks every run against the
+probability, time, census and crossings, with the machine that ran them;
+membership is LanguageSpec.values of the row's language. One function,
+_row, makes the row of them. It checks every run against the
 protocol-extraction certificate (crossings * n <= T and transferred bits <=
 S * floor(T/n) + 1) in one certificate_check call, which raises the first
 failing run's error, and names the first pair of largest positive error as
@@ -136,23 +137,24 @@ def _pair_bits(lang: LanguageSpec, n: int, samples: int, seed):
     evenly between members and non-members, pair i being sample i.
     Sampling is constructive, not rejection based: a random pair is almost
     never an equality member (or an intersection non-member) once n is
-    large, so each class is built directly and then checked."""
+    large, so each class is built directly (a lifted sample of the wrong
+    class flips y at x's first 1, after every draw) and then checked."""
     if 1 << (2 * n) <= EXHAUSTIVE_LIMIT:
         # narrow indices: a row's 4^n pair indices live as long as its run
         values = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
         words = ((values[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
         return words, words, values.repeat(1 << n), np.tile(values, 1 << n)
     rng = random.Random(f"{seed}:{lang.name}:{n}")
-    pairs = []
-    for want in (1, 0):
-        for _ in range(samples):
-            x, y = _sample_pair(lang, n, rng, want)
-            if lang.value(x, y) != want:
-                raise SpecError(f"sampler produced the wrong class for {lang.name}")
-            pairs.append((x, y))
-    sides = np.array(pairs, dtype=np.uint8).reshape(-1, 2, n)
-    index = np.arange(len(pairs))
-    return sides[:, 0], sides[:, 1], index, index
+    index = np.arange(2 * samples)
+    want = index < samples
+    sides = np.array([_sample_pair(lang, n, rng, w) for w in want.tolist()], dtype=np.uint8)
+    xs, ys = sides[:, 0], sides[:, 1]
+    if lang.kind == "lifted":
+        wrong = np.flatnonzero(lang.values(xs, ys) != want)
+        ys[wrong, xs[wrong].argmax(axis=1)] ^= 1
+    if (lang.values(xs, ys) != want).any():
+        raise SpecError(f"sampler produced the wrong class for {lang.name}")
+    return xs, ys, index, index
 
 
 def _random_bits(rng: random.Random, n: int) -> list:
@@ -163,7 +165,8 @@ def _random_bits(rng: random.Random, n: int) -> list:
 
 
 def _sample_pair(lang: LanguageSpec, n: int, rng, want: int):
-    """One seeded (x, y) pair of bit lists with lang.value(x, y) == want."""
+    """One seeded (x, y) pair of bit lists of class want (lifted: x != 0;
+    _pair_bits fixes it)."""
     xb = _random_bits(rng, n)
     yb = _random_bits(rng, n)
     if lang.kind == "eq":
@@ -177,13 +180,8 @@ def _sample_pair(lang: LanguageSpec, n: int, rng, want: int):
             xb[i] = yb[i] = 1
         else:
             yb = [0 if a else b for a, b in zip(xb, yb)]
-    else:
-        # lifted f∘gadget: adjust one coordinate until the target value holds
-        if not any(xb):
-            xb[rng.randrange(n)] = 1
-        if lang.value(xb, yb) != want:
-            i = next(i for i, b in enumerate(xb) if b)
-            yb[i] ^= 1
+    elif not any(xb):
+        xb[rng.randrange(n)] = 1
     return xb, yb
 
 
@@ -254,8 +252,8 @@ def _dfa_runs(machine, x: np.ndarray, y: np.ndarray, regions,
             certificate_check(machine_space(machine), trace.steps, crossings, n)
             runs.accepted[i], runs.steps[i], runs.visited[i], runs.crossings[i] = (
                 trace.accepted_bit, trace.steps, trace.visited, crossings)
-    return (machine, x, y, (x == y).all(axis=1), runs.accepted, runs.steps, runs.visited,
-            runs.crossings)
+    return (machine, x, y, eq_language(n).values(x, y), runs.accepted, runs.steps,
+            runs.visited, runs.crossings)
 
 
 class _EqPfaFast:
@@ -372,7 +370,8 @@ def _eval_eq_pfa(n: int, samples: int, seed) -> tuple:
     from .handcrafted import build_eq_pfa
     machine = build_eq_pfa(n)
     fast = _EqPfaFast(n)
-    xs, ys, xi, yi = _pair_bits(eq_language(n), n, samples, seed)
+    lang = eq_language(n)
+    xs, ys, xi, yi = _pair_bits(lang, n, samples, seed)
     # census parts once per side word, gathered per pair; the y walk ends on
     # the y residues, and an exhaustive row's x words are its y words. A
     # sampled row pairs x word i with y word i, so only the x words that
@@ -387,32 +386,29 @@ def _eval_eq_pfa(n: int, samples: int, seed) -> tuple:
     visited = fast.shared + fast.x_census(xs)[xi] + r_census[yi]
     prob = (rx[xi] == ry[yi]).sum(axis=1) / fast.count
     x, y = xs[xi], ys[yi]
-    return (machine, x, y, (x == y).all(axis=1), prob,
+    return (machine, x, y, lang.values(x, y), prob,
             np.broadcast_to(fast.t_run, prob.shape), visited, np.broadcast_to(3, prob.shape))
 
 
-def _eval_compiled(alg_builder, n: int, samples: int, seed, lang, member) -> tuple:
-    """Every pair of the row through one run_compiled_lanes call; member(x, y)
-    is the language value of every pair of the bit matrices."""
+def _eval_compiled(alg_builder, n: int, samples: int, seed, lang) -> tuple:
+    """Every pair of the row of lang through one run_compiled_lanes call."""
     rep = compile_query_to_qcfa(alg_builder(n), and_gadget(), n)
     xs, ys, xi, yi = _pair_bits(lang, n, samples, seed)
     x, y = xs[xi], ys[yi]
     runs = run_compiled_lanes(rep, x, y)
-    return (rep.machine, x, y, member(x, y), runs.accept_probability, runs.t_max,
+    return (rep.machine, x, y, lang.values(x, y), runs.accept_probability, runs.t_max,
             runs.visited, runs.crossings_max)
 
 
 def _eval_grover_ints(n: int, samples: int, seed) -> tuple:
-    return _eval_compiled(grover_or, n, samples, seed, ints_language(n),
-                          lambda x, y: (x & y).any(axis=1))
+    return _eval_compiled(grover_or, n, samples, seed, ints_language(n))
 
 
 def _eval_parity_lifted(n: int, samples: int, seed) -> tuple:
     if n % 2:
         raise InputError("exact-parity-lifted needs even n")
-    lang = lifted_language(ComposedFunction(xor_fn(n), and_gadget()))
-    return _eval_compiled(exact_parity, n, samples, seed, lang,
-                          lambda x, y: (x & y).sum(axis=1) % 2 == 1)
+    return _eval_compiled(exact_parity, n, samples, seed,
+                          lifted_language(ComposedFunction(xor_fn(n), and_gadget())))
 
 
 FAMILIES = {

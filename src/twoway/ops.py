@@ -224,7 +224,9 @@ class DiffusionOp(Op):
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         grid = psi.reshape(*psi.shape[:-1], self.layout.index_dim, 2 * self.layout.work_dim)
-        mean = grid.mean(axis=-2, keepdims=True)
+        # ndarray.mean's sum and divide, minus its Python wrapper
+        mean = np.add.reduce(grid, axis=-2, keepdims=True)
+        mean /= self.layout.index_dim
         return (2.0 * mean - grid).reshape(psi.shape)
 
     def certify(self) -> float:

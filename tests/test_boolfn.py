@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from twoway.boolfn import (
@@ -21,8 +22,6 @@ from twoway.boolfn import (
     or_fn,
     parse_function,
     parse_gadget,
-    parse_language,
-    rne_language,
     xor_fn,
 )
 from twoway.errors import InputError
@@ -129,8 +128,8 @@ def test_ints_language_is_set_intersection():
     assert membership(lang, "0110####0100")
 
 
-def test_rne_language_pairwise_and_then_neighbours():
-    lang = rne_language(3)
+def test_lifted_ne_and1_is_pairwise_and_then_neighbours():
+    lang = lifted_language(ComposedFunction(ne_fn(3), and_gadget()))
     # z = x AND y bitwise, then recursive not-all-equal
     assert lang.value("110", "101") == eval_ne([1 & 1, 1 & 0, 0 & 1])
 
@@ -146,9 +145,6 @@ def test_parsers_round_trip():
     assert parse_function("or:3").arity == 3
     assert parse_gadget("and1").width == 1
     assert parse_gadget("ip:2").width == 2
-    assert parse_language("eq:5").kind == "eq"
-    lang = parse_language("xor:2.ip:2")
-    assert lang.kind == "lifted" and lang.n == 4
     with pytest.raises(InputError):
         parse_function("majority:3")
     with pytest.raises(InputError):
@@ -166,7 +162,8 @@ def test_as_bits_validates():
 
 @pytest.mark.parametrize("ident", ["xor:2.and1", "xor:2.ip:2"])
 def test_composed_values_validate_once_and_still_reject_malformed_sides(ident):
-    lang = parse_language(ident)
+    fn_id, _, gadget_id = ident.partition(".")
+    lang = lifted_language(ComposedFunction(parse_function(fn_id), parse_gadget(gadget_id)))
     f, n = lang.composed, lang.n
     m = f.gadget.width
 
@@ -189,3 +186,71 @@ def test_composed_values_validate_once_and_still_reject_malformed_sides(ident):
             with pytest.raises(InputError) as err:
                 call()
             assert str(err.value) == message
+
+
+def scalar_value(lang, x, y) -> int:
+    """A language's value on one pair by its scalar definition."""
+    if lang.kind == "eq":
+        return int(x == y)
+    if lang.kind == "ints":
+        return int(any(a & b for a, b in zip(x, y)))
+    return compose_eval(lang.composed, x, y)
+
+
+def languages(n):
+    """eq, ints and lifted or/and/xor over and1 (and ip:2 at even n)."""
+    out = [eq_language(n), ints_language(n)]
+    for gadget, width in ((and_gadget(), 1), (ip_gadget(2), 2)):
+        if n % width == 0:
+            out += [lifted_language(ComposedFunction(outer(n // width), gadget))
+                    for outer in (or_fn, and_fn, xor_fn)]
+    return out
+
+
+EXHAUSTIVE = [lang for n in (1, 2, 3, 4) for lang in languages(n)] + [
+    lifted_language(ComposedFunction(ne_fn(3), and_gadget()))]
+
+
+@pytest.mark.parametrize("lang", EXHAUSTIVE, ids=lambda lang: lang.name)
+def test_values_match_the_scalar_forms_on_every_pair(lang):
+    n = lang.n
+    words = list(itertools.product((0, 1), repeat=n))
+    xs = np.array([x for x in words for _ in words], dtype=np.uint8).reshape(-1, n)
+    ys = np.array(words * len(words), dtype=np.uint8).reshape(-1, n)
+    got = lang.values(xs, ys)
+    assert got.dtype == bool and got.shape == (len(words) ** 2,)
+    assert got.tolist() == [bool(scalar_value(lang, x, y))
+                            for x, y in zip(xs.tolist(), ys.tolist())]
+
+
+SEEDED = [lifted_language(ComposedFunction(ne_fn(9), and_gadget()))] + [
+    lang for n in (512, 1024) for lang in languages(n)]
+
+
+@pytest.mark.parametrize("lang", SEEDED, ids=lambda lang: lang.name)
+def test_values_match_the_scalar_forms_on_seeded_rows(lang):
+    # 64 random rows: 16 with y = x and 8 with x = y = all ones, so that eq
+    # and the lifted and have members, and 8 with y = not x, so that ints has
+    # non-members
+    n = lang.n
+    rng = np.random.default_rng(n)
+    xs, ys = rng.integers(0, 2, size=(2, 64, n), dtype=np.uint8)
+    ys[:16] = xs[:16]
+    xs[16:24] = ys[16:24] = 1
+    ys[24:32] = 1 - xs[24:32]
+    want = [bool(scalar_value(lang, x, y)) for x, y in zip(xs.tolist(), ys.tolist())]
+    assert lang.values(xs, ys).tolist() == want
+    assert [lang.value(x, y) for x, y in zip(xs.tolist(), ys.tolist())] == want
+
+
+@pytest.mark.parametrize("lang", [eq_language(4), ints_language(4),
+                                  lifted_language(ComposedFunction(xor_fn(2), ip_gadget(2)))],
+                         ids=lambda lang: lang.name)
+def test_values_reject_what_value_rejects(lang):
+    good = np.zeros((3, 4), dtype=np.uint8)
+    bad = good.copy()
+    bad[1, 2] = 2
+    for xs, ys in ((bad, good), (good, bad), (good[:, 1:], good[:, 1:]),
+                   (good, np.zeros((3, 5), dtype=np.uint8)), (good[0], good[0])):
+        with pytest.raises(InputError):
+            lang.values(xs, ys)

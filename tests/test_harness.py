@@ -27,7 +27,6 @@ from twoway.harness import (
     _EqPfaFast,
     _pair_bits,
     _random_bits,
-    _sample_pair,
     SweepRow,
     certificate_check,
     fit_scaling,
@@ -300,14 +299,13 @@ def test_sampled_rows_keep_their_draw_order():
     lambda n: lifted_language(ComposedFunction(xor_fn(n), and_gadget())),
 ])
 def test_sampler_hits_the_requested_class(lang_builder):
+    # a sampled row's first half are members and the rest non-members, by
+    # the one-pair value (_pair_bits fixes a lifted sample's class)
     n = 32
     lang = lang_builder(n)
-    rng = random.Random(7)
-    for want in (1, 0):
-        for _ in range(50):
-            x, y = _sample_pair(lang, n, rng, want)
-            assert len(x) == len(y) == n
-            assert lang.value(x, y) == want
+    xs, ys, _, _ = _pair_bits(lang, n, 50, 7)
+    assert xs.shape == ys.shape == (100, n)
+    assert [lang.value(x, y) for x, y in zip(xs.tolist(), ys.tolist())] == [1] * 50 + [0] * 50
 
 
 def test_random_bits_draw_what_randrange_draws():
