@@ -11,6 +11,7 @@ import pytest
 from twoway.automata import pfa_exact
 from twoway.boolfn import (
     ComposedFunction,
+    and_fn,
     and_gadget,
     bit_string,
     eq_language,
@@ -306,6 +307,13 @@ def test_sampler_hits_the_requested_class(lang_builder):
     xs, ys, _, _ = _pair_bits(lang, n, 50, 7)
     assert xs.shape == ys.shape == (100, n)
     assert [lang.value(x, y) for x, y in zip(xs.tolist(), ys.tolist())] == [1] * 50 + [0] * 50
+
+
+def test_a_sample_the_lifted_fix_cannot_reach_raises():
+    # a lifted and over 32 blocks: one flipped coordinate never makes a member
+    lang = lifted_language(ComposedFunction(and_fn(32), and_gadget()))
+    with pytest.raises(SpecError, match="sampler produced the wrong class for lifted"):
+        _pair_bits(lang, 32, 2, 0)
 
 
 def test_random_bits_draw_what_randrange_draws():
