@@ -42,13 +42,11 @@ from .automata import (
     TwoWayQcfa,
     RunTrace,
     ExactRunResult,
-    CostReport,
     run_dfa,
     run_pfa_sample,
     pfa_exact,
     qcfa_exact,
     qcfa_sample,
-    cost_report,
     dfa_from_table,
     pfa_from_table,
 )

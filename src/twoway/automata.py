@@ -43,7 +43,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -213,44 +213,6 @@ class ExactRunResult:
     origin_states: set = field(default_factory=set)
     time_bounded: bool = True          # False: cyclic chain, no worst-case time
     crossings_max: int | None = None   # only from run_compiled, which counts boundary crossings
-
-
-@dataclass
-class CostReport:
-    machine: str
-    inputs_evaluated: int
-    t_max: int
-    t_max_accepting: int
-    t_max_rejecting: int
-    s_declared: float
-    s_visited: float
-    ts: float
-    declared_bound: int
-    visited_count: int
-
-    @staticmethod
-    def from_runs(machine, t_acc: int, t_rej: int, visited: set, inputs: int) -> "CostReport":
-        t_max = max(t_acc, t_rej)
-        bound = machine.states.declared_bound
-        visited_count = len(visited)
-        s_declared = machine.qubits + math.log2(bound)
-        s_visited = machine.qubits + math.log2(max(1, visited_count))
-        if s_visited > s_declared:
-            raise SpecError(
-                f"visited census {visited_count} exceeds the declared bound {bound}"
-            )
-        return CostReport(
-            machine=machine.name,
-            inputs_evaluated=inputs,
-            t_max=t_max,
-            t_max_accepting=t_acc,
-            t_max_rejecting=t_rej,
-            s_declared=s_declared,
-            s_visited=s_visited,
-            ts=t_max * s_declared,
-            declared_bound=bound,
-            visited_count=visited_count,
-        )
 
 
 # --- the step walker -----------------------------------------------------------
@@ -853,41 +815,6 @@ def qcfa_sample(
 
     return _sample(machine, payload, register.transition, choose, cutoff, regions,
                    register)
-
-
-# --- aggregate accounting --------------------------------------------------------
-
-
-def cost_report(machine, payloads: Iterable[str], cutoff: int = DEFAULT_CUTOFF) -> CostReport:
-    """Measure worst-case time over the given inputs (all branches of exact
-    runs for stochastic machines) and the visited-state census."""
-    t_acc = 0
-    t_rej = 0
-    visited: set = set()
-    count = 0
-    for payload in payloads:
-        count += 1
-        if machine.kind == "2dfa":
-            trace = run_dfa(machine, payload, cutoff)
-            if trace.outcome == "accept":
-                t_acc = max(t_acc, trace.steps)
-            else:
-                t_rej = max(t_rej, trace.steps)
-            visited |= trace.origins
-        elif machine.kind in ("2pfa", "2qcfa"):
-            exact = pfa_exact if machine.kind == "2pfa" else qcfa_exact
-            res = exact(machine, payload, cutoff)
-            if not res.time_bounded:
-                raise UnsupportedStructureError(
-                    f"{machine.name}: run time is unbounded on {payload!r}, "
-                    "time-space accounting refused"
-                )
-            t_acc = max(t_acc, res.t_max_accepting)
-            t_rej = max(t_rej, res.t_max_rejecting)
-            visited |= res.origin_states
-        else:
-            raise InputError(f"unknown machine kind {machine.kind!r}")
-    return CostReport.from_runs(machine, t_acc, t_rej, visited, count)
 
 
 # --- explicit (table-backed) machines --------------------------------------------

@@ -13,7 +13,7 @@ so member strings have length exactly 3n.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -139,6 +139,14 @@ class Gadget:
             return tuple((v >> (self.width - 1 - j)) & 1 for j in range(self.width))
         return tuple(tuple(self.fn(unpack(a), unpack(b)) for b in range(size)) for a in range(size))
 
+    @cached_property
+    def flips(self) -> np.ndarray:
+        """table() as a read-only uint8 array, built once per gadget:
+        flips[c, v] = g(c, v), the cells an oracle pass flips."""
+        flips = np.array(self.table(), dtype=np.uint8)
+        flips.flags.writeable = False
+        return flips
+
 
 def eval_ip(a: Sequence[int] | str, b: Sequence[int] | str) -> int:
     """Inner product mod 2 of two equal-length bit vectors."""
@@ -258,8 +266,7 @@ class LanguageSpec:
         if self.kind == "ints":
             return (xs & ys).any(axis=1)
         f = self.composed
-        table = np.array(f.gadget.table(), dtype=np.uint8)
-        return f.outer.on_rows(gadget_words(xs, ys, f.gadget.width, table))
+        return f.outer.on_rows(gadget_words(xs, ys, f.gadget.width, f.gadget.flips))
 
 
 def membership(lang: LanguageSpec, w: str) -> bool:

@@ -13,8 +13,11 @@ The quantum register therefore has 2^m * k basis states (k = the algorithm's
 register dimension) and the classical control needs O(t*n) states for t
 oracle calls. Between passes only cache block 0 carries amplitude, so the
 row runner (run_compiled_lanes) evaluates the machine on the algorithm's
-own k-entry register; the step-level runners step the full one, whose
-segment tables are built on their first step.
+own k-entry register, through the algorithm's own segment tables. Lifting
+happens here alone: the step-level runners step the full register, on a
+per-segment view (the lifted unitaries and measurement, and each label's
+row in the algorithm's decision rows) built on its first step, with each
+reset lifted on its first use.
 """
 
 from __future__ import annotations
@@ -29,14 +32,23 @@ from .automata import ExactRunResult, StateSpace, TwoWayQcfa
 from .boolfn import Gadget, bit_string, is_bit_matrix
 from .errors import InputError, SpecError, UnsupportedStructureError
 from .kernels import flip_masks, gadget_words, oracle_masks, segment_pass
-from .ops import BRANCH_PRUNE, CacheFlipOp, GadgetFlipOp, IdentityOp
+from .ops import (
+    BRANCH_PRUNE,
+    BasisSwapOp,
+    CacheFlipOp,
+    CompleteMeasurement,
+    GadgetFlipOp,
+    IdentityOp,
+    LiftedOp,
+    Measurement,
+    Op,
+)
 from .qquery import (
     KIND_ACCEPT,
     KIND_CONTINUE,
     KIND_REJECT,
     QueryAlgorithm,
     run_segments,
-    segment_tables,
     validate_algorithm,
 )
 
@@ -74,21 +86,23 @@ class CompilationReport:
     time_bound: int                       # 8t(n+2) + 4(n+2)
     algorithm: QueryAlgorithm = field(repr=False, default=None)
     gadget: Gadget = field(repr=False, default=None)
-    # internals the runners and verify_segment_equivalence read; lifted
-    # returns the segments on the lifted register, built on first call
-    # (run_compiled_lanes runs algorithm.tables and never calls it)
-    lifted: Callable[[], list] = field(repr=False, default=None)
-    gflip: np.ndarray = field(repr=False, default=None)
-    k_alg: int = field(repr=False, default=0)
+    # what the step-level runners and verify_segment_equivalence step:
+    # lifted(s) is segment s on the lifted register, built on its first
+    # call (run_compiled_lanes runs algorithm.tables and never calls it),
+    # and reset(s, label) the lifted reset of that outcome (IdentityOp: none)
+    lifted: Callable[[int], "LiftedSegment"] = field(repr=False, default=None)
+    reset: Callable[[int, object], Op] = field(repr=False, default=None)
     cache_dim: int = field(repr=False, default=0)
-    d_w: int = field(repr=False, default=0)
-    p_pad: int = field(repr=False, default=0)
 
-    @property
-    def segments(self) -> list:
-        """The CompiledSegment of every segment on the lifted register, which
-        the step-level runners step."""
-        return self.lifted()
+
+class LiftedSegment(NamedTuple):
+    """One algorithm segment as the step-level runners step it on the
+    lifted register: its lifted unitaries, its lifted measurement, and
+    each label's row in the segment's decision rows (algorithm.decisions)."""
+
+    ops: list
+    measurement: Measurement
+    rows: dict
 
 
 def compile_query_to_qcfa(alg: QueryAlgorithm, gadget: Gadget, n: int) -> CompilationReport:
@@ -113,7 +127,6 @@ def compile_query_to_qcfa(alg: QueryAlgorithm, gadget: Gadget, n: int) -> Compil
     dim = cache_dim * k
     t = alg.total_calls
 
-    gflip = np.array(gadget.table(), dtype=np.uint8)
     identity = IdentityOp(dim)
 
     # the step-level runners' flip operators, built on first use (the
@@ -125,16 +138,45 @@ def compile_query_to_qcfa(alg: QueryAlgorithm, gadget: Gadget, n: int) -> Compil
 
     @cache
     def yflip(block, v):
-        flips = tuple(int(c) for c in range(cache_dim) if gflip[c, v])
+        flips = tuple(int(c) for c in range(cache_dim) if gadget.flips[c, v])
         return GadgetFlipOp(cache_dim, p_pad, d_w, block, flips)
 
-    # the lifted segment tables, built on the step-level runners' first use
+    # the lifted segments, each built on the step-level runners' first use
+    # of it: one lift per distinct operator and measurement object (both
+    # hash by identity)
     @cache
-    def lifted():
-        return segment_tables(alg, cache_dim)
+    def lift_op(u):
+        return identity if isinstance(u, IdentityOp) else LiftedOp(u, cache_dim)
+
+    @cache
+    def lift_measurement(meas):
+        # every outcome group repeats in each cache block, so labels are
+        # unchanged; a partition group is summed block by block, so block 0
+        # alone sums as the algorithm's own measurement does
+        labels, base = meas.labels(), np.arange(cache_dim, dtype=np.int64) * k
+        complete = isinstance(meas, CompleteMeasurement)
+        if complete:
+            groups = np.arange(k, dtype=np.int64)[:, None] + base
+        else:
+            groups = [(base[:, None] + meas.outcomes[label]).reshape(-1) for label in labels]
+        lifted_meas = Measurement(dim, dict(zip(labels, groups)), name=f"{meas.name}-lifted",
+                                  blocks=1 if complete else cache_dim)
+        return lifted_meas, {label: j for j, label in enumerate(labels)}
+
+    @cache
+    def lifted(si):
+        seg = alg.segments[si]
+        return LiftedSegment([lift_op(u) for u in seg.unitaries], *lift_measurement(seg.measurement))
+
+    @cache
+    def reset(a, b):
+        return LiftedOp(BasisSwapOp(k, a, b), cache_dim)
+
+    def reset_of(si, label):
+        a, b = decisions[si].swap[lifted(si).rows[label]].tolist()
+        return identity if a < 0 else reset(a, b)
 
     nseg = len(alg.segments)
-    # every lift of a segment shares its decision rows
     continue_counts = [int(np.count_nonzero(rows.kind == KIND_CONTINUE)) for rows in decisions]
 
     pass_states = 5 * n + 4 + p * (cache_dim - 1)
@@ -162,7 +204,7 @@ def compile_query_to_qcfa(alg: QueryAlgorithm, gadget: Gadget, n: int) -> Compil
     def theta(state, sym):
         tag = state[0]
         if tag == "u":
-            return lifted()[state[1]].ops[state[2]]
+            return lifted(state[1]).ops[state[2]]
         if tag == "x1" or tag == "x2":
             idx = state[3] - (tag == "x2")       # x2 reads position idx - 1
             return xflip(idx) if sym == "1" and idx >= 0 else identity
@@ -172,10 +214,9 @@ def compile_query_to_qcfa(alg: QueryAlgorithm, gadget: Gadget, n: int) -> Compil
                 return yflip(idx // m, (pref << 1) | (sym == "1"))
             return identity
         if tag == "meas":
-            return lifted()[state[1]].outcomes.lifted
+            return lifted(state[1]).measurement
         if tag == "rst":
-            cs = lifted()[state[1]]
-            return cs.reset_op(cs.row(state[2]))
+            return reset_of(state[1], state[2])
         return identity
 
     def step(state, sym):
@@ -217,19 +258,17 @@ def compile_query_to_qcfa(alg: QueryAlgorithm, gadget: Gadget, n: int) -> Compil
             nxt = ("ret", si, ui, j + 1) if j < 2 * n else ("u", si, ui + 1)
             return nxt, 1
         if tag == "rst":
-            cs = lifted()[si]
-            return ("u", int(cs.next_segment[cs.row(ui)]), 0), 0
+            return ("u", int(decisions[si].next_segment[lifted(si).rows[ui]]), 0), 0
         return None
 
     def step_measure(state, sym, label):
         if state[0] != "meas":
             return None
         si = state[1]
-        cs = lifted()[si]
-        j = cs.outcomes.rows.get(label)
+        j = lifted(si).rows.get(label)
         if j is None:
             return None
-        kind = cs.kind[j]
+        kind = decisions[si].kind[j]
         if kind == KIND_ACCEPT:
             return ACC, 0
         if kind == KIND_REJECT:
@@ -277,11 +316,8 @@ def compile_query_to_qcfa(alg: QueryAlgorithm, gadget: Gadget, n: int) -> Compil
         algorithm=alg,
         gadget=gadget,
         lifted=lifted,
-        gflip=gflip,
-        k_alg=k,
+        reset=reset_of,
         cache_dim=cache_dim,
-        d_w=d_w,
-        p_pad=p_pad,
     )
 
 
@@ -384,7 +420,7 @@ def run_compiled_lanes(report: CompilationReport, x: np.ndarray,
     if not (is_bit_matrix(x, report.n) and is_bit_matrix(y, report.n)) or y.shape != x.shape:
         raise InputError(f"sides must be bit matrices of {report.n} columns")
     alg = report.algorithm
-    masks = oracle_masks(gadget_words(x, y, report.m, report.gflip), alg.layout.index_dim)
+    masks = oracle_masks(gadget_words(x, y, report.m, report.gadget.flips), alg.layout.index_dim)
     tables = alg.tables
     runs = run_segments(tables, alg.initial_state(), masks, alg.layout.work_dim,
                         report.machine.name, lambda i: f"{bit_string(x[i])}|{bit_string(y[i])}",
@@ -416,9 +452,11 @@ def verify_segment_equivalence(
 
     Both sides are advanced along the canonical continue path: at every
     intermediate measurement both registers take the first continuing row
-    of largest probability in the algorithm's own table (alg.tables) and
-    collapse and reset through their segment tables. When no continuing
-    row carries probability (possible for one-sided runs that already
+    of largest probability in the algorithm's own table (alg.tables). The
+    algorithm side collapses and resets through that table; the machine
+    side through its own lifted measurement (Measurement.branches) and
+    lifted reset, which qcfa_exact routes with. When no continuing row
+    carries probability (possible for one-sided runs that already
     succeeded with certainty), both take the basis state of the lowest
     continuing row. The machine state is compared against (algorithm
     state) in the zero-cache block, zero everywhere else.
@@ -426,10 +464,9 @@ def verify_segment_equivalence(
     if j < 0 or j > alg.total_calls:
         raise InputError(f"segment index {j} outside [0, {alg.total_calls}]")
     xb, yb = _split_sides(report, x, y)
-    k = report.k_alg
-    flip = np.nonzero(flip_masks(xb, yb, report.m, report.gflip, report.p_pad))
-    marked = np.nonzero(oracle_masks(gadget_words(xb, yb, report.m, report.gflip),
-                                     alg.layout.index_dim))
+    layout, gflip = alg.layout, report.gadget.flips
+    flip = np.nonzero(flip_masks(xb, yb, report.m, gflip, layout.index_dim))
+    marked = np.nonzero(oracle_masks(gadget_words(xb, yb, report.m, gflip), layout.index_dim))
 
     phi = alg.initial_state()
     psi = np.zeros(report.quantum_basis_count, dtype=np.complex128)
@@ -438,25 +475,22 @@ def verify_segment_equivalence(
     calls_done = 0
     si = 0
     while True:
-        ta, tm = alg.tables[si], report.segments[si]
+        ta, tm = alg.tables[si], report.lifted(si)
         for ui in range(len(tm.ops)):
             if ui > 0:
-                segment_pass(phi[None], marked, alg.layout.work_dim)
-                segment_pass(psi[None], flip, report.d_w)
+                segment_pass(phi[None], marked, layout.work_dim)
+                segment_pass(psi[None], flip, layout.work_dim)
                 calls_done += 1
             phi = ta.ops[ui].apply(phi)
             psi = tm.ops[ui].apply(psi)
             if calls_done == j:
-                return _deviation(psi, phi, k)
+                return _deviation(psi, phi, layout.dim)
         # j lies beyond this segment: cross its measurement canonically
         prob = ta.outcomes.weights(phi[None])[0]
-        prob_m = tm.outcomes.weights(psi[None])[0]
         live = np.flatnonzero(ta.continues & (prob > BRANCH_PRUNE))
         if live.size:
             row = int(live[prob[live].argmax()])          # argmax: the first maximum
-            if prob_m[row] <= BRANCH_PRUNE:
-                raise SpecError("continuing outcome lost on the machine side")
-            p_alg, p_machine = prob[row], prob_m[row]
+            p_alg = prob[row]
         else:
             if not ta.outcomes.complete:
                 raise UnsupportedStructureError(
@@ -469,8 +503,13 @@ def verify_segment_equivalence(
             row = int(rows[0])
             phi, psi = np.zeros_like(phi), np.zeros_like(psi)
             phi[row] = psi[row] = 1.0
-            p_alg = p_machine = 1.0
-        phi, psi = _collapse(ta, phi, row, p_alg), _collapse(tm, psi, row, p_machine)
+            p_alg = 1.0
+        label = ta.outcomes.labels[row]
+        psi = next((c for lab, _, c in tm.measurement.branches(psi) if lab == label), None)
+        if psi is None:
+            raise SpecError("continuing outcome lost on the machine side")
+        phi = _collapse(ta, phi, row, p_alg)
+        psi = report.reset(si, label).apply(psi)
         si = int(ta.next_segment[row])
 
 

@@ -53,7 +53,6 @@ from .ops import (
     IdentityOp,
     IndexPairHOp,
     IndexPermOp,
-    LiftedOp,
     Measurement,
     Op,
     PrepReflectOp,
@@ -152,9 +151,9 @@ class QueryAlgorithm:
 
     @cached_property
     def tables(self) -> list[CompiledSegment]:
-        """The segments' decision tables on the algorithm's own register,
-        built (after validation) on first use."""
-        return segment_tables(self, 1)
+        """The segments' decision tables, built (after validation) on
+        first use."""
+        return segment_tables(self)
 
 
 def validate_algorithm(alg: QueryAlgorithm) -> list[DecisionRows]:
@@ -234,100 +233,70 @@ def _check_rows(rows: DecisionRows, labels: list, s: int, nseg: int, dim: int, p
     passed.add(pair)
 
 
-class _LiftedOutcomes:
-    """An algorithm measurement over the register lifted by cache_dim blocks
-    (1: the algorithm's own register), built once per distinct measurement
-    object: its possible labels, their rows, and the lifted basis positions
-    of every outcome group. Outcome groups simply repeat in every cache
-    block, so labels are unchanged."""
+class _Outcomes:
+    """An algorithm measurement's possible labels and the basis indices of
+    every outcome group, built once per distinct measurement object."""
 
-    def __init__(self, meas: Measurement, cache_dim: int, k: int):
-        self.meas = meas
-        self.cache_dim = cache_dim
-        self.k = k
+    def __init__(self, meas: Measurement):
         self.labels = meas.labels()
         self.complete = isinstance(meas, CompleteMeasurement)
-        lift = np.arange(cache_dim, dtype=np.int64) * k
         if self.complete:
-            # one (labels x cache_dim) array: row a is basis index a per block
-            self.groups = np.arange(k, dtype=np.int64)[:, None] + lift
+            # one (labels x 1) array: row a is basis index a
+            self.groups = np.arange(meas.dim, dtype=np.int64)[:, None]
         else:
-            self.groups = [(lift[:, None] + meas.outcomes[label]).reshape(-1)
-                           for label in self.labels]
-
-    @cached_property
-    def rows(self) -> dict:
-        """label -> row, for the step-level runners."""
-        return {label: j for j, label in enumerate(self.labels)}
-
-    @cached_property
-    def lifted(self) -> Measurement:
-        """The lifted measurement itself, for the step-level runners."""
-        return Measurement(self.cache_dim * self.k, dict(zip(self.labels, self.groups)),
-                           name=f"{self.meas.name}-lifted",
-                           blocks=1 if self.complete else self.cache_dim)
+            self.groups = [meas.outcomes[label] for label in self.labels]
 
     def weights(self, psi: np.ndarray) -> np.ndarray:
         """(states, rows): the probability of every row's outcome in every
-        state of a stack, summed per group in the same order as the lifted
-        measurement sums it, whatever the stack's height: a partition group
-        as one pairwise sum per cache block, then the blocks' sums."""
+        state of a stack, a partition group as one pairwise sum whatever
+        the stack's height."""
         w2 = np.abs(psi) ** 2
         if self.complete:
-            if self.cache_dim == 1:
-                return w2                  # one term per group
-            grid = w2.reshape(len(w2), self.cache_dim, self.k)
-            return np.ascontiguousarray(grid.transpose(0, 2, 1)).sum(axis=2)
+            return w2                      # one term per group
         # take, not w2[:, g]: that copy is F-ordered, and a stack of two or
         # more states would sum it sequentially, one alone pairwise
-        parts = [w2.take(g, axis=1) for g in self.groups]
-        if self.cache_dim > 1:             # each cache block's own sum, then theirs
-            parts = [p.reshape(len(w2), self.cache_dim, -1).sum(axis=2) for p in parts]
-        return np.stack([p.sum(axis=1) for p in parts], axis=1)
+        return np.stack([w2.take(g, axis=1).sum(axis=1) for g in self.groups], axis=1)
 
 
-def _transposed(pos: np.ndarray, a, b, k: int) -> np.ndarray:
-    """Lifted positions pos after exchanging algorithm basis indices a and b
-    in every cache block (a = b = -1 leaves them)."""
-    inner = pos % k
-    return pos - inner + np.where(inner == a, b, np.where(inner == b, a, inner))
+def _transposed(pos: np.ndarray, a, b) -> np.ndarray:
+    """Basis positions pos after exchanging basis indices a and b (a = b =
+    -1 leaves them)."""
+    return np.where(pos == a, b, np.where(pos == b, a, pos))
 
 
-def _routes(outcomes: _LiftedOutcomes, rows: DecisionRows):
-    """The src/dst positions (see CompiledSegment) of a lifted measurement
-    under one kind and swap array."""
-    k = outcomes.k
+def _routes(outcomes: _Outcomes, rows: DecisionRows):
+    """The src/dst positions (see CompiledSegment) of a measurement under
+    one kind and swap array."""
     if outcomes.complete:
-        # one group position per block, so every row stays ascending
+        # one group position per row, so every row stays ascending
         src = outcomes.groups
-        return src, _transposed(src, rows.swap[:, :1], rows.swap[:, 1:], k)
+        return src, _transposed(src, rows.swap[:, :1], rows.swap[:, 1:])
     # one row per label, padded with -1 to the widest group; only continuing
     # rows collapse, so only they are filled
     src = np.full((len(outcomes.groups), max(map(len, outcomes.groups))), -1, dtype=np.int64)
     dst = src.copy()
     for j in np.flatnonzero(rows.kind == KIND_CONTINUE).tolist():
         g = outcomes.groups[j]
-        moved = _transposed(g, *rows.swap[j].tolist(), k)
+        moved = _transposed(g, *rows.swap[j].tolist())
         order = np.argsort(moved, kind="stable")
         src[j, :len(g)], dst[j, :len(g)] = g[order], moved[order]
     return src, dst
 
 
 class CompiledSegment:
-    """One algorithm segment on the lifted register, fixed before any run.
+    """One algorithm segment on its own register, fixed before any run.
 
-    ops are the lifted unitaries; kind, next_segment and swap are
-    the segment's decision rows, shared by every lift; targets are the
-    distinct segments it continues to.
-    src[j] and dst[j] are the lifted positions of continuing outcome j's
-    group before and after its reset, both ordered by dst: rows of one
-    (labels x width) array each, cache_dim wide for a complete measurement
-    and padded with -1 past a partition group. src and dst come from
-    _routes and are shared by every segment with the same lifted
-    measurement, kind array and swap array.
+    ops are the segment's unitaries; kind and next_segment are its decision
+    rows; targets are the distinct segments it continues to.
+    src[j] and dst[j] are the positions of continuing outcome j's group
+    before and after its reset, both ordered by dst: rows of one
+    (labels x width) array each, one wide for a complete measurement and
+    padded with -1 past a partition group. src and dst come from _routes
+    and are shared by every segment with the same measurement, kind array
+    and swap array.
     """
 
-    def __init__(self, ops: list, outcomes: _LiftedOutcomes, rows: DecisionRows, routes):
+    def __init__(self, ops, outcomes: _Outcomes, rows: DecisionRows, routes):
         self.ops = ops
         self.calls = len(ops) - 1
         self.outcomes = outcomes
@@ -336,8 +305,6 @@ class CompiledSegment:
         self.src, self.dst = routes
         self.next_segment = rows.next_segment
         self.targets = np.flatnonzero(np.bincount(rows.next_segment[self.continues])).tolist()
-        self.swap = rows.swap
-        self._resets: dict = {}
 
     def collapse(self, psi: np.ndarray, r: np.ndarray, j: np.ndarray, probs: np.ndarray):
         """(positions, values) of the collapsed, reset state of row j's
@@ -350,47 +317,25 @@ class CompiledSegment:
             vals[pos < 0] = 0
         return pos, vals
 
-    def row(self, label) -> int:
-        return self.outcomes.rows[label]
 
-    def reset_op(self, j: int) -> Op:
-        """Row j's lifted reset, for the step-level runners (built on use)."""
-        op = self._resets.get(j)
-        if op is None:
-            (a, b), k, blocks = self.swap[j].tolist(), self.outcomes.k, self.outcomes.cache_dim
-            op = (IdentityOp(k * blocks) if a < 0
-                  else LiftedOp(BasisSwapOp(k, a, b), blocks))
-            self._resets[j] = op
-        return op
+def segment_tables(alg: QueryAlgorithm) -> list[CompiledSegment]:
+    """The decision table of every segment of an algorithm, from the
+    decision rows validation cached on it (validating it first if it was
+    not). Each distinct measurement object is tabled once, and each
+    distinct (measurement, kind, swap) triple routed once."""
+    built: dict = {}
 
-
-def segment_tables(alg: QueryAlgorithm, cache_dim: int) -> list[CompiledSegment]:
-    """The decision table of every segment of an algorithm on its register
-    lifted by cache_dim blocks (1: the register itself), from the decision
-    rows validation cached on it (validating it first if it was not). Each
-    distinct operator and measurement object is lifted once, and each
-    distinct (lifted measurement, kind, swap) triple routed once."""
-    k = alg.layout.dim
-    identity = IdentityOp(cache_dim * k)
-    lifted: dict = {}
-
-    def lift(key, make, *args):
-        hit = lifted.get(key)
+    def once(key, make, *args):
+        hit = built.get(key)
         if hit is None:
-            hit = lifted[key] = make(*args)
+            hit = built[key] = make(*args)
         return hit
-
-    def lift_op(u: Op) -> Op:
-        if cache_dim == 1:
-            return u
-        return identity if isinstance(u, IdentityOp) else LiftedOp(u, cache_dim)
 
     tables = []
     for seg, rows in zip(alg.segments, alg.decisions):
-        outcomes = lift(id(seg.measurement), _LiftedOutcomes, seg.measurement, cache_dim, k)
-        routes = lift((id(outcomes), id(rows.kind), id(rows.swap)), _routes, outcomes, rows)
-        tables.append(CompiledSegment([lift(id(u), lift_op, u) for u in seg.unitaries],
-                                      outcomes, rows, routes))
+        outcomes = once(id(seg.measurement), _Outcomes, seg.measurement)
+        routes = once((id(outcomes), id(rows.kind), id(rows.swap)), _routes, outcomes, rows)
+        tables.append(CompiledSegment(seg.unitaries, outcomes, rows, routes))
     return tables
 
 
@@ -589,10 +534,9 @@ def run_query_alg_lanes(alg: QueryAlgorithm, words: np.ndarray) -> list[float]:
     """Exact acceptance probability on every input word, given as a bit
     matrix (one row of alg.arity bits per lane).
 
-    The schedule runs through run_segments on the algorithm's own register
-    (the lift-factor-1 case of the compiled runner), with a plain oracle
-    call as the oracle; the algorithm is validated and its tables are built
-    on its first run.
+    The schedule runs through run_segments on the algorithm's own register,
+    as the compiled runner runs it, with a plain oracle call as the oracle;
+    the algorithm is validated and its tables are built on its first run.
     """
     if not is_bit_matrix(words, alg.arity):
         raise InputError(f"input words must be a bit matrix of {alg.arity} columns")

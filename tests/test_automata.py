@@ -13,7 +13,6 @@ from twoway.automata import (
     ExactRunResult,
     TwoWayQcfa,
     StateSpace,
-    cost_report,
     dfa_from_table,
     pfa_exact,
     pfa_from_table,
@@ -472,24 +471,12 @@ def test_qcfa_exact_and_sample_on_a_hadamard_coin():
     assert qcfa_sample(m, "0", seed=1).outcome in ("accept", "reject")
 
 
-def test_cost_report_census_and_bounds():
-    rep = cost_report(sweep_dfa(), ["000", "010"])
-    assert rep.t_max == 5
-    assert rep.inputs_evaluated == 2
-    assert rep.visited_count == 1 and rep.visited_count <= rep.declared_bound
-    assert rep.ts == rep.t_max * rep.s_declared
-
-
-def test_cost_report_rejects_census_overflow():
-    # machine declares fewer states than a run visits
-    table = {
-        ("a", "¢"): ("b", 1),
-        ("b", "0"): ("yes", 0),
-    }
-    m = dfa_from_table("tiny", table, "a", {"yes"}, set())
-    object.__setattr__(m.states, "declared_bound", 1)
-    with pytest.raises(SpecError):
-        cost_report(m, ["0"])
+def test_sweep_dfa_census_and_time():
+    m = sweep_dfa()
+    traces = [run_dfa(m, w) for w in ("000", "010")]
+    assert max(t.steps for t in traces) == 5
+    visited = frozenset().union(*(t.origins for t in traces))
+    assert len(visited) == 1 and len(visited) <= m.states.declared_bound
 
 
 def test_payload_alphabet_validated():

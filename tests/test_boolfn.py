@@ -7,6 +7,7 @@ import pytest
 
 from twoway.boolfn import (
     ComposedFunction,
+    Gadget,
     and_fn,
     and_gadget,
     as_bits,
@@ -158,6 +159,28 @@ def test_as_bits_validates():
         as_bits("01x")
     with pytest.raises(InputError):
         as_bits("011", length=4)
+
+
+def test_a_gadget_table_is_built_once_per_gadget():
+    # values reads one cached table: two calls over ip:2 (4 x 4 entries)
+    # call the gadget at most 16 times, and compiling over it adds none
+    from twoway.compiler import compile_query_to_qcfa
+    from twoway.qquery import grover_or
+
+    calls = []
+    ip = ip_gadget(2)
+    g = Gadget(ip.name, ip.width, lambda a, b: calls.append((a, b)) or ip.fn(a, b))
+    lang = lifted_language(ComposedFunction(xor_fn(4), g))
+    rng = np.random.default_rng(2)
+    x, y = (rng.integers(0, 2, (8, lang.n), dtype=np.uint8) for _ in "xy")
+    want = [compose_eval(lang.composed, a, b) == 1 for a, b in zip(x.tolist(), y.tolist())]
+    calls.clear()
+    assert lang.values(x, y).tolist() == lang.values(x, y).tolist() == want
+    assert 0 < len(calls) <= 16
+    built = len(calls)
+    compile_query_to_qcfa(grover_or(4), g, lang.n)
+    assert len(calls) == built
+    assert not g.flips.flags.writeable
 
 
 @pytest.mark.parametrize("ident", ["xor:2.and1", "xor:2.ip:2"])

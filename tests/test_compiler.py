@@ -50,7 +50,6 @@ from twoway.qquery import (
     per_outcome,
     run_query_alg,
     run_query_alg_lanes,
-    segment_tables,
 )
 from twoway.serialize import algorithm_to_json
 
@@ -96,13 +95,13 @@ def test_declared_state_bound_formula():
     for alg, n in ((grover_or(4), 4), (exact_parity(4), 4), (grover_or(8), 8)):
         rep = compile_query_to_qcfa(alg, and_gadget(), n)
         assert rep.declared_states <= 8 * rep.t * (n + 2) + 4 * (n + 2)
-        assert rep.quantum_basis_count == (1 << rep.m) * rep.k_alg
+        assert rep.quantum_basis_count == (1 << rep.m) * rep.algorithm.layout.dim
 
 
 def test_lifted_tables_are_built_on_the_first_step_and_move_no_count():
     # compiling and a sweep row read only the algorithm's decision rows and
-    # tables; the declared bound and the continue counts are the ones the
-    # lifted tables give, which a step-level run builds
+    # tables; the declared bound and the continue counts are the ones those
+    # rows give, and a step-level run lifts each segment it enters
     cases = ((grover_or(4), 4), (exact_parity(4), 4), (grover_or(8), 8),
              (exact_parity(64), 64), (grover_or(256), 256))
     for alg, n in cases:
@@ -110,16 +109,18 @@ def test_lifted_tables_are_built_on_the_first_step_and_move_no_count():
         bits = np.zeros((2, n), dtype=np.uint8)
         run_compiled_lanes(rep, bits, bits)
         assert rep.lifted.cache_info().currsize == 0
-        lifted = segment_tables(alg, rep.cache_dim)
-        counts = [int(np.count_nonzero(cs.kind == KIND_CONTINUE)) for cs in lifted]
+        counts = [int(np.count_nonzero(cs.kind == KIND_CONTINUE)) for cs in alg.tables]
         assert [row["continue_labels"] for row in rep.phase_table[1:]] == counts
         pass_states = 5 * n + 4 + rep.p * (rep.cache_dim - 1)
         assert rep.declared_states == (3 * n + 1) + rep.t * pass_states + sum(
             2 + r for r in counts) + 2
         if n <= 8:
+            # x AND y = 0: grover_or continues through every round
             qcfa_exact(rep.machine, payload("0" * n, "0" * n))
-            assert rep.lifted.cache_info().currsize == 1
-            assert [len(cs.ops) for cs in rep.segments] == [len(cs.ops) for cs in lifted]
+            nseg = len(alg.segments)
+            assert rep.lifted.cache_info().currsize == nseg
+            assert [len(rep.lifted(s).ops) for s in range(nseg)] == \
+                [len(seg.unitaries) for seg in alg.segments]
 
 
 def test_compiled_probability_matches_algorithm_exhaustively():
@@ -191,7 +192,7 @@ def test_row_runner_equals_per_pair_runs(monkeypatch, alg, gadget, n):
     pairs = [run_compiled(rep, "".join(map(str, a)), "".join(map(str, b)))
              for a, b in zip(x.tolist(), y.tolist())]
     want = {f: [getattr(r, f) for r in pairs] for f in CompiledRuns._fields}
-    dim = rep.k_alg                        # the engine runs the algorithm's register
+    dim = rep.algorithm.layout.dim         # the engine runs the algorithm's register
     for cells in (1, 3 * dim, len(x) * dim, twoway.qquery.LANE_CELLS):
         monkeypatch.setattr(twoway.qquery, "LANE_CELLS", cells)
         runs = run_compiled_lanes(rep, x, y)
@@ -233,7 +234,7 @@ def test_lost_mass_names_the_first_failing_pair(monkeypatch):
     first = [("".join(map(str, a)), "".join(map(str, b)))
              for a, b in zip(x.tolist(), y.tolist())].index((fx, fy))
     for lanes in (len(x), first // 2 + 1):
-        monkeypatch.setattr(twoway.qquery, "LANE_CELLS", lanes * rep.k_alg)
+        monkeypatch.setattr(twoway.qquery, "LANE_CELLS", lanes * rep.algorithm.layout.dim)
         with pytest.raises(SpecError) as row:
             run_compiled_lanes(rep, x, y)
         assert str(row.value) == message
@@ -286,7 +287,7 @@ def test_flip_operators_are_built_on_first_step_level_use(monkeypatch):
 def test_flip_operators_keep_their_parameters_on_a_wide_gadget():
     n, m = 4, 2                            # blocks of 2 bits, cache_dim 4
     rep = compile_query_to_qcfa(exact_parity(2), ip_gadget(2), n)
-    theta, p_pad, d_w = rep.machine.theta, 2, rep.d_w
+    theta, p_pad, d_w = rep.machine.theta, 2, rep.algorithm.layout.work_dim
     for idx in range(n):
         want = CacheFlipOp(4, p_pad, d_w, idx // m, 1 << (m - 1 - idx % m)).describe()
         assert theta(("x1", 0, 1, idx), "1").describe() == want
@@ -294,7 +295,7 @@ def test_flip_operators_keep_their_parameters_on_a_wide_gadget():
         assert theta(("x1", 0, 1, idx), "0") is theta(("x2", 0, 1, 0), "¢")
     for pref, bit in itertools.product(range(2), "01"):
         v = (pref << 1) | (bit == "1")
-        flips = tuple(c for c in range(4) if rep.gflip[c, v])
+        flips = tuple(c for c in range(4) if rep.gadget.flips[c, v])
         want = GadgetFlipOp(4, p_pad, d_w, 1, flips).describe()
         assert theta(("y", 0, 1, 3, pref), bit).describe() == want
 
@@ -308,14 +309,42 @@ def test_grover_rounds_share_their_routing(monkeypatch):
 
     monkeypatch.setattr(twoway.qquery, "_transposed", counting)
     n = 4096
-    rep = compile_query_to_qcfa(grover_or(n), and_gadget(), n)
-    assert not calls                       # the lifted tables wait for their first use
-    first, second, last = rep.segments[1], rep.segments[2], rep.segments[-1]
+    alg = grover_or(n)
+    compile_query_to_qcfa(alg, and_gadget(), n)
+    assert not calls                       # the tables wait for their first use
+    first, second, last = alg.tables[1], alg.tables[2], alg.tables[-1]
     assert len(calls) == 2                 # the non-last rounds and the last
     assert second.dst is first.dst and second.src is first.src
     assert second.kind is first.kind
     assert last.dst is not first.dst
     assert not np.array_equal(second.next_segment, first.next_segment)
+
+
+def test_grover_rounds_share_their_lifts(monkeypatch):
+    # every lifted segment reuses the one lift of each distinct operator and
+    # measurement object; a reset is lifted on its first use, once per
+    # distinct swap, and a row without one is the identity
+    n = 64
+    alg = grover_or(n)
+    rep = compile_query_to_qcfa(alg, and_gadget(), n)
+    built = []
+
+    def counting(self, *args, _init=BasisSwapOp.__init__):
+        built.append(args)
+        _init(self, *args)
+    monkeypatch.setattr(BasisSwapOp, "__init__", counting)
+    first, second, last = rep.lifted(1), rep.lifted(2), rep.lifted(len(alg.segments) - 1)
+    assert second.measurement is first.measurement is last.measurement
+    assert second.rows is first.rows
+    assert first.ops[-1] is second.ops[-1] and isinstance(first.ops[-1], IdentityOp)
+    assert first.measurement.dim == rep.quantum_basis_count
+    assert not built
+    canon = alg.layout.flat(0, 0, 0)
+    assert rep.reset(1, 4) is rep.reset(2, 4)          # answer 0 continues, swapped
+    assert built == [(alg.layout.dim, 4, canon)]
+    assert rep.reset(1, 4) is not rep.reset(1, 6)
+    assert isinstance(rep.reset(1, alg.layout.flat(0, 1, 0)), IdentityOp)   # answer 1 accepts
+    assert len(built) == 2
 
 
 def test_generic_runner_time_within_declared_budget():

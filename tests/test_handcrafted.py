@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from twoway.automata import cost_report, pfa_exact, run_dfa, run_pfa_sample
+from twoway.automata import pfa_exact, run_dfa, run_pfa_sample
 from twoway.boolfn import HASH, eq_language, membership
 from twoway.errors import InputError
 from twoway.handcrafted import (
@@ -76,9 +76,11 @@ def test_eq_dfa_rejects_malformed_payloads():
 
 def test_eq_dfa_census_within_declared_bound():
     n = 3
-    rep = cost_report(build_eq_dfa(n), [payload(x, y) for x, y in all_pairs(n)])
-    assert rep.visited_count <= rep.declared_bound
-    assert rep.t_max == 3 * n + 2
+    m = build_eq_dfa(n)
+    traces = [run_dfa(m, payload(x, y)) for x, y in all_pairs(n)]
+    visited = frozenset().union(*(t.origins for t in traces))
+    assert len(visited) <= m.states.declared_bound
+    assert max(t.steps for t in traces) == 3 * n + 2
 
 
 def frozen_residue_prob(n, x, y):
@@ -148,9 +150,11 @@ def test_eq_pfa_branches_once_per_prime_and_samples_reproducibly():
 
 def test_eq_pfa_census_within_declared_bound():
     n = 2
-    rep = cost_report(build_eq_pfa(n),
-                      [payload(x, y) for x, y in all_pairs(n)])
-    assert rep.visited_count <= rep.declared_bound
+    m = build_eq_pfa(n)
+    runs = [pfa_exact(m, payload(x, y)) for x, y in all_pairs(n)]
+    assert all(r.time_bounded for r in runs)
+    visited = set().union(*(r.origin_states for r in runs))
+    assert len(visited) <= m.states.declared_bound
 
 
 def test_side_length_validation():

@@ -22,7 +22,7 @@ from twoway.boolfn import (
 from twoway.errors import InputError, SpecError
 from twoway.qquery import exact_parity, grover_or
 from twoway.compiler import compile_query_to_qcfa, run_compiled
-from twoway.handcrafted import PrimeTable, build_eq_pfa
+from twoway.handcrafted import PrimeTable, build_eq_dfa, build_eq_pfa
 from twoway import harness
 from twoway.harness import (
     _EqPfaFast,
@@ -401,6 +401,22 @@ def test_certificate_check():
         certificate_check(1.5, 6, 3, 2)            # 7 bits > 1.5 * 3 + 1
 
 
+def test_sweep_rejects_a_census_over_the_declared_bound(monkeypatch):
+    # the exhaustive eq-dfa row at n=4 visits at most 13 states a run: a
+    # machine declaring 13 passes, one declaring 12 is refused
+    bound = [13]
+
+    def declaring(n):
+        m = build_eq_dfa(n)
+        object.__setattr__(m.states, "declared_bound", bound[0])
+        return m
+    monkeypatch.setattr(harness, "build_eq_dfa", declaring)
+    assert 2 ** sweep_ts("eq-dfa", [4])[0].s_visited == pytest.approx(13)
+    bound[0] = 12
+    with pytest.raises(SpecError, match="eq-dfa n=4: visited census exceeds the declared bound"):
+        sweep_ts("eq-dfa", [4])
+
+
 def test_sweep_validates_family_and_size():
     with pytest.raises(InputError):
         sweep_ts("eq-qfa", [4])
@@ -409,3 +425,4 @@ def test_sweep_validates_family_and_size():
     for family, samples in (("eq-dfa", 0), ("grover-ints", -2)):
         with pytest.raises(InputError, match="samples per n must be >= 1"):
             sweep_ts(family, [9], samples_per_n=samples)
+

@@ -150,7 +150,8 @@ def test_walker_fills_each_transition_and_halting_code_once():
 def test_an_exhaustive_eq_dfa_sweep_leaves_numpy_ma_unimported():
     # np.unique would import numpy.ma on its first call, which costs a fresh
     # process milliseconds and about half a megabyte; neither an exhaustive
-    # nor a sampled row of any family, nor any runner, may import it
+    # nor a sampled row of any family, at small sizes and at the sizes the
+    # benchmark's rounds run, nor any runner, may import it
     src = str(Path(twoway.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -166,6 +167,9 @@ def test_an_exhaustive_eq_dfa_sweep_leaves_numpy_ma_unimported():
         for family, ns in (('eq-dfa', [9]), ('eq-pfa', [4, 9]), ('grover-ints', [4, 9]),
                            ('exact-parity-lifted', [4, 10])):
             sweep_ts(family, ns, samples_per_n=2)
+        for family, ns in (('grover-ints', [256]), ('exact-parity-lifted', [512]),
+                           ('eq-dfa', [8]), ('eq-pfa', [8])):
+            sweep_ts(family, ns, samples_per_n=1)
         pfa = build_eq_pfa(2)
         pfa_exact(pfa, '01##01')
         run_pfa_sample(pfa, '01##01')
