@@ -166,7 +166,8 @@ def compile_query_to_qcfa(alg: QueryAlgorithm, gadget: Gadget, n: int) -> Compil
     @cache
     def lifted(si):
         seg = alg.segments[si]
-        return LiftedSegment([lift_op(u) for u in seg.unitaries], *lift_measurement(seg.measurement))
+        meas, rows = lift_measurement(seg.measurement)
+        return LiftedSegment([lift_op(u) for u in seg.unitaries], meas, rows)
 
     @cache
     def reset(a, b):
