@@ -25,7 +25,9 @@ from twoway.boolfn import (
     parse_gadget,
     xor_fn,
 )
+from twoway.compiler import compile_query_to_qcfa
 from twoway.errors import InputError
+from twoway.qquery import grover_or
 
 
 def bits(p):
@@ -164,9 +166,6 @@ def test_as_bits_validates():
 def test_a_gadget_table_is_built_once_per_gadget():
     # values reads one cached table: two calls over ip:2 (4 x 4 entries)
     # call the gadget at most 16 times, and compiling over it adds none
-    from twoway.compiler import compile_query_to_qcfa
-    from twoway.qquery import grover_or
-
     calls = []
     ip = ip_gadget(2)
     g = Gadget(ip.name, ip.width, lambda a, b: calls.append((a, b)) or ip.fn(a, b))
