@@ -23,10 +23,9 @@ class NonHaltingError(TwoWayError, RuntimeError):
     """A run revisited a configuration (deterministic loop) or exceeded the
     step cutoff. Carries the offending configuration when known."""
 
-    def __init__(self, message, configuration=None, trace=None):
+    def __init__(self, message, configuration=None):
         super().__init__(message)
         self.configuration = configuration
-        self.trace = trace
 
 
 class RefusalError(TwoWayError, ValueError):

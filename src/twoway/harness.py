@@ -18,14 +18,13 @@ the worst input of its class.
 A compiled family's row (grover-ints, exact-parity-lifted) runs every pair
 through one run_compiled_lanes call.
 
-The equality sweep machine's exhaustive rows walk every pair of the row in
-lockstep (lockstep.run_dfa_lanes): the machine's transitions are tabulated
-the first time a pair of the row needs them. If the walk hands a lane back
-(a failing transition, a bad head position, a long run), every pair of the
-row goes through run_dfa on the row's regions instead, its certificate
+The equality sweep machine's exhaustive rows (n <= 8) take its closed form
+(_eq_dfa_runs): a one-sweep run on x #^n y crosses the x|y boundary once,
+and the first index where y differs from x fixes the whole run. The tests
+check every pair of every exhaustive size against run_dfa. Its sampled rows
+run every pair through run_dfa on the row's regions, each certificate
 checked as its run ends, so the row raises the error the first failing pair
-raises on its own. Its sampled rows, whose states seldom repeat, take that
-per-run path from the start.
+raises on its own.
 
 The equality fingerprint family uses a vectorized evaluator (_EqPfaFast)
 that reproduces the machine's acceptance probability, step count, and
@@ -53,14 +52,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .automata import DEFAULT_CUTOFF, PAYLOAD_SYMBOLS, run_dfa
+from .automata import DEFAULT_CUTOFF, run_dfa
 from .boolfn import HASH, LanguageSpec, bit_string, eq_language, ints_language, lifted_language, ComposedFunction, and_gadget, xor_fn
 from .commlab import _regions, machine_space
 from .compiler import compile_query_to_qcfa, run_compiled_lanes
 from .compiler import run_compiled  # noqa: F401  (the benchmark's tracer hooks this name)
 from .errors import InputError, SpecError
-from .handcrafted import PrimeTable, build_eq_dfa, eq_pfa_time
-from .lockstep import LaneRuns, run_dfa_lanes
+from .handcrafted import PrimeTable, build_eq_dfa, eq_dfa_time, eq_pfa_time
 from .qquery import exact_parity, grover_or
 
 _owner_walk = None  # a name the benchmark's tracer hooks; the step walker hands off itself
@@ -215,45 +213,44 @@ def _worst(err: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
 
 def _eval_eq_dfa(n: int, samples: int, seed) -> tuple:
     machine = build_eq_dfa(n)
-    xs, ys, xi, yi = _pair_bits(eq_language(n), n, samples, seed)
-    # A row whose side words are fewer than its pairs (an exhaustive row)
-    # shares prefixes between pairs, so its lanes pass through the same
-    # states and each table entry serves many of them. A sampled row's
-    # states carry its random x and almost never repeat: its pairs run
-    # faster one by one (the n=64 and 256 rows, 24 pairs each: 0.09 s pair
-    # by pair, 0.16 s in lockstep, on a 2-vCPU x86 VM).
-    return _dfa_runs(machine, xs[xi], ys[yi], _regions(n), lockstep=len(xs) < len(xi))
+    lang = eq_language(n)
+    xs, ys, xi, yi = _pair_bits(lang, n, samples, seed)
+    x, y = xs[xi], ys[yi]
+    if len(xs) < len(xi):                   # exhaustive: every pair of n <= 8
+        return (machine, x, y, lang.values(x, y), *_eq_dfa_runs(x, y))
+    return _dfa_runs(machine, x, y, _regions(n))
 
 
 def _dfa_runs(machine, x: np.ndarray, y: np.ndarray, regions,
-              cutoff: int = DEFAULT_CUTOFF, lockstep: bool = True) -> tuple:
+              cutoff: int = DEFAULT_CUTOFF) -> tuple:
     """A row's runs of a 2DFA on the equality pairs x_i #^n y_i (bit-matrix
-    rows in input order).
+    rows in input order): every pair runs through run_dfa on `regions` (its
+    hand-offs the crossings) and its certificate is checked as the run ends,
+    so the first pair that run_dfa or its certificate fails on raises its
+    error, with its message."""
+    pairs, n = x.shape
+    accepted = np.zeros(pairs, np.int8)
+    steps, visited, crossings = (np.zeros(pairs, np.int64) for _ in range(3))
+    for i in range(pairs):
+        trace = run_dfa(machine, bit_string(x[i]) + HASH * n + bit_string(y[i]), cutoff, regions)
+        certificate_check(machine_space(machine), trace.steps, len(trace.handoffs), n)
+        accepted[i], steps[i], visited[i], crossings[i] = (
+            trace.accepted_bit, trace.steps, trace.visited, len(trace.handoffs))
+    return (machine, x, y, eq_language(n).values(x, y), accepted, steps, visited, crossings)
 
-    With `lockstep`, every pair walks in lockstep (run_dfa_lanes). Without
-    it, or when the walk hands a lane back, every pair runs through run_dfa
-    on `regions` (its hand-offs the crossings) and its certificate is
-    checked as the run ends, so the first pair that run_dfa or its
-    certificate fails on raises its error, with its message."""
+
+def _eq_dfa_runs(x: np.ndarray, y: np.ndarray) -> tuple:
+    """The equality sweep machine's (accepted, steps, census, crossings) on
+    the pairs x_i #^n y_i, as run_dfa gives them on _regions(n). With k the
+    first index where y differs from x (n when x = y), the run reads ¢, x
+    and #^n, then y up to bit k: 2n+2+k steps, eq_dfa_time(n) at k = n. Its
+    census is one fewer, since the ¢ step and the first x step leave the
+    same state, and it hands off once, as the head enters y."""
     n = x.shape[1]
-    if lockstep:
-        payloads = np.empty((x.shape[0], 3 * n), dtype=np.uint8)
-        payloads[:, :n] = x
-        payloads[:, n:2 * n] = PAYLOAD_SYMBOLS.index(HASH)
-        payloads[:, 2 * n:] = y
-        runs = run_dfa_lanes(machine, payloads, regions, cutoff)
-        del payloads
-    if not lockstep or runs.replay.any():
-        runs = LaneRuns.zeros(x.shape[0])
-        for i in range(x.shape[0]):
-            trace = run_dfa(machine, bit_string(x[i]) + HASH * n + bit_string(y[i]),
-                            cutoff, regions)
-            crossings = len(trace.handoffs)
-            certificate_check(machine_space(machine), trace.steps, crossings, n)
-            runs.accepted[i], runs.steps[i], runs.visited[i], runs.crossings[i] = (
-                trace.accepted_bit, trace.steps, trace.visited, crossings)
-    return (machine, x, y, eq_language(n).values(x, y), runs.accepted, runs.steps,
-            runs.visited, runs.crossings)
+    differ = x != y
+    k = np.where(differ.any(axis=1), differ.argmax(axis=1), n)
+    steps = eq_dfa_time(n) - n + k
+    return ((k == n).astype(np.int8), steps, steps - 1, np.ones_like(steps))
 
 
 class _EqPfaFast:

@@ -175,12 +175,15 @@ def _validated_decisions(alg: QueryAlgorithm) -> list[DecisionRows]:
     checked: set[int] = set()
     labels_of: dict[int, list] = {}      # per measurement object
     passed: set = set()                  # (kind, swap) array ids checked
-    rows = []
+    rows, dim = [], alg.layout.dim
     for s, seg in enumerate(alg.segments):
         if len(seg.unitaries) < 1:
             raise SpecError(f"segment {s} needs at least one unitary")
         for ui, op in enumerate(seg.unitaries):
             if id(op) not in checked:
+                if op.dim != dim:
+                    raise SpecError(f"segment {s} unitary {ui}: dimension {op.dim} "
+                                    f"is not the register's {dim}")
                 try:
                     check_unitary(op)
                 except SpecError as exc:
@@ -188,13 +191,16 @@ def _validated_decisions(alg: QueryAlgorithm) -> list[DecisionRows]:
                 checked.add(id(op))
         labels = labels_of.get(id(seg.measurement))
         if labels is None:
+            if seg.measurement.dim != dim:
+                raise SpecError(f"segment {s} measurement: dimension {seg.measurement.dim} "
+                                f"is not the register's {dim}")
             seg.measurement.validate()
             labels = labels_of[id(seg.measurement)] = seg.measurement.labels()
         try:
             table = seg.decide(labels)
         except SpecError as exc:
             raise SpecError(f"segment {s} {exc}") from None
-        _check_rows(table, labels, s, len(alg.segments), alg.layout.dim, passed)
+        _check_rows(table, labels, s, len(alg.segments), dim, passed)
         rows.append(table)
     return rows
 

@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twoway
 from twoway.automata import pfa_exact
 from twoway.boolfn import (
     ComposedFunction,
@@ -426,3 +431,39 @@ def test_sweep_validates_family_and_size():
         with pytest.raises(InputError, match="samples per n must be >= 1"):
             sweep_ts(family, [9], samples_per_n=samples)
 
+
+def test_sweeps_and_runners_leave_numpy_ma_unimported():
+    # np.unique would import numpy.ma on its first call, which costs a fresh
+    # process milliseconds and about half a megabyte; neither an exhaustive
+    # nor a sampled row of any family, at small sizes and at the sizes the
+    # benchmark's rounds run, nor any runner, may import it
+    src = str(Path(twoway.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = """if True:
+        import sys
+        from twoway.automata import pfa_exact, qcfa_exact, qcfa_sample, run_pfa_sample
+        from twoway.boolfn import and_gadget
+        from twoway.compiler import compile_query_to_qcfa, run_compiled
+        from twoway.handcrafted import build_eq_pfa
+        from twoway.harness import sweep_ts
+        from twoway.qquery import grover_or
+        sweep_ts('eq-dfa', [4])
+        for family, ns in (('eq-dfa', [9]), ('eq-pfa', [4, 9]), ('grover-ints', [4, 9]),
+                           ('exact-parity-lifted', [4, 10])):
+            sweep_ts(family, ns, samples_per_n=2)
+        for family, ns in (('grover-ints', [256]), ('exact-parity-lifted', [512]),
+                           ('eq-dfa', [8]), ('eq-pfa', [8])):
+            sweep_ts(family, ns, samples_per_n=1)
+        pfa = build_eq_pfa(2)
+        pfa_exact(pfa, '01##01')
+        run_pfa_sample(pfa, '01##01')
+        rep = compile_query_to_qcfa(grover_or(2), and_gadget(), 2)
+        qcfa_exact(rep.machine, '01##01')
+        qcfa_sample(rep.machine, '01##01')
+        run_compiled(rep, '01', '01')
+        print('numpy.ma' in sys.modules)
+    """
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

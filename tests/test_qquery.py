@@ -18,7 +18,9 @@ from twoway.ops import (
     DenseOp,
     DiffusionOp,
     IdentityOp,
+    Measurement,
     OnAnswerOp,
+    PrepReflectOp,
     RegisterLayout,
 )
 from twoway.qquery import (
@@ -285,6 +287,29 @@ def test_validation_checks_each_distinct_operator_once(monkeypatch):
         distinct = {id(u) for seg in alg.segments for u in seg.unitaries}
         assert len(checked) <= 5
         assert {id(op) for op in checked} == distinct
+
+
+# unrefused, a complete measurement of another register runs to 0.0, a
+# partition of one loses half the mass at run time, and an operator of
+# another register fails inside numpy's reshape
+@pytest.mark.parametrize("where,bad,match", [
+    pytest.param("measurement", CompleteMeasurement(8),
+                 "segment 1 measurement: dimension 8 is not the register's 4", id="complete-8"),
+    pytest.param("measurement", Measurement(2, {0: [0], 1: [1]}),
+                 "segment 1 measurement: dimension 2 is not the register's 4", id="partition-2"),
+    pytest.param("unitary", PrepReflectOp(RegisterLayout(4, 1)),
+                 "segment 1 unitary 1: dimension 8 is not the register's 4", id="prep-reflect-8"),
+])
+def test_validation_refuses_a_unitary_or_measurement_of_another_dimension(where, bad, match):
+    meas = CompleteMeasurement(TOY.dim)
+    idle = IdentityOp(TOY.dim)
+    second = (Segment((idle,), bad, halt) if where == "measurement"
+              else Segment((idle, bad), meas, halt))
+    alg = toy_algorithm(Segment((idle,), meas, go_to(1)), second)
+    with pytest.raises(SpecError, match=match):
+        validate_algorithm(alg)
+    with pytest.raises(SpecError, match=match):
+        run_query_alg(alg, "01")
 
 
 def fixed_rows(kind, next_segment=None, swap=None):
