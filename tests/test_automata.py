@@ -434,6 +434,22 @@ def test_qcfa_runners_raise_on_a_control_cycle_of_identity_ops():
             run(m, "0", cutoff=100_000)
 
 
+def test_qcfa_runners_raise_on_a_control_cycle_of_hadamards():
+    # the control cycle a@0 -> b@1 -> a@0 applies a Hadamard on every step:
+    # the repeat spans unitaries, and a runner that forgot the configurations
+    # passed at each one would spin to the cutoff
+    h = DenseOp(np.array([[1, 1], [1, -1]]) / np.sqrt(2), "H")
+    cycle = {("a", "¢"): ("b", 1), ("b", "0"): ("a", -1)}
+    space = StateSpace("a", lambda s: None, 2, "2")
+    m = TwoWayQcfa("flip", space, 2, lambda state, sym: h,
+                   lambda state, sym: cycle.get((state, sym)),
+                   lambda state, sym, label: None)
+    for run in (qcfa_exact, qcfa_sample):
+        with pytest.raises(NonHaltingError,
+                           match="flip: configuration repeats, machine cannot halt"):
+            run(m, "0", cutoff=100_000)
+
+
 def test_qcfa_exact_restarts_across_measurements_are_not_repeats():
     # a Hadamard coin at ¢, measured: "zero" accepts, "one" walks right and
     # back to (go, 0), the configuration the run began in, until the
