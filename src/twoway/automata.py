@@ -11,12 +11,14 @@ qubits for quantum machines. The visited census counts distinct classical
 states a transition was taken from, so a machine that halts immediately on
 its first step has visited 1 state.
 
-Every runner but qcfa_exact (run_dfa, run_pfa_sample, qcfa_sample and
-pfa_exact) walks through one step walker. It follows a machine's certain
+Every runner (run_dfa, run_pfa_sample, qcfa_sample, pfa_exact and
+qcfa_exact) walks through one step walker. It follows a machine's certain
 transitions until the machine halts or meets a choice: a distribution with
 more than one outcome, or a measurement. A sampler draws once at a choice
 and walks on; pfa_exact walks on from every outcome of positive probability
-and solves the graph of these stretches. Between two choices the run is
+and solves the graph of these stretches; qcfa_exact also stops each branch
+at every unitary but the identity, merges there the branches on equal
+registers, applies the unitary and walks on. Between two choices the run is
 deterministic (for a 2QCFA too: its classical control reads only the state
 and the symbol), so a configuration that repeats since the last choice
 repeats forever, and the walker raises at once instead of running to the
@@ -29,15 +31,12 @@ met it on applies no operator and measures nothing.
 On a run split into two ownership regions (commlab's protocol parties), the
 head passes to the other party wherever a stretch starts or a step ends
 outside its owner's region, and must then lie in the other region.
-
-qcfa_exact keeps its own per-step loop because it merges branches one step
-after a reset, where they meet, while a walk stretch by stretch merges them
-only at the next measurement, after each has walked the whole segment
-(about 10x the transitions on compiled grover_or(16) runs).
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 import random
 import sys
@@ -225,7 +224,7 @@ def _undefined(machine, state: State, sym: str, steps: int, pos: int) -> SpecErr
 
 
 def _walk(machine, symbols, transition, cutoff, origins, state, pos, steps,
-          regions=_WHOLE_TAPE, handoffs=()):
+          regions=_WHOLE_TAPE, handoffs=(), seen=None):
     """Follow `machine` on the tape `symbols` from `state` at head position
     `pos`, `steps` transitions in, until it halts or meets a choice.
 
@@ -237,16 +236,17 @@ def _walk(machine, symbols, transition, cutoff, origins, state, pos, steps,
 
     The stretch walked is deterministic, so a configuration that repeats in
     it repeats forever: the walk raises on it at once, before the step
-    cutoff. Every state a transition is taken from joins `origins`, and
-    every hand-off between the two ownership `regions` joins `handoffs`
-    (_hand_off, where the walk starts and after every step).
+    cutoff. `seen` holds the configurations of a stretch begun earlier (a
+    2QCFA branch past a unitary). Every state a transition is taken from
+    joins `origins`, and every hand-off between the two ownership `regions`
+    joins `handoffs` (_hand_off, where the walk starts and after every step).
     """
     last = len(symbols) - 1
     circular = machine.circular
     halting = machine.states.halting
-    seen: set = set()
+    seen = set() if seen is None else seen
     seen_add = seen.add
-    first = steps                  # where the stretch began
+    first = steps - len(seen)      # where the stretch began
     lo, hi = _hand_off(regions, handoffs, pos, steps)
     while True:
         if halting(state) is not None:
@@ -605,11 +605,11 @@ def pfa_exact(
 class _QcfaRegister:
     """The quantum register of a 2QCFA run and the steps that drive it.
 
-    transition() is the walker's: a unitary action is applied to `psi` (its
-    norm checked and, if `log` is a list, logged unless it is the identity)
-    and the classical step is machine.step's (None where undefined); a
-    measurement is a choice and leaves `psi` alone. route() is where a
-    measurement outcome goes.
+    transition() is the samplers' walker transition and qcfa_exact's step at
+    a unitary: a unitary action is applied to `psi` (its norm checked and,
+    if `log` is a list, logged unless it is the identity) and the classical
+    step is machine.step's (None where undefined); a measurement is a choice
+    and leaves `psi` alone. route() is where a measurement outcome goes.
 
     A sampler's stretch keeps a memo: the register's bytes at the stretch's
     start map to [register at its end, outcomes of the measurement there or
@@ -700,50 +700,50 @@ def qcfa_exact(
 ) -> ExactRunResult:
     """Enumerate all measurement branches exactly.
 
-    Branches with the same classical state and head position and a
-    bitwise-equal quantum register evolve identically from that point on,
-    so they are merged after every step (the branch engine's rule); this
-    keeps restart-style machines (measure, reset, retry) linear instead of
-    exponential in the number of rounds. Weights below BRANCH_PRUNE are
-    pruned.
-
-    Each branch carries the (state, position) configurations it passed
-    since its last measurement (a merged branch keeps the first one's): a
-    configuration that repeats there repeats forever, as in the step
-    walker, and raises at once instead of running to the cutoff.
-
-    This loop is not the step walker because on compiled machines every
-    merge happens one step after a reset, where the reset's branches meet
-    on one register; walked stretch by stretch to the next measurement they
-    would meet only there, and five compiled grover_or(16) pairs took
-    105,848 transitions that way against 10,746 here.
+    Each branch walks the step walker to its next quantum action other than
+    the identity, or to its halt. Branches stopped with the same state, head
+    position and bitwise-equal register evolve identically, so they merge
+    there (the branch engine's rule; the larger step count stays, so the
+    time fields, which are maxima, keep their values): restart-style
+    machines (measure, reset, retry) stay linear in the number of rounds.
+    Branches go on in order of steps, then of arrival, each with the
+    configurations it passed since its last measurement (a merged branch
+    keeps the first one's), so a repeat across unitaries raises too.
+    Weights below BRANCH_PRUNE are pruned.
     """
     tape = Tape(payload, machine.circular)
     symbols = tape.symbols
+
+    def transition(state, sym):
+        action = machine.theta(state, sym)
+        if action is None:
+            raise _Unplaced(f"{machine.name}: no quantum action at {(state, sym)}")
+        return machine.step(state, sym) if isinstance(action, IdentityOp) else (_CHOICE, action)
+
     origins: set = set()
     accept = total = 0.0
     t_acc = t_rej = 0
     branch_count = 0
-    # globally merged frontier, one step per iteration
-    pending: dict = {}
+    frontier: dict = {}            # (state, pos, register bytes) -> [weight, psi, steps, seen]
+    order: list = []               # heap of (steps, insertion number, key)
+    numbers = itertools.count()
 
-    def insert(w, state, pos, psi, steps, passed):
-        if w < BRANCH_PRUNE:
-            return
+    def walk(weight, state, pos, psi, steps, seen):
+        state, pos, steps, _ = _walk(machine, symbols, transition, cutoff, origins,
+                                     state, pos, steps, seen=seen)
         key = (state, pos, psi.tobytes())
-        prev = pending.get(key)
-        if prev is None:
-            pending[key] = (w, psi, steps, passed)
-        else:
-            w0, psi_0, st0, passed_0 = prev
-            pending[key] = (w0 + w, psi_0, max(st0, steps), passed_0)
+        branch = frontier.setdefault(key, [0.0, psi, steps, seen])
+        if not branch[0]:          # new here: a kept branch weighs BRANCH_PRUNE or more
+            heapq.heappush(order, (steps, next(numbers), key))
+        branch[0] += weight
+        branch[2] = max(branch[2], steps)
 
     register = _QcfaRegister(machine, None)
-    insert(1.0, machine.states.initial, 0, machine.initial_vector(), 0, set())
-    while pending:
-        key = next(iter(pending))
+    walk(1.0, machine.states.initial, 0, machine.initial_vector(), 0, set())
+    while order:
+        key = heapq.heappop(order)[2]
         state, pos, _ = key
-        weight, psi, steps, passed = pending.pop(key)
+        weight, psi, steps, seen = frontier.pop(key)
         halt = machine.states.halting(state)
         if halt is not None:
             branch_count += 1
@@ -754,35 +754,23 @@ def qcfa_exact(
             else:
                 t_rej = max(t_rej, steps)
             continue
-        config = (state, pos)
-        if config in passed:
-            raise NonHaltingError(
-                f"{machine.name}: configuration repeats, machine cannot halt",
-                configuration=config,
-            )
-        passed.add(config)          # a set moves on with its branch: one owner
-        if steps >= cutoff:
-            raise NonHaltingError(
-                f"{machine.name}: step cutoff {cutoff} exceeded", configuration=config
-            )
         sym = symbols[pos]
         register.psi = psi
         try:
             nxt = register.transition(state, sym)
-            origins.add(state)
             if nxt is None:
                 raise _undefined(machine, state, sym, steps, pos)
-            nxt_state, mv = nxt
-            if nxt_state is not _CHOICE:
-                insert(weight, nxt_state, tape.move(pos, mv, machine.name, steps),
-                       register.psi, steps + 1, passed)
-                continue
-            for label, p, collapsed in mv.branches(psi):
-                nxt_state, mv = register.route(state, sym, label)
-                insert(weight * p, nxt_state, tape.move(pos, mv, machine.name, steps),
-                       collapsed, steps + 1, set())
+            if nxt[0] is not _CHOICE:
+                nexts = [(weight, *nxt, register.psi, seen)]
+            else:
+                nexts = [(weight * p, *register.route(state, sym, label), collapsed, set())
+                         for label, p, collapsed in nxt[1].branches(psi)]
         except _Unplaced as exc:
             raise _placed(str(exc), steps, pos) from None
+        for w, nxt_state, mv, nxt_psi, nxt_seen in nexts:
+            nxt_pos = tape.move(pos, mv, machine.name, steps)
+            if w >= BRANCH_PRUNE:
+                walk(w, nxt_state, nxt_pos, nxt_psi, steps + 1, nxt_seen)
 
     check_lost_mass(total, lambda: machine.name)
     return ExactRunResult(

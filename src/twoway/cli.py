@@ -19,25 +19,30 @@ import json
 import sys
 
 from .automata import pfa_exact, qcfa_exact, run_dfa, run_pfa_sample, qcfa_sample
-from .boolfn import parse_gadget
+from .boolfn import parse_function, parse_gadget
 from .commlab import FunctionMatrix, bruteforce_dcc, extract_protocol
 from .compiler import compile_query_to_qcfa
-from .errors import TwoWayError
+from .errors import InputError, TwoWayError
 from .handcrafted import build_eq_dfa, build_eq_pfa
 from .harness import FAMILIES, fit_scaling, read_rows, sweep_ts, write_rows
 from .qquery import build_optimal_dt, dt_optimal_depth, parse_query_algorithm
-from .boolfn import parse_function
 from .serialize import load_json, load_machine, machine_to_json, save_json
+
+
+def _side_length(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"{what} needs an integer side length, not {text!r}") from None
 
 
 def _load_machine_spec(spec: str):
     if spec.endswith(".json"):
         return load_machine(load_json(spec))
     kind, _, arg = spec.partition(":")
-    if kind == "eq-dfa":
-        return build_eq_dfa(int(arg))
-    if kind == "eq-pfa":
-        return build_eq_pfa(int(arg))
+    builder = {"eq-dfa": build_eq_dfa, "eq-pfa": build_eq_pfa}.get(kind)
+    if builder is not None:
+        return builder(_side_length(arg, f"machine spec {spec!r}"))
     raise TwoWayError(
         f"unknown machine spec {spec!r}; use eq-dfa:<n>, eq-pfa:<n>, or a .json path"
     )
@@ -122,7 +127,7 @@ def _dt_to_obj(node):
 
 
 def _cmd_sweep(args) -> int:
-    ns = [int(v) for v in args.n.split(",") if v]
+    ns = [_side_length(v, "--n") for v in args.n.split(",") if v]
     rows = sweep_ts(args.family, ns, samples_per_n=args.samples, seed=args.seed)
     write_rows(rows, args.out)
     for r in rows:
@@ -201,10 +206,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except TwoWayError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (TwoWayError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -450,12 +450,15 @@ def fit_scaling(rows, log_correction: str = "none") -> FitResult:
     ns = np.array([r.n for r in rows], dtype=float)
     if ns.max() / ns.min() < 8:
         raise InputError("scaling fit needs n to span at least a factor of 8")
+    for r in rows:
+        if not r.ts > 0:
+            raise InputError(f"scaling fit needs TS > 0; the row at n={r.n} has TS={r.ts}")
+        if log_correction == "divide-by-log-n" and r.n < 2:
+            raise InputError(f"divide-by-log-n needs n >= 2; a row has n={r.n}")
     ts = np.array([r.ts for r in rows], dtype=float)
     if log_correction == "divide-by-log-n":
         ts = ts / np.log2(ns)
-    lx = np.log(ns)
-    ly = np.log(ts)
-    (slope, intercept), res, *_ = np.polyfit(lx, ly, 1, full=True)
+    (slope, intercept), res, *_ = np.polyfit(np.log(ns), np.log(ts), 1, full=True)
     residual = float(np.sqrt(res[0] / len(rows))) if res.size else 0.0
     return FitResult(float(slope), float(intercept), residual,
                      log_correction, len(rows))

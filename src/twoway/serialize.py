@@ -97,6 +97,9 @@ def load_machine(data) -> TwoWayDfa | TwoWayPfa | TwoWayQcfa:
     gen = data.get("generator")
     if gen is not None:
         return _build_generator(gen)
+    for key in ("kind", "name", "initial", "accept", "reject", "transitions", "circular"):
+        if key not in data:
+            raise InputError(f"automaton document has no {key!r} field")
     kind = data["kind"]
     initial = _state_in(data["initial"])
     accept = {_state_in(s) for s in data["accept"]}
@@ -218,4 +221,7 @@ def save_json(data: dict, path) -> None:
 
 
 def load_json(path) -> dict:
-    return json.loads(Path(path).read_text())
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path} is not valid JSON: {exc}") from None

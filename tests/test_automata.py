@@ -22,7 +22,7 @@ from twoway.automata import (
     run_pfa_sample,
 )
 from twoway.errors import InputError, NonHaltingError, SpecError
-from twoway.ops import CompleteMeasurement, DenseOp, IdentityOp, Measurement
+from twoway.ops import BasisSwapOp, CompleteMeasurement, DenseOp, IdentityOp, Measurement
 from twoway.serialize import load_machine, machine_to_json
 
 
@@ -479,6 +479,34 @@ def test_restarts_across_coin_flips_are_not_repeats():
     assert all(k % 2 == 1 for k in steps)  # one step per heads, two per tails
     res = pfa_exact(m, "0")
     assert res.accept_probability == 1 and not res.time_bounded
+
+
+def test_qcfa_exact_merges_branches_that_stop_on_equal_registers_at_different_steps():
+    # a Hadamard and a measurement at ¢: outcome 0 sweeps to $ and back on
+    # |0>, outcome 1 swaps |1> to |0> at once; both stop at (meet, 0), whose
+    # step is no identity, on one register, 18 steps apart
+    h = DenseOp(np.array([[1, 1], [1, -1]]) / np.sqrt(2), "H")
+    actions = {"go": h, "read": CompleteMeasurement(2), "swap": BasisSwapOp(2, 0, 1),
+               "meet": h}
+    walks = {"go": ("read", 0), "swap": ("meet", 0), "meet": ("done", 0)}
+
+    def step(state, sym):
+        if state == "out":
+            return ("out", 1) if sym != "$" else ("back", -1)
+        if state == "back":
+            return ("back", -1) if sym != "¢" else ("meet", 0)
+        return walks[state]
+
+    m = TwoWayQcfa(
+        "meet", StateSpace("go", lambda s: "accept" if s == "done" else None, 7, "7"), 2,
+        lambda state, sym: actions.get(state, IdentityOp(2)), step,
+        lambda state, sym, label: ("out", 0) if label == 0 else ("swap", 0))
+    res = qcfa_exact(m, "0" * 8)
+    # merged where they stop, the branch keeps the later step count: the
+    # time fields are the longer path's, as they would be unmerged
+    assert (res.branch_count, res.t_max, res.t_max_accepting) == (1, 22, 22)
+    assert res.accept_probability == 1 - 2 ** -52      # each outcome weighs 1/2 - 2^-53
+    assert {qcfa_sample(m, "0" * 8, seed=s).steps for s in range(8)} == {4, 22}
 
 
 def test_qcfa_exact_and_sample_on_a_hadamard_coin():

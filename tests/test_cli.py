@@ -104,3 +104,31 @@ def test_errors_exit_one_with_diagnostic(capsys, tmp_path):
                            "--out", str(tmp_path / "rows.csv"))
     assert rc == 1 and out == "" and "samples per n must be >= 1" in err
     assert not (tmp_path / "rows.csv").exists()
+    (tmp_path / "broken.json").write_text("{not json")
+    (tmp_path / "kindless.json").write_text('{"format": "twoway-automaton"}')
+    for argv, says in [
+        (("simulate", "eq-dfa:x", "0"), "machine spec 'eq-dfa:x' needs an integer side "
+                                        "length, not 'x'"),
+        (("simulate", "eq-dfa", "0"), "machine spec 'eq-dfa' needs an integer side "
+                                      "length, not ''"),
+        (("sweep", "eq-dfa", "--n", "4,x", "--out", str(tmp_path / "x.csv")),
+         "--n needs an integer side length, not 'x'"),
+        (("simulate", str(tmp_path / "broken.json"), "0"), "broken.json is not valid JSON"),
+        (("simulate", str(tmp_path / "kindless.json"), "0"),
+         "automaton document has no 'kind' field"),
+    ]:
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (1, "") and err.startswith("error: ") and says in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_fit_refuses_to_divide_by_log_of_n_below_two(tmp_path, capsys):
+    # log2(1) = 0: the n=1 row's corrected TS would be infinite
+    csv_path = tmp_path / "dfa.csv"
+    rc, _, _ = run_cli(capsys, "sweep", "eq-dfa", "--n", "1,2,4,8", "--out", str(csv_path))
+    assert rc == 0
+    rc, out, err = run_cli(capsys, "fit", str(csv_path), "--logcorrect")
+    assert (rc, out) == (1, "")
+    assert err == "error: divide-by-log-n needs n >= 2; a row has n=1\n"
+    rc, out, _ = run_cli(capsys, "fit", str(csv_path))
+    assert rc == 0 and "(none)" in out

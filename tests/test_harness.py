@@ -389,6 +389,12 @@ def test_fit_input_validation():
     narrow = synthetic_rows([8, 16, 32, 48], lambda n: float(n))
     with pytest.raises(InputError):
         fit_scaling(narrow)
+    for ts in (0.0, -1.0, math.nan):
+        flat = synthetic_rows([8, 16, 32, 64], lambda n: ts if n == 16 else float(n))
+        with pytest.raises(InputError, match=f"the row at n=16 has TS={ts}"):
+            fit_scaling(flat)
+    with pytest.raises(InputError, match="divide-by-log-n needs n >= 2; a row has n=1"):
+        fit_scaling(synthetic_rows([1, 2, 4, 8], float), "divide-by-log-n")
 
 
 def test_certificate_check():
